@@ -2,8 +2,10 @@
 
 #include "cct/Export.h"
 
+#include "support/BinaryIO.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 
@@ -14,70 +16,53 @@ namespace {
 
 constexpr uint32_t Magic = 0x50504354; // "PPCT"
 
-void writeU64(std::vector<uint8_t> &Out, uint64_t Value) {
-  for (unsigned Index = 0; Index != 8; ++Index)
-    Out.push_back(static_cast<uint8_t>(Value >> (8 * Index)));
-}
-
-class Reader {
-public:
-  explicit Reader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool readU64(uint64_t &Value) {
-    if (Cursor + 8 > Bytes.size())
-      return false;
-    Value = 0;
-    for (unsigned Index = 0; Index != 8; ++Index)
-      Value |= uint64_t(Bytes[Cursor + Index]) << (8 * Index);
-    Cursor += 8;
-    return true;
-  }
-
-private:
-  const std::vector<uint8_t> &Bytes;
-  size_t Cursor = 0;
-};
-
 } // namespace
 
 std::vector<uint8_t> cct::serialize(const CallingContextTree &Tree) {
-  std::vector<uint8_t> Out;
-  writeU64(Out, Magic);
-  writeU64(Out, Tree.numRecords());
+  ByteWriter W;
+  W.u64(Magic);
+  W.u64(Tree.numRecords());
 
   std::unordered_map<const CallRecord *, uint64_t> IndexOf;
   for (size_t Index = 0; Index != Tree.records().size(); ++Index)
     IndexOf[Tree.records()[Index].get()] = Index;
 
   for (const auto &R : Tree.records()) {
-    writeU64(Out, R->procId());
-    writeU64(Out, R->parent() ? IndexOf.at(R->parent()) + 1 : 0);
-    writeU64(Out, R->Metrics.size());
+    W.u64(R->procId());
+    W.u64(R->parent() ? IndexOf.at(R->parent()) + 1 : 0);
+    W.u64(R->Metrics.size());
     for (uint64_t Metric : R->Metrics)
-      writeU64(Out, Metric);
-    writeU64(Out, R->PathTable.size());
-    for (const auto &[Sum, Cell] : R->PathTable) {
-      writeU64(Out, Sum);
-      writeU64(Out, Cell.Freq);
-      writeU64(Out, Cell.Metric0);
-      writeU64(Out, Cell.Metric1);
+      W.u64(Metric);
+    // Path-sum order, as image() uses: the live table is a hash map whose
+    // iteration order depends on insertion history, so a tree restored
+    // from an image would otherwise export different bytes.
+    std::vector<std::pair<uint64_t, PathCell>> Cells(R->PathTable.begin(),
+                                                     R->PathTable.end());
+    std::sort(Cells.begin(), Cells.end(),
+              [](const auto &A, const auto &B) { return A.first < B.first; });
+    W.u64(Cells.size());
+    for (const auto &[Sum, Cell] : Cells) {
+      W.u64(Sum);
+      W.u64(Cell.Freq);
+      W.u64(Cell.Metric0);
+      W.u64(Cell.Metric1);
     }
   }
-  return Out;
+  return std::move(W.Bytes);
 }
 
 bool cct::deserialize(const std::vector<uint8_t> &Bytes,
                       std::vector<LoadedRecord> &Out) {
-  Reader R(Bytes);
+  ByteReader R(Bytes.data(), Bytes.size());
   uint64_t Header, NumRecords;
-  if (!R.readU64(Header) || Header != Magic || !R.readU64(NumRecords))
+  if (!R.u64(Header) || Header != Magic || !R.u64(NumRecords))
     return false;
   Out.clear();
   Out.reserve(NumRecords);
   for (uint64_t Index = 0; Index != NumRecords; ++Index) {
     LoadedRecord Record;
     uint64_t Proc, ParentPlus1, NumMetrics, NumCells;
-    if (!R.readU64(Proc) || !R.readU64(ParentPlus1) || !R.readU64(NumMetrics))
+    if (!R.u64(Proc) || !R.u64(ParentPlus1) || !R.count(NumMetrics, 8))
       return false;
     Record.Proc = static_cast<ProcId>(Proc);
     if (ParentPlus1 > Index)
@@ -85,15 +70,15 @@ bool cct::deserialize(const std::vector<uint8_t> &Bytes,
     Record.Parent = static_cast<int>(ParentPlus1) - 1;
     Record.Metrics.resize(NumMetrics);
     for (uint64_t M = 0; M != NumMetrics; ++M)
-      if (!R.readU64(Record.Metrics[M]))
+      if (!R.u64(Record.Metrics[M]))
         return false;
-    if (!R.readU64(NumCells))
+    if (!R.count(NumCells, 4 * 8))
       return false;
     for (uint64_t C = 0; C != NumCells; ++C) {
       uint64_t Sum;
       PathCell Cell;
-      if (!R.readU64(Sum) || !R.readU64(Cell.Freq) ||
-          !R.readU64(Cell.Metric0) || !R.readU64(Cell.Metric1))
+      if (!R.u64(Sum) || !R.u64(Cell.Freq) || !R.u64(Cell.Metric0) ||
+          !R.u64(Cell.Metric1))
         return false;
       Record.PathCells.push_back({Sum, Cell});
     }

@@ -29,8 +29,10 @@ struct LoadedRecord {
 };
 
 /// Serialises the tree (records in allocation order, tree edges, metrics,
-/// path tables). Slots/backedges are reconstructible from the metrics use
-/// case and are not persisted, matching the paper's profile-file role.
+/// path tables in path-sum order), so equal trees serialize to equal
+/// bytes whether live or restored from an image. Slots/backedges are
+/// reconstructible from the metrics use case and are not persisted,
+/// matching the paper's profile-file role.
 std::vector<uint8_t> serialize(const CallingContextTree &Tree);
 
 /// Reads back what serialize() wrote. Returns false on malformed input.

@@ -58,33 +58,33 @@ void cct::writeTreeImage(ByteWriter &W, const TreeImage &Image) {
   }
 }
 
-ImageDecodeStatus cct::readTreeImage(ByteReader &R, TreeImage &Out) {
+DecodeStatus cct::readTreeImage(ByteReader &R, TreeImage &Out) {
   uint64_t NumProcs;
   if (!R.count(NumProcs, MinProcBytes))
-    return ImageDecodeStatus::Truncated;
+    return DecodeStatus::Truncated;
   Out.Procs.resize(NumProcs);
   for (ProcDesc &Proc : Out.Procs) {
     uint64_t Sites, Paths;
     if (!R.str(Proc.Name) || !R.u64(Sites) || !R.bytes(Proc.SiteIsIndirect) ||
         !R.u64(Paths))
-      return ImageDecodeStatus::Truncated;
+      return DecodeStatus::Truncated;
     if (Sites > MaxProcSites)
-      return ImageDecodeStatus::Malformed;
+      return DecodeStatus::Malformed;
     Proc.NumSites = static_cast<unsigned>(Sites);
     Proc.NumPaths = Paths;
   }
   uint64_t NumMetrics, CellBytes, NumRecords;
   if (!R.u64(NumMetrics) || !R.u64(CellBytes) || !R.u64(Out.HashThreshold) ||
       !R.u64(Out.HeapBytes) || !R.u64(Out.ListCells))
-    return ImageDecodeStatus::Truncated;
+    return DecodeStatus::Truncated;
   // The tree constructor allocates per-record metric arrays and simulated
   // heap space up front; insane geometry would abort inside it, so reject
   // it here.
   if (NumMetrics > MaxTreeMetrics || CellBytes > MaxPathCellBytes ||
       Out.HeapBytes > MaxCctHeapBytes)
-    return ImageDecodeStatus::Malformed;
+    return DecodeStatus::Malformed;
   if (!R.count(NumRecords, MinRecordBytes))
-    return ImageDecodeStatus::Truncated;
+    return DecodeStatus::Truncated;
   Out.NumMetrics = static_cast<unsigned>(NumMetrics);
   Out.PathCellBytes = static_cast<unsigned>(CellBytes);
   Out.Records.resize(NumRecords);
@@ -92,36 +92,36 @@ ImageDecodeStatus cct::readTreeImage(ByteReader &R, TreeImage &Out) {
     uint64_t Proc, Parent, NumRecMetrics, NumCells, NumSlots;
     if (!R.u64(Proc) || !R.u64(Parent) || !R.u64(Rec.Addr) ||
         !R.u64(Rec.PathTableAddr) || !R.count(NumRecMetrics, 8))
-      return ImageDecodeStatus::Truncated;
+      return DecodeStatus::Truncated;
     Rec.Proc = static_cast<ProcId>(Proc);
     Rec.Parent = static_cast<int64_t>(Parent);
     if (Rec.Proc != RootProcId && Rec.Proc >= Out.Procs.size())
-      return ImageDecodeStatus::Malformed;
+      return DecodeStatus::Malformed;
     Rec.Metrics.resize(NumRecMetrics);
     for (uint64_t &Metric : Rec.Metrics)
       if (!R.u64(Metric))
-        return ImageDecodeStatus::Truncated;
+        return DecodeStatus::Truncated;
     if (!R.count(NumCells, MinPathCellBytes))
-      return ImageDecodeStatus::Truncated;
+      return DecodeStatus::Truncated;
     Rec.PathCells.resize(NumCells);
     for (auto &[Sum, Cell] : Rec.PathCells)
       if (!R.u64(Sum) || !R.u64(Cell.Freq) || !R.u64(Cell.Metric0) ||
           !R.u64(Cell.Metric1))
-        return ImageDecodeStatus::Truncated;
+        return DecodeStatus::Truncated;
     if (!R.count(NumSlots, MinSlotBytes))
-      return ImageDecodeStatus::Truncated;
+      return DecodeStatus::Truncated;
     Rec.Slots.resize(NumSlots);
     for (TreeImage::Slot &Slot : Rec.Slots) {
       uint64_t NumTargets;
       if (!R.u8(Slot.Kind) || !R.count(NumTargets, MinTargetBytes))
-        return ImageDecodeStatus::Truncated;
+        return DecodeStatus::Truncated;
       if (Slot.Kind > static_cast<uint8_t>(CallRecord::Slot::Kind::List))
-        return ImageDecodeStatus::Malformed;
+        return DecodeStatus::Malformed;
       Slot.Targets.resize(NumTargets);
       for (auto &[Target, CellAddr] : Slot.Targets)
         if (!R.u64(Target) || !R.u64(CellAddr))
-          return ImageDecodeStatus::Truncated;
+          return DecodeStatus::Truncated;
     }
   }
-  return ImageDecodeStatus::Ok;
+  return DecodeStatus::Ok;
 }

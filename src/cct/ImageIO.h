@@ -1,16 +1,15 @@
 //===- cct/ImageIO.h - TreeImage binary codec ------------------*- C++ -*-===//
 ///
 /// \file
-/// The binary encoding of a full-fidelity cct::TreeImage, shared by the
-/// driver's on-disk run cache (driver/OutcomeIO) and the profdb profile
-/// artifacts. The byte layout is exactly what OutcomeIO version 2 has
-/// always written for the embedded tree, so cache files and artifacts can
-/// share one decoder.
+/// The binary encoding of a full-fidelity cct::TreeImage, embedded in
+/// every profdb artifact that carries a tree (run-cache entries are
+/// artifacts too, see profdb/Artifact.h).
 ///
-/// The reader is bounds-checked in the OutcomeIO style: every count is
-/// validated against the bytes remaining, and decoded geometry is held
-/// under sanity ceilings before it reaches the CCT allocator (which
-/// treats exhaustion as fatal).
+/// The reader is bounds-checked: every count is validated against the
+/// bytes remaining, and decoded geometry is held under sanity ceilings
+/// before it reaches the CCT allocator (which treats exhaustion as
+/// fatal). Its verdict is the shared DecodeStatus (support/BinaryIO.h),
+/// of which it only ever returns Ok, Truncated or Malformed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,22 +31,14 @@ inline constexpr uint64_t MaxProcSites = uint64_t(1) << 20;
 inline constexpr uint64_t MaxCctHeapBytes =
     layout::ProfStackBase - layout::CctHeapBase;
 
-/// Why an embedded tree image failed to decode.
-enum class ImageDecodeStatus : unsigned {
-  Ok = 0,
-  /// A length or count field exceeds the bytes remaining.
-  Truncated,
-  /// A field holds a structurally impossible value (bad slot kind,
-  /// geometry above a ceiling, out-of-range procedure id).
-  Malformed,
-};
-
 /// Appends the encoding of \p Image to \p W.
 void writeTreeImage(ByteWriter &W, const TreeImage &Image);
 
-/// Decodes an image written by writeTreeImage. On failure \p Out is
-/// unspecified and must be discarded.
-ImageDecodeStatus readTreeImage(ByteReader &R, TreeImage &Out);
+/// Decodes an image written by writeTreeImage: Truncated when a count
+/// exceeds the bytes remaining, Malformed for a structurally impossible
+/// value (bad slot kind, geometry above a ceiling, out-of-range procedure
+/// id). On failure \p Out is unspecified and must be discarded.
+DecodeStatus readTreeImage(ByteReader &R, TreeImage &Out);
 
 } // namespace cct
 } // namespace pp

@@ -74,8 +74,7 @@ WireStatus decodePayload(const uint8_t *Data, size_t Size, Frame &Out) {
         Byte >= static_cast<uint8_t>(RejectReason::NumReasons))
       return WireStatus::Malformed;
     Out.Reason = static_cast<RejectReason>(Byte);
-    if (!Reader.u8(Byte) ||
-        Byte > static_cast<uint8_t>(profdb::DecodeStatus::TrailingBytes))
+    if (!Reader.u8(Byte) || Byte >= NumDecodeStatuses)
       return WireStatus::Malformed;
     Out.Decode = static_cast<profdb::DecodeStatus>(Byte);
     if (!Reader.u8(Byte) ||

@@ -20,7 +20,8 @@
 ///   UPLOAD  u64 serial; u64 window; bytes artifact (.ppa)
 ///   ACK     u64 serial; str text           (query answers ride in text)
 ///   REJECT  u64 serial; u8 reason (RejectReason); u8 decode
-///           (profdb::DecodeStatus); u8 wire (WireStatus); str message
+///           (DecodeStatus, below NumDecodeStatuses); u8 wire
+///           (WireStatus); str message
 ///   QUERY   u64 serial; u8 kind (QueryKind); u64 window; u64 limit
 ///
 /// Trust model: frames arrive from the network and are as untrusted as a

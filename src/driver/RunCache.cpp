@@ -3,19 +3,19 @@
 #include "driver/RunCache.h"
 
 #include "driver/FaultInjector.h"
-#include "driver/OutcomeIO.h"
 #include "obs/Obs.h"
+#include "profdb/Store.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace pp;
 using namespace pp::driver;
 
-RunCache::RunCache(std::string DiskDir) : DiskDir(std::move(DiskDir)) {}
+RunCache::RunCache(std::string DiskDir) : DiskDir(std::move(DiskDir)) {
+  if (!this->DiskDir.empty())
+    profdb::sweepStaleTemps(this->DiskDir);
+}
 
 std::string RunCache::diskDirFromEnv() {
   const char *Dir = std::getenv("PP_RUN_CACHE_DIR");
@@ -41,12 +41,12 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
 
   if (!DiskDir.empty()) {
     std::string Path = diskPath(Key);
-    std::ifstream File(Path, std::ios::binary);
-    if (File) {
-      std::vector<uint8_t> Bytes(std::istreambuf_iterator<char>(File), {});
+    std::vector<uint8_t> Bytes;
+    if (profdb::readFile(Path, Bytes)) {
       FaultInjector::instance().mutateCacheRead(Bytes);
       auto Outcome = std::make_shared<prof::RunOutcome>();
-      DecodeStatus Status = decodeOutcome(Bytes, Key.Fingerprint, *Outcome);
+      DecodeStatus Status =
+          profdb::decodeRunEntry(Bytes, Key.Fingerprint, *Outcome);
       if (Status == DecodeStatus::Ok) {
         obs::add(obs::Counter::CacheDiskHits);
         std::lock_guard<std::mutex> Lock(Mu);
@@ -95,27 +95,15 @@ void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
     ++Counts.WriteFailures;
     return;
   }
-  ::mkdir(DiskDir.c_str(), 0755);
-  // Write-to-temp + rename, so concurrent bench processes sharing the
-  // cache directory only ever observe complete files.
-  std::vector<uint8_t> Bytes = serializeOutcome(*Outcome, Key.Fingerprint);
-  std::string Final = diskPath(Key);
-  std::string Temp =
-      Final + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  bool Written = false;
-  {
-    std::ofstream File(Temp, std::ios::binary | std::ios::trunc);
-    if (File) {
-      File.write(reinterpret_cast<const char *>(Bytes.data()),
-                 static_cast<std::streamsize>(Bytes.size()));
-      Written = File.good();
-    }
-  }
-  if (Written && std::rename(Temp.c_str(), Final.c_str()) == 0)
+  std::string Error;
+  if (profdb::writeFileAtomic(
+          diskPath(Key),
+          profdb::encodeRunEntry(*Outcome, Key.Fingerprint, Key.Workload,
+                                 Key.Scale, Key.Schema),
+          Error))
     return;
   // Cache directory not writable or short write; the memory layer still
   // works, so degrade to uncached-on-disk instead of failing the run.
-  std::remove(Temp.c_str());
   obs::add(obs::Counter::CacheWriteFailures);
   std::lock_guard<std::mutex> Lock(Mu);
   ++Counts.WriteFailures;

@@ -8,19 +8,23 @@
 /// times, in the gprof tradition of persisting profile data for many
 /// consumers. Thread-safe.
 ///
-/// The disk layer trusts nothing it reads: files carry a CRC32 trailer
-/// and bounded length fields (see OutcomeIO.h), and a file that fails to
-/// decode for any reason is counted, deleted, and treated as a miss — the
-/// run simply re-executes and the next store rewrites the file. Failed
-/// writes (permissions, disk full, injected faults) likewise degrade to
-/// memory-only caching instead of erroring.
+/// A disk entry ("<dir>/pp-<hash>.ppo") is a profdb artifact of the
+/// current version with a run section (profdb::encodeRunEntry), written
+/// through the repository's one atomic file store (profdb/Store.h), which
+/// creates nested directories and whose stale-temp sweep runs when the
+/// cache is opened. The disk layer trusts nothing it reads: entries carry
+/// a CRC32 trailer and bounded length fields, and an entry that fails to
+/// decode for any reason (a stale PPRO file from before entries were
+/// artifacts reads as bad-magic) is counted, deleted, and treated as a
+/// miss — the run simply re-executes and the next store rewrites the
+/// file. Failed writes (permissions, disk full, injected faults) likewise
+/// degrade to memory-only caching instead of erroring.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_DRIVER_RUNCACHE_H
 #define PP_DRIVER_RUNCACHE_H
 
-#include "driver/OutcomeIO.h"
 #include "driver/RunKey.h"
 #include "driver/RunPlan.h"
 
@@ -34,8 +38,9 @@ namespace driver {
 
 class RunCache {
 public:
-  /// \p DiskDir enables the on-disk layer when non-empty; the directory is
-  /// created on first store.
+  /// \p DiskDir enables the on-disk layer when non-empty; the directory
+  /// (and any missing parent) is created on first store. Opening sweeps
+  /// the temps crashed writers left in it.
   explicit RunCache(std::string DiskDir = std::string());
 
   /// Reads $PP_RUN_CACHE_DIR; empty means memory-only caching.

@@ -31,6 +31,10 @@ RunKey RunKey::of(const RunPlan &Plan) {
   // An instrumentation-filter callback selects functions in ways no
   // fingerprint can name; such runs must re-execute.
   Key.Cacheable = Plan.Cacheable && !C.ShouldInstrument;
+  Key.Workload = Plan.Workload;
+  Key.Scale = static_cast<uint64_t>(Plan.Scale);
+  Key.Schema =
+      profdb::MetricSchema::of(C, prof::acquisitionName(O.Acq.Kind));
 
   std::string &F = Key.Fingerprint;
   F = "v2;wl=" + Plan.Workload;
@@ -79,15 +83,7 @@ RunKey RunKey::of(const RunPlan &Plan) {
   return Key;
 }
 
-uint64_t RunKey::hash() const {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  for (char Ch : Fingerprint) {
-    Hash ^= static_cast<uint8_t>(Ch);
-    Hash *= 0x100000001b3ULL;
-  }
-  return Hash;
-}
-
 std::string RunKey::fileStem() const {
-  return formatString("pp-%016llx", (unsigned long long)hash());
+  return formatString("pp-%016llx",
+                      (unsigned long long)profdb::fnv1a(Fingerprint));
 }

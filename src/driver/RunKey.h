@@ -14,6 +14,7 @@
 #define PP_DRIVER_RUNKEY_H
 
 #include "driver/RunPlan.h"
+#include "profdb/Artifact.h"
 
 #include <cstdint>
 #include <string>
@@ -30,12 +31,17 @@ struct RunKey {
   /// never cached or folded.
   bool Cacheable = true;
 
+  /// What a run-cache entry's artifact header records next to the
+  /// fingerprint (see profdb::encodeRunEntry).
+  std::string Workload;
+  uint64_t Scale = 1;
+  profdb::MetricSchema Schema;
+
   /// Fingerprints \p Plan.
   static RunKey of(const RunPlan &Plan);
 
-  /// FNV-1a hash of the fingerprint.
-  uint64_t hash() const;
-  /// Hex file stem ("pp-<hash>") for the on-disk cache.
+  /// Hex file stem ("pp-<FNV-1a hash of the fingerprint>") for the
+  /// on-disk cache.
   std::string fileStem() const;
 
   bool operator==(const RunKey &Other) const {

@@ -70,8 +70,8 @@ enum class Counter : unsigned {
   SchedulerFailed,       ///< runs resolving to a failed outcome
   VmInstsReference,      ///< instructions dispatched by the switch engine
   VmInstsThreaded,       ///< instructions dispatched by the threaded engine
-  ProfDbBytesEncoded,    ///< artifact bytes produced by encodeArtifact
-  ProfDbBytesDecoded,    ///< artifact bytes consumed by decodeArtifact
+  ProfDbBytesEncoded,    ///< artifact bytes encoded (run-cache entries too)
+  ProfDbBytesDecoded,    ///< artifact bytes decoded (run-cache entries too)
   ProfDbMerges,          ///< pairwise artifact merges performed
   FaultReadsCorrupted,   ///< fault-injector cache-read corruptions
   FaultWritesFailed,     ///< fault-injector cache-write failures

@@ -1,21 +1,24 @@
 //===- profdb/Artifact.h - Persistent profile artifacts --------*- C++ -*-===//
 ///
 /// \file
-/// The profile repository's unit of storage: one self-describing,
-/// CRC32-trailed binary artifact bundling everything a run's profile
-/// contains — the run's identity (RunKey fingerprint), the metric schema
-/// (mode + PIC routing, so readers can refuse to mix incompatible
-/// measurements), the hardware-event totals, the per-procedure Ball-Larus
-/// path tables, and the full calling context tree. Unlike the driver's
-/// run cache (a private memo, rebuilt at will), artifacts are durable
-/// data meant to outlive the process, travel between machines, and be
-/// merged, diffed, and queried by tools/pp-report.
+/// The one on-disk format of a run's profile: a self-describing,
+/// CRC32-trailed binary artifact bundling the run's identity (RunKey
+/// fingerprint), the metric schema (so readers can refuse to mix
+/// incompatible measurements), the hardware-event totals, the
+/// per-procedure Ball-Larus path tables, and the full calling context
+/// tree. The profile repository stores artifacts (".ppa") to outlive the
+/// process, travel between machines, and be merged, diffed, and queried
+/// by tools/pp-report. The driver's disk run cache stores them too
+/// (".ppo", see driver/RunCache.h), each followed by a run section with
+/// the rest of the prof::RunOutcome: the run result, the acquisition
+/// stats, the edge profiles and the instrumentation metadata. The byte
+/// layout is in DESIGN.md ("Artifact format").
 ///
-/// Trust model: artifacts are untrusted input. The decoder is fully
-/// bounds-checked in the OutcomeIO v2 style (remaining()-based length
-/// checks, count caps before any allocation, CCT geometry ceilings) and
-/// returns a typed DecodeStatus instead of crashing or silently loading
-/// a corrupt file.
+/// Trust model: artifacts are untrusted input. The decoder verifies
+/// magic, version and checksum before trusting a single length field,
+/// bounds every count against the bytes remaining before any allocation,
+/// holds CCT geometry under ceilings, and returns a typed DecodeStatus
+/// instead of crashing or silently loading a corrupt file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,7 @@
 
 #include "cct/CallingContextTree.h"
 #include "prof/Session.h"
+#include "support/BinaryIO.h"
 
 #include <array>
 #include <memory>
@@ -62,6 +66,10 @@ struct MetricSchema {
   bool operator!=(const MetricSchema &Other) const {
     return !(*this == Other);
   }
+
+  /// The schema of a run profiled under \p Config with \p Acquisition.
+  static MetricSchema of(const prof::ProfileConfig &Config,
+                         const std::string &Acquisition = "exact");
 };
 
 /// One stored profile: a single run's, or the merge of many.
@@ -99,38 +107,43 @@ struct Artifact {
   Artifact &operator=(Artifact &&) = default;
 };
 
-/// Why an artifact failed to decode.
-enum class DecodeStatus : unsigned {
-  Ok = 0,
-  /// The file cannot be opened or read at all.
-  Unreadable,
-  /// Too small to even hold the fixed header and CRC trailer.
-  TooShort,
-  BadMagic,
-  BadVersion,
-  /// The CRC32 trailer does not match the payload.
-  BadChecksum,
-  /// A length or count field exceeds the bytes remaining.
-  Truncated,
-  /// A field holds a structurally impossible value.
-  Malformed,
-  /// Valid payload followed by unexplained extra bytes.
-  TrailingBytes,
-};
+// The decoders' verdict is the repository-wide status (support/BinaryIO.h);
+// profdb re-exports it as part of its own API.
+using pp::DecodeStatus;
+using pp::decodeStatusName;
 
-/// Human-readable name for diagnostics.
-const char *decodeStatusName(DecodeStatus Status);
-
-/// FNV-1a hash of \p Text (the same function RunKey uses), for artifact
-/// file names and merged-source identities.
+/// FNV-1a hash of \p Text, for artifact and run-cache file names and
+/// merged-source identities.
 uint64_t fnv1a(const std::string &Text);
 
 /// Serialises \p A into the versioned, CRC32-trailed artifact format.
 std::vector<uint8_t> encodeArtifact(const Artifact &A);
 
-/// Decodes an artifact; on failure \p Out is unspecified and must be
-/// discarded.
+/// Decodes an artifact of any supported version; a run section, if
+/// present, is validated and dropped. On failure \p Out is unspecified
+/// and must be discarded.
 DecodeStatus decodeArtifact(const std::vector<uint8_t> &Bytes, Artifact &Out);
+
+/// Encodes the run-cache entry of \p Outcome: its artifact (function
+/// names from Outcome.Instr.M, which keeps the original functions in
+/// their original order) plus the run section. The tree and tables are
+/// written straight from the outcome, never copied.
+std::vector<uint8_t> encodeRunEntry(const prof::RunOutcome &Outcome,
+                                    const std::string &Fingerprint,
+                                    const std::string &Workload,
+                                    uint64_t Scale,
+                                    const MetricSchema &Schema);
+
+/// Restores the outcome encodeRunEntry wrote for \p Fingerprint, moving
+/// the decoded tree and tables into \p Out. Beyond decodeArtifact's
+/// verdicts: an older version is BadVersion, an artifact without a run
+/// section is Malformed, and an entry for another fingerprint is
+/// FingerprintMismatch. On success \p Out has no instrumented module
+/// (Instr.M and every FunctionInstrInfo::F are null); on failure it is
+/// unspecified and must be discarded.
+DecodeStatus decodeRunEntry(const std::vector<uint8_t> &Bytes,
+                            const std::string &Fingerprint,
+                            prof::RunOutcome &Out);
 
 /// Packages a successful run's outcome as a fresh artifact. \p M is the
 /// module the run executed (source of the function names); \p Fingerprint

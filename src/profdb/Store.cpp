@@ -28,7 +28,9 @@ std::string profdb::profileOutDirFromEnv() {
   return Dir ? Dir : "";
 }
 
-bool profdb::makeDirs(const std::string &Dir, std::string &Error) {
+namespace {
+
+bool makeDirs(const std::string &Dir, std::string &Error) {
   if (Dir.empty())
     return true;
   // Create each prefix in turn, mkdir -p style: a nested repository
@@ -52,62 +54,10 @@ bool profdb::makeDirs(const std::string &Dir, std::string &Error) {
   }
 }
 
-bool profdb::writeArtifactFile(const std::string &Path, const Artifact &A,
-                               std::string &Error) {
-  size_t Slash = Path.find_last_of('/');
-  if (Slash != std::string::npos && Slash != 0)
-    if (!makeDirs(Path.substr(0, Slash), Error))
-      return false;
-
-  std::vector<uint8_t> Bytes = encodeArtifact(A);
-  // Write-to-temp + rename: a crash or concurrent writer never leaves a
-  // torn file under the final name (identical inputs produce identical
-  // bytes, so racing writers are harmless).
-  std::string Temp = Path + ".tmp." + std::to_string(getpid());
-  {
-    std::ofstream Out(Temp, std::ios::binary | std::ios::trunc);
-    if (!Out) {
-      Error = "cannot open '" + Temp + "' for writing";
-      return false;
-    }
-    Out.write(reinterpret_cast<const char *>(Bytes.data()),
-              static_cast<std::streamsize>(Bytes.size()));
-    if (!Out) {
-      Out.close();
-      std::remove(Temp.c_str());
-      Error = "short write to '" + Temp + "'";
-      return false;
-    }
-  }
-  if (std::rename(Temp.c_str(), Path.c_str()) != 0) {
-    std::remove(Temp.c_str());
-    Error = "cannot rename '" + Temp + "' to '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-DecodeStatus profdb::readArtifactFile(const std::string &Path,
-                                      Artifact &Out) {
-  struct stat St;
-  if (::stat(Path.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
-    return DecodeStatus::Unreadable;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return DecodeStatus::Unreadable;
-  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                             std::istreambuf_iterator<char>());
-  if (In.bad())
-    return DecodeStatus::Unreadable;
-  return decodeArtifact(Bytes, Out);
-}
-
-namespace {
-
-/// True when \p Name is a writeArtifactFile temp ("<base>.ppa.tmp.<pid>");
+/// True when \p Name is a writeFileAtomic temp ("<base>.tmp.<pid>");
 /// \p Pid receives the recorded writer pid.
 bool parseTempName(const std::string &Name, pid_t &Pid) {
-  static const char Marker[] = ".ppa.tmp.";
+  static const char Marker[] = ".tmp.";
   size_t At = Name.rfind(Marker);
   if (At == std::string::npos)
     return false;
@@ -144,6 +94,66 @@ bool isStaleTemp(const std::string &Path, pid_t Pid) {
 }
 
 } // namespace
+
+bool profdb::writeFileAtomic(const std::string &Path,
+                             const std::vector<uint8_t> &Bytes,
+                             std::string &Error) {
+  size_t Slash = Path.find_last_of('/');
+  if (Slash != std::string::npos && Slash != 0)
+    if (!makeDirs(Path.substr(0, Slash), Error))
+      return false;
+
+  // Write-to-temp + rename: a crash or concurrent writer never leaves a
+  // torn file under the final name (identical inputs produce identical
+  // bytes, so racing writers are harmless).
+  std::string Temp = Path + ".tmp." + std::to_string(getpid());
+  {
+    std::ofstream Out(Temp, std::ios::binary | std::ios::trunc);
+    if (!Out) {
+      Error = "cannot open '" + Temp + "' for writing";
+      return false;
+    }
+    Out.write(reinterpret_cast<const char *>(Bytes.data()),
+              static_cast<std::streamsize>(Bytes.size()));
+    if (!Out) {
+      Out.close();
+      std::remove(Temp.c_str());
+      Error = "short write to '" + Temp + "'";
+      return false;
+    }
+  }
+  if (std::rename(Temp.c_str(), Path.c_str()) != 0) {
+    std::remove(Temp.c_str());
+    Error = "cannot rename '" + Temp + "' to '" + Path + "'";
+    return false;
+  }
+  return true;
+}
+
+bool profdb::writeArtifactFile(const std::string &Path, const Artifact &A,
+                               std::string &Error) {
+  return writeFileAtomic(Path, encodeArtifact(A), Error);
+}
+
+bool profdb::readFile(const std::string &Path, std::vector<uint8_t> &Bytes) {
+  struct stat St;
+  if (::stat(Path.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
+    return false;
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  Bytes.assign(std::istreambuf_iterator<char>(In),
+               std::istreambuf_iterator<char>());
+  return !In.bad();
+}
+
+DecodeStatus profdb::readArtifactFile(const std::string &Path,
+                                      Artifact &Out) {
+  std::vector<uint8_t> Bytes;
+  if (!readFile(Path, Bytes))
+    return DecodeStatus::Unreadable;
+  return decodeArtifact(Bytes, Out);
+}
 
 time_t profdb::staleTempGraceSeconds() {
   return static_cast<time_t>(envUint64Or(

@@ -1,12 +1,14 @@
 //===- profdb/Store.h - Artifact files on disk -----------------*- C++ -*-===//
 ///
 /// \file
-/// The on-disk side of the profile repository: artifact file naming
-/// ("ppa-<fnv1a-of-fingerprint>.ppa"), atomic writes (temp file + rename,
-/// the run cache's torn-write discipline), reads that fold I/O failures
-/// into the decoder's typed DecodeStatus, and directory listing for
-/// repository-wide queries. The PP_PROFILE_OUT environment knob names the
-/// directory every driver run deposits its artifact into.
+/// The one file store, shared by the profile repository and the driver's
+/// disk run cache: atomic writes (mkdir -p, temp file + rename), whole-file
+/// reads, and the age-gated sweep of temps orphaned by crashed writers.
+/// For the repository on top: artifact file naming
+/// ("ppa-<fnv1a-of-fingerprint>.ppa"), reads that fold I/O failures into
+/// the decoder's typed DecodeStatus, and directory listing. The
+/// PP_PROFILE_OUT environment knob names the directory every driver run
+/// deposits its artifact into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,14 +30,14 @@ std::string artifactFileName(const std::string &Fingerprint);
 /// $PP_PROFILE_OUT, or "" when unset (emission disabled).
 std::string profileOutDirFromEnv();
 
-/// Creates \p Dir and every missing parent (mkdir -p). Returns false with
-/// \p Error set on the first component that cannot be created.
-bool makeDirs(const std::string &Dir, std::string &Error);
+/// Writes \p Bytes to "<Path>.tmp.<pid>" and renames it to \p Path,
+/// creating the directory and any missing parent first. Returns false
+/// with \p Error set on any failure; a half-written file is never left
+/// at \p Path.
+bool writeFileAtomic(const std::string &Path, const std::vector<uint8_t> &Bytes,
+                     std::string &Error);
 
-/// Serialises \p A to \p Path atomically (temp file + rename; the
-/// directory — including nested parents — is created if missing).
-/// Returns false with \p Error set on any failure; a half-written file is
-/// never left at \p Path.
+/// Serialises \p A to \p Path through writeFileAtomic.
 bool writeArtifactFile(const std::string &Path, const Artifact &A,
                        std::string &Error);
 
@@ -52,7 +54,8 @@ constexpr time_t StaleTempHardSeconds = 24 * 60 * 60;
 
 /// The grace threshold actually used by the sweep:
 /// $PP_COLLECTD_TEMP_GRACE_SECS via the strict env path (junk warns and
-/// keeps the default), StaleTempGraceSeconds when unset. A fleet
+/// keeps the default), StaleTempGraceSeconds when unset. It governs
+/// artifact repositories and run-cache directories alike. A fleet
 /// collector whose uploaders crash often can shorten it; a shared
 /// filesystem with slow writers can lengthen it.
 time_t staleTempGraceSeconds();
@@ -62,15 +65,19 @@ time_t staleTempGraceSeconds();
 /// the grace period promised to keep.
 time_t staleTempHardSeconds();
 
-/// Deletes "*.ppa.tmp.<pid>" temps in \p Dir whose writer can no longer
-/// finish the rename — the debris a writer that crashed between open and
+/// Deletes writeFileAtomic's "*.tmp.<pid>" temps in \p Dir whose writer
+/// can no longer finish the rename — the debris a writer that crashed between open and
 /// rename leaves behind. Staleness is age-first: temps younger than
 /// StaleTempGraceSeconds are always kept; older ones are swept once
 /// their writer pid probes dead, the kill(pid, 0) probe being only a
 /// same-host optimisation that lets a live writer keep its temp until
 /// StaleTempHardSeconds. Returns how many files were removed.
-/// listArtifactFiles runs this automatically.
+/// listArtifactFiles runs this automatically, and so does opening a disk
+/// run cache.
 size_t sweepStaleTemps(const std::string &Dir);
+
+/// Reads the regular file \p Path whole; false when it cannot be read.
+bool readFile(const std::string &Path, std::vector<uint8_t> &Bytes);
 
 /// Reads and decodes \p Path. I/O failures report Unreadable; everything
 /// else is the decoder's verdict.

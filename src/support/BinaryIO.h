@@ -2,12 +2,13 @@
 ///
 /// \file
 /// The little-endian byte writer and the bounds-checked reader shared by
-/// every persisted binary format in the repository (the driver's on-disk
-/// run cache, the profdb profile artifacts). The reader treats its input
-/// as untrusted: every length and count is validated against the bytes
-/// actually *remaining* — never with `Cursor + Size > total` arithmetic,
-/// which wraps for Size near UINT64_MAX and lets a corrupt file read out
-/// of bounds.
+/// every persisted binary format in the repository (profdb artifacts,
+/// which are also the driver's run-cache entries, the embedded CCT image,
+/// the CCT export, the wire frames), plus the one typed verdict their
+/// decoders return. The reader treats its input as untrusted: every
+/// length and count is validated against the bytes actually *remaining* —
+/// never with `Cursor + Size > total` arithmetic, which wraps for Size
+/// near UINT64_MAX and lets a corrupt file read out of bounds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,45 @@
 #include <vector>
 
 namespace pp {
+
+/// Why a persisted binary (artifact, run-cache entry, embedded tree
+/// image) failed to decode, or that it did not. The numbering is part of
+/// the wire protocol (a REJECT frame carries it as one byte): append new
+/// statuses, never reorder.
+enum class DecodeStatus : unsigned {
+  Ok = 0,
+  /// The file cannot be opened or read at all.
+  Unreadable,
+  /// Too small to even hold the fixed header and CRC trailer.
+  TooShort,
+  /// The magic number does not match (not this format at all).
+  BadMagic,
+  /// A version this reader does not accept (e.g. a stale cache entry).
+  BadVersion,
+  /// The CRC32 trailer does not match the bytes (torn write, bit rot).
+  BadChecksum,
+  /// A length or count field exceeds the bytes remaining.
+  Truncated,
+  /// A field holds a structurally impossible value.
+  Malformed,
+  /// Valid payload followed by unexplained extra bytes.
+  TrailingBytes,
+  /// A run-cache entry recorded for another fingerprint (hash collision).
+  FingerprintMismatch,
+};
+constexpr unsigned NumDecodeStatuses =
+    static_cast<unsigned>(DecodeStatus::FingerprintMismatch) + 1;
+
+/// Short stable name of \p Status ("ok", "bad-checksum", ...).
+inline const char *decodeStatusName(DecodeStatus Status) {
+  static constexpr const char *Names[] = {
+      "ok",           "unreadable", "too-short", "bad-magic",
+      "bad-version",  "bad-checksum", "truncated", "malformed",
+      "trailing-bytes", "fingerprint-mismatch"};
+  static_assert(sizeof(Names) / sizeof(Names[0]) == NumDecodeStatuses);
+  unsigned Index = static_cast<unsigned>(Status);
+  return Index < NumDecodeStatuses ? Names[Index] : "unknown";
+}
 
 /// Append-only little-endian encoder.
 class ByteWriter {

@@ -8,13 +8,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cct/Export.h"
 #include "driver/Driver.h"
-#include "driver/OutcomeIO.h"
+#include "profdb/Artifact.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -109,6 +111,51 @@ void expectOutcomesEqual(const prof::RunOutcome &A,
   ASSERT_EQ(A.Tree != nullptr, B.Tree != nullptr);
   if (A.Tree && B.Tree)
     expectTreesEqual(*A.Tree, *B.Tree);
+}
+
+/// expectOutcomesEqual plus every remaining field a run-cache entry
+/// carries: the run's error text, the acquisition stats, the path tables'
+/// k, and the whole instrumentation metadata. Only the instrumented module
+/// (Instr.M, FunctionInstrInfo::F) is not persisted.
+void expectEveryFieldEqual(const prof::RunOutcome &A,
+                           const prof::RunOutcome &B) {
+  expectOutcomesEqual(A, B);
+  EXPECT_EQ(A.Result.Error, B.Result.Error);
+  EXPECT_EQ(A.Acq.Traps, B.Acq.Traps);
+  EXPECT_EQ(A.Acq.Samples, B.Acq.Samples);
+  EXPECT_EQ(A.Acq.FramesWalked, B.Acq.FramesWalked);
+  EXPECT_EQ(A.Acq.LogBytes, B.Acq.LogBytes);
+  for (size_t F = 0; F != A.PathProfiles.size(); ++F)
+    EXPECT_EQ(A.PathProfiles[F].KIters, B.PathProfiles[F].KIters);
+  for (size_t F = 0; F != A.Instr.Functions.size(); ++F) {
+    const prof::FunctionInstrInfo &IA = A.Instr.Functions[F];
+    const prof::FunctionInstrInfo &IB = B.Instr.Functions[F];
+    EXPECT_EQ(IA.Instrumented, IB.Instrumented) << "function " << F;
+    EXPECT_EQ(IA.NumPaths, IB.NumPaths) << "function " << F;
+    EXPECT_EQ(IA.Hashed, IB.Hashed) << "function " << F;
+    EXPECT_EQ(IA.TableAddr, IB.TableAddr) << "function " << F;
+    EXPECT_EQ(IA.Stride, IB.Stride) << "function " << F;
+    EXPECT_EQ(IA.KIters, IB.KIters) << "function " << F;
+    EXPECT_EQ(IA.KPaths != nullptr, IB.KPaths != nullptr) << "function " << F;
+    EXPECT_EQ(IA.EdgeTableAddr, IB.EdgeTableAddr) << "function " << F;
+    EXPECT_EQ(IA.ChordEdges, IB.ChordEdges) << "function " << F;
+    EXPECT_EQ(IA.NumSites, IB.NumSites) << "function " << F;
+    EXPECT_EQ(IA.SiteIsIndirect, IB.SiteIsIndirect) << "function " << F;
+  }
+}
+
+/// The run-cache entry of \p Run, filed under \p Plan's identity with
+/// \p Fingerprint.
+std::vector<uint8_t> entryOf(const RunPlan &Plan, const prof::RunOutcome &Run,
+                             const std::string &Fingerprint) {
+  RunKey Key = RunKey::of(Plan);
+  return profdb::encodeRunEntry(Run, Fingerprint, Key.Workload, Key.Scale,
+                                Key.Schema);
+}
+
+/// The on-disk cache file \p Plan is stored under in \p Dir.
+std::string entryPath(const std::string &Dir, const RunPlan &Plan) {
+  return Dir + "/" + RunKey::of(Plan).fileStem() + ".ppo";
 }
 
 std::string makeTempDir() {
@@ -286,19 +333,23 @@ TEST(DriverTest, DiskCacheRoundTripsAcrossDrivers) {
   (void)std::system(Cmd.c_str());
 }
 
-TEST(OutcomeIOTest, RejectsMismatchedFingerprint) {
+TEST(RunEntryTest, RejectsMismatchedFingerprint) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));
+  RunPlan Plan = makePlan("130.li", prof::Mode::Flow);
+  OutcomePtr Run = D.run(Plan);
   ASSERT_TRUE(Run && Run->Result.Ok);
 
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fingerprint-a");
+  std::vector<uint8_t> Bytes = entryOf(Plan, *Run, "fingerprint-a");
   prof::RunOutcome Out;
-  EXPECT_FALSE(deserializeOutcome(Bytes, "fingerprint-b", Out));
-  EXPECT_TRUE(deserializeOutcome(Bytes, "fingerprint-a", Out));
-  expectOutcomesEqual(*Run, Out);
+  EXPECT_EQ(profdb::decodeRunEntry(Bytes, "fingerprint-b", Out),
+            DecodeStatus::FingerprintMismatch);
+  prof::RunOutcome Back;
+  ASSERT_EQ(profdb::decodeRunEntry(Bytes, "fingerprint-a", Back),
+            DecodeStatus::Ok);
+  expectOutcomesEqual(*Run, Back);
 }
 
-TEST(OutcomeIOTest, KItersSurviveTheCacheTrip) {
+TEST(RunEntryTest, KItersSurviveTheCacheTrip) {
   // A k = 2 outcome restored from the run cache must still know its
   // windows span two iterations — per function (the ladder level) and in
   // the instrumentation info — or the renderers would decode window ids
@@ -309,9 +360,9 @@ TEST(OutcomeIOTest, KItersSurviveTheCacheTrip) {
   OutcomePtr Run = D.run(Plan);
   ASSERT_TRUE(Run && Run->Result.Ok);
 
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp-k2");
+  std::vector<uint8_t> Bytes = entryOf(Plan, *Run, "fp-k2");
   prof::RunOutcome Out;
-  ASSERT_TRUE(deserializeOutcome(Bytes, "fp-k2", Out));
+  ASSERT_EQ(profdb::decodeRunEntry(Bytes, "fp-k2", Out), DecodeStatus::Ok);
   expectOutcomesEqual(*Run, Out);
 
   bool SawMultiIteration = false;
@@ -326,20 +377,108 @@ TEST(OutcomeIOTest, KItersSurviveTheCacheTrip) {
   EXPECT_TRUE(SawMultiIteration);
 }
 
-TEST(OutcomeIOTest, RejectsMismatchedVersion) {
+TEST(RunEntryTest, RejectsMismatchedVersion) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));
+  RunPlan Plan = makePlan("130.li", prof::Mode::Flow);
+  OutcomePtr Run = D.run(Plan);
   ASSERT_TRUE(Run && Run->Result.Ok);
 
   // A future format bump leaves old files behind; they must be rejected
   // as BadVersion (and re-executed), not misparsed. The version gate
   // fires before the checksum, so even a checksum-consistent file of
-  // another version is refused.
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
-  Bytes[8] += 1; // version field, little-endian low byte
+  // another version is refused — and so is an older artifact version,
+  // which the repository would still read but a cache entry may not be.
+  std::vector<uint8_t> Bytes = entryOf(Plan, *Run, "fp");
+  for (uint8_t Version : {1, 2, 3, 5}) {
+    std::vector<uint8_t> Stale = Bytes;
+    Stale[8] = Version; // version field, little-endian low byte
+    prof::RunOutcome Out;
+    EXPECT_EQ(profdb::decodeRunEntry(Stale, "fp", Out),
+              DecodeStatus::BadVersion)
+        << "version " << unsigned(Version);
+  }
+}
+
+TEST(RunEntryTest, RoundTripPreservesEveryOutcomeField) {
+  // One outcome that exercises every field: path tables from a Flow run,
+  // edge counts from an Edge run, a tree from a Context+Flow run, and
+  // non-default result and acquisition values.
+  Driver D(/*DiskDir=*/"", /*Threads=*/1);
+  OutcomePtr Flow = D.run(makePlan("130.li", prof::Mode::FlowHw));
+  OutcomePtr Edge = D.run(makePlan("130.li", prof::Mode::Edge));
+  OutcomePtr Context = D.run(makePlan("130.li", prof::Mode::ContextFlow));
+  ASSERT_TRUE(Flow && Flow->Result.Ok && Edge && Edge->Result.Ok &&
+              Context && Context->Tree);
+  ASSERT_FALSE(Flow->PathProfiles.empty());
+  ASSERT_FALSE(Edge->EdgeProfiles.empty());
+
+  prof::RunOutcome Run;
+  Run.Result = Flow->Result;
+  Run.Result.ExitValue = 42;
+  Run.Result.Error = "kept verbatim";
+  Run.Totals = Flow->Totals;
+  Run.PathProfiles = Flow->PathProfiles;
+  Run.EdgeProfiles = Edge->EdgeProfiles;
+  Run.Tree = cct::CallingContextTree::fromImage(Context->Tree->image());
+  Run.Acq = {1, 2, 3, 4};
+  // Call sites from the context run, chords from the edge run, path
+  // tables from the flow run.
+  Run.Instr.Functions = Context->Instr.Functions;
+  for (size_t I = 0; I != Run.Instr.Functions.size(); ++I) {
+    prof::FunctionInstrInfo &Info = Run.Instr.Functions[I];
+    const prof::FunctionInstrInfo &Paths = Flow->Instr.Functions[I];
+    Info.ChordEdges = Edge->Instr.Functions[I].ChordEdges;
+    Info.EdgeTableAddr = Edge->Instr.Functions[I].EdgeTableAddr;
+    Info.HasPathProfile = Paths.HasPathProfile;
+    Info.NumPaths = Paths.NumPaths;
+    Info.Hashed = Paths.Hashed;
+    Info.TableAddr = Paths.TableAddr;
+    Info.Stride = Paths.Stride;
+  }
+
+  prof::RunOutcome Back;
+  ASSERT_EQ(profdb::decodeRunEntry(entryOf(makePlan("130.li",
+                                                    prof::Mode::FlowHw),
+                                           Run, "fp"),
+                                   "fp", Back),
+            DecodeStatus::Ok);
+  EXPECT_EQ(Back.Instr.M, nullptr);
+  for (const prof::FunctionInstrInfo &Info : Back.Instr.Functions)
+    EXPECT_EQ(Info.F, nullptr);
+  expectEveryFieldEqual(Run, Back);
+}
+
+TEST(RunEntryTest, EntryIsAnArtifactWithARunSection) {
+  // One codec: an entry decodes as a plain artifact carrying the run's
+  // profile, and its bytes start with exactly the artifact the profile
+  // repository would store for the same run.
+  Driver D(/*DiskDir=*/"", /*Threads=*/1);
+  RunPlan Plan = makePlan("130.li", prof::Mode::ContextFlowHw);
+  OutcomePtr Run = D.run(Plan);
+  ASSERT_TRUE(Run && Run->Result.Ok && Run->Instr.M);
+
+  std::vector<uint8_t> Entry = entryOf(Plan, *Run, "fp");
+  profdb::Artifact A;
+  ASSERT_EQ(profdb::decodeArtifact(Entry, A), DecodeStatus::Ok);
+  EXPECT_EQ(A.Fingerprint, "fp");
+  EXPECT_EQ(A.Workload, "130.li");
+  EXPECT_EQ(A.Schema, RunKey::of(Plan).Schema);
+  EXPECT_EQ(A.Totals, Run->Totals);
+  EXPECT_EQ(A.Functions.size(), Run->Instr.M->numFunctions());
+  ASSERT_TRUE(A.Tree);
+  expectTreesEqual(*Run->Tree, *A.Tree);
+
+  std::vector<uint8_t> Plain = profdb::encodeArtifact(
+      profdb::artifactFromOutcome(*Run, *Run->Instr.M, "fp", "130.li", 1,
+                                  Plan.Options.Config));
+  size_t Shared = Plain.size() - 5; // the has-run flag and the trailer
+  ASSERT_GT(Entry.size(), Plain.size());
+  EXPECT_TRUE(std::equal(Plain.begin(), Plain.begin() + Shared,
+                         Entry.begin()));
+
+  // A plain artifact is not a cache entry: it has no run to restore.
   prof::RunOutcome Out;
-  EXPECT_EQ(decodeOutcome(Bytes, "fp", Out), DecodeStatus::BadVersion);
-  EXPECT_FALSE(deserializeOutcome(Bytes, "fp", Out));
+  EXPECT_EQ(profdb::decodeRunEntry(Plain, "fp", Out), DecodeStatus::Malformed);
 }
 
 TEST(DriverTest, StaleVersionFileOnDiskIsReplacedByReexecution) {
@@ -429,19 +568,112 @@ TEST(SchedulerTest, NonNumericThreadsEnvKeepsParallelDefault) {
   unsetenv("PP_DRIVER_THREADS");
 }
 
-TEST(OutcomeIOTest, RejectsTruncatedBytes) {
+TEST(RunEntryTest, RejectsTruncatedBytes) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::ContextFlow));
+  RunPlan Plan = makePlan("130.li", prof::Mode::ContextFlow);
+  OutcomePtr Run = D.run(Plan);
   ASSERT_TRUE(Run && Run->Result.Ok);
 
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
+  std::vector<uint8_t> Bytes = entryOf(Plan, *Run, "fp");
   for (size_t Cut : {size_t(0), size_t(7), Bytes.size() / 2,
                      Bytes.size() - 1}) {
     std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.begin() + Cut);
     prof::RunOutcome Out;
-    EXPECT_FALSE(deserializeOutcome(Truncated, "fp", Out))
+    EXPECT_NE(profdb::decodeRunEntry(Truncated, "fp", Out), DecodeStatus::Ok)
         << "accepted " << Cut << " bytes";
   }
+}
+
+TEST(DriverTest, NestedCacheDirIsCreated) {
+  // PP_RUN_CACHE_DIR may name a directory whose parents do not exist
+  // yet; the store creates them (mkdir -p) instead of silently degrading
+  // to memory-only caching.
+  std::string Root = makeTempDir();
+  ASSERT_FALSE(Root.empty());
+  std::string Dir = Root + "/nest/a/b";
+  {
+    Driver Writer(Dir, /*Threads=*/1);
+    OutcomePtr Run = Writer.run(makePlan("130.li", prof::Mode::FlowHw));
+    ASSERT_TRUE(Run && Run->Result.Ok);
+    EXPECT_EQ(Writer.cache().stats().WriteFailures, 0u);
+  }
+  EXPECT_EQ(::access(entryPath(Dir, makePlan("130.li", prof::Mode::FlowHw))
+                         .c_str(),
+                     F_OK),
+            0);
+
+  Driver Reader(Dir, /*Threads=*/1);
+  OutcomePtr Run = Reader.run(makePlan("130.li", prof::Mode::FlowHw));
+  ASSERT_TRUE(Run && Run->Result.Ok);
+  EXPECT_EQ(Reader.scheduler().runsExecuted(), 0u);
+  RunCache::Stats Stats = Reader.cache().stats();
+  EXPECT_EQ(Stats.DiskHits, 1u);
+  EXPECT_EQ(Stats.Misses, 0u);
+
+  std::string Cmd = "rm -rf " + Root;
+  (void)std::system(Cmd.c_str());
+}
+
+TEST(DriverTest, LegacyPproFileIsBadMagicAndHeals) {
+  // A cache directory written before entries became artifacts holds PPRO
+  // files under the same names. They read as bad-magic, are removed, and
+  // the run re-executes and stores an entry the next driver hits.
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  RunPlan Plan = makePlan("130.li", prof::Mode::Flow);
+  {
+    std::vector<uint8_t> Legacy = {'O', 'R', 'P', 'P', 0, 0, 0, 0,
+                                   4,   0,   0,   0,   0, 0, 0, 0};
+    Legacy.resize(64, 0);
+    std::ofstream File(entryPath(Dir, Plan), std::ios::binary);
+    File.write(reinterpret_cast<const char *>(Legacy.data()),
+               static_cast<std::streamsize>(Legacy.size()));
+  }
+
+  {
+    Driver Healer(Dir, /*Threads=*/1);
+    OutcomePtr Run = Healer.run(Plan);
+    ASSERT_TRUE(Run && Run->Result.Ok);
+    EXPECT_EQ(Healer.scheduler().runsExecuted(), 1u);
+    RunCache::Stats Stats = Healer.cache().stats();
+    EXPECT_EQ(Stats.DecodeFailures, 1u);
+    EXPECT_EQ(Stats.DecodeFailuresBy[static_cast<unsigned>(
+                  DecodeStatus::BadMagic)],
+              1u);
+    EXPECT_EQ(Stats.Stores, 1u);
+  }
+
+  Driver Reader(Dir, /*Threads=*/1);
+  OutcomePtr Run = Reader.run(Plan);
+  ASSERT_TRUE(Run && Run->Result.Ok);
+  EXPECT_EQ(Reader.scheduler().runsExecuted(), 0u);
+  EXPECT_EQ(Reader.cache().stats().DiskHits, 1u);
+  EXPECT_EQ(Reader.cache().stats().DecodeFailures, 0u);
+
+  std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
+}
+
+TEST(DriverTest, RestoredTreeSerializesToTheLiveBytes) {
+  // The CCT export is canonical: a tree restored from the disk cache
+  // (rebuilt from its image) serializes to exactly the live tree's bytes,
+  // although the two filled their path tables in different orders.
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  RunPlan Plan = makePlan("124.m88ksim", prof::Mode::ContextFlow);
+  OutcomePtr Live;
+  {
+    Driver Writer(Dir, /*Threads=*/1);
+    Live = Writer.run(Plan);
+  }
+  Driver Reader(Dir, /*Threads=*/1);
+  OutcomePtr Restored = Reader.run(Plan);
+  ASSERT_TRUE(Live && Live->Tree && Restored && Restored->Tree);
+  ASSERT_EQ(Reader.cache().stats().DiskHits, 1u);
+  EXPECT_EQ(cct::serialize(*Live->Tree), cct::serialize(*Restored->Tree));
+
+  std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
 }
 
 TEST(TreeImageTest, ImageRoundTripPreservesTheTree) {

@@ -12,7 +12,6 @@
 
 #include "driver/Driver.h"
 #include "driver/FaultInjector.h"
-#include "driver/OutcomeIO.h"
 #include "profdb/Artifact.h"
 #include "profdb/Store.h"
 #include "support/Checksum.h"
@@ -85,17 +84,35 @@ void expectSameMeasurement(const prof::RunOutcome &A,
 // Decoder corruption sweep
 //===----------------------------------------------------------------------===//
 
+/// The run-cache entry of \p Run under \p Plan's identity, fingerprint
+/// "fp".
+std::vector<uint8_t> entryOf(const RunPlan &Plan, const prof::RunOutcome &Run) {
+  RunKey Key = RunKey::of(Plan);
+  return profdb::encodeRunEntry(Run, "fp", Key.Workload, Key.Scale,
+                                Key.Schema);
+}
+
 TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::ContextFlow));
-  ASSERT_TRUE(Run && Run->Result.Ok);
+  RunPlan Plan = makePlan("130.li", prof::Mode::ContextFlow);
+  OutcomePtr Run = D.run(Plan);
+  ASSERT_TRUE(Run && Run->Result.Ok && Run->Instr.M);
 
-  const std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
+  const std::vector<uint8_t> Bytes = entryOf(Plan, *Run);
   ASSERT_GT(Bytes.size(), 16u);
   {
     prof::RunOutcome Out;
-    ASSERT_EQ(decodeOutcome(Bytes, "fp", Out), DecodeStatus::Ok);
+    ASSERT_EQ(profdb::decodeRunEntry(Bytes, "fp", Out), DecodeStatus::Ok);
   }
+  // The entry is the run's plain artifact (minus its has-run flag and
+  // trailer) followed by the run section; where that section starts.
+  const size_t RunSectionAt =
+      profdb::encodeArtifact(profdb::artifactFromOutcome(
+                                 *Run, *Run->Instr.M, "fp", Plan.Workload, 1,
+                                 Plan.Options.Config))
+          .size() -
+      5;
+  ASSERT_LT(RunSectionAt, Bytes.size() - 4);
 
   unsigned Corruptions = 0;
 
@@ -108,7 +125,7 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
     size_t Offset = size_t(I) * Flipped.size() / NumFlips;
     Flipped[Offset] ^= uint8_t(1) << (I % 8);
     prof::RunOutcome Out;
-    DecodeStatus Status = decodeOutcome(Flipped, "fp", Out);
+    DecodeStatus Status = profdb::decodeRunEntry(Flipped, "fp", Out);
     EXPECT_NE(Status, DecodeStatus::Ok)
         << "accepted a bit flip at offset " << Offset;
     ++Corruptions;
@@ -121,7 +138,7 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
     size_t Cut = size_t(I) * Bytes.size() / NumCuts;
     std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.begin() + Cut);
     prof::RunOutcome Out;
-    DecodeStatus Status = decodeOutcome(Truncated, "fp", Out);
+    DecodeStatus Status = profdb::decodeRunEntry(Truncated, "fp", Out);
     EXPECT_NE(Status, DecodeStatus::Ok) << "accepted " << Cut << " bytes";
     ++Corruptions;
   }
@@ -134,22 +151,33 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
   // hit metric payload, decode cleanly — without ever reading out of
   // bounds or attempting a pathological allocation. (ASan-built runs of
   // this test check the "no out-of-bounds" half mechanically.)
+  // The run section is a small tail of the entry, so it gets its own
+  // share of the stomps on top of the evenly spread ones.
   constexpr unsigned NumStomps = 100;
-  for (unsigned I = 0; I != NumStomps; ++I) {
+  constexpr unsigned NumRunSectionStomps = 40;
+  const size_t Limit = Bytes.size() - 4; // keep the trailer's 4 bytes
+  unsigned InRunSection = 0;
+  for (unsigned I = 0; I != NumStomps + NumRunSectionStomps; ++I) {
     std::vector<uint8_t> Stomped = Bytes;
-    size_t Limit = Stomped.size() - 4; // keep the trailer's 4 bytes
-    size_t Offset = size_t(I) * Limit / NumStomps;
+    size_t Offset =
+        I < NumStomps
+            ? size_t(I) * Limit / NumStomps
+            : RunSectionAt +
+                  size_t(I - NumStomps) * (Limit - RunSectionAt) /
+                      NumRunSectionStomps;
+    InRunSection += Offset >= RunSectionAt;
     for (size_t B = Offset; B != std::min(Offset + 8, Limit); ++B)
       Stomped[B] = 0xFF;
     uint32_t Crc = crc32(Stomped.data(), Stomped.size() - 4);
     for (unsigned B = 0; B != 4; ++B)
       Stomped[Stomped.size() - 4 + B] = uint8_t(Crc >> (8 * B));
     prof::RunOutcome Out;
-    DecodeStatus Status = decodeOutcome(Stomped, "fp", Out);
+    DecodeStatus Status = profdb::decodeRunEntry(Stomped, "fp", Out);
     EXPECT_NE(Status, DecodeStatus::BadChecksum)
         << "trailer fixup failed at offset " << Offset;
     ++Corruptions;
   }
+  EXPECT_GE(InRunSection, NumRunSectionStomps);
 
   EXPECT_GE(Corruptions, 200u);
 }
@@ -310,18 +338,53 @@ TEST(FaultSweepTest, StaleWriterTempsAreSweptOnListing) {
   removeDir(Dir);
 }
 
+TEST(FaultSweepTest, StaleCacheTempsAreSweptOnOpen) {
+  // The run cache shares the repository's file store, sweep included: a
+  // writer that crashed between open and rename must not leave its temp
+  // in the cache directory forever.
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  pid_t Dead = fork();
+  ASSERT_GE(Dead, 0);
+  if (Dead == 0)
+    _exit(0);
+  ASSERT_EQ(waitpid(Dead, nullptr, 0), Dead);
+
+  std::string Old = Dir + "/pp-00000000deadbeef.ppo.tmp." +
+                    std::to_string(Dead);
+  std::string Fresh = Dir + "/pp-00000000feedface.ppo.tmp." +
+                      std::to_string(Dead);
+  for (const std::string &Path : {Old, Fresh}) {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << "partial";
+  }
+  struct timeval Times[2];
+  Times[0].tv_sec = Times[1].tv_sec =
+      ::time(nullptr) - profdb::StaleTempGraceSeconds - 60;
+  Times[0].tv_usec = Times[1].tv_usec = 0;
+  ASSERT_EQ(::utimes(Old.c_str(), Times), 0);
+
+  RunCache Cache(Dir);
+  EXPECT_NE(::access(Old.c_str(), F_OK), 0);
+  EXPECT_EQ(::access(Fresh.c_str(), F_OK), 0);
+
+  removeDir(Dir);
+}
+
 TEST(FaultSweepTest, StaleVersionReportsBadVersion) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));
+  RunPlan Plan = makePlan("130.li", prof::Mode::Flow);
+  OutcomePtr Run = D.run(Plan);
   ASSERT_TRUE(Run && Run->Result.Ok);
 
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
-  // A Version-1 file is a v2 file with version 1 and no trailer; the
-  // version gate must fire before the checksum is even consulted.
+  std::vector<uint8_t> Bytes = entryOf(Plan, *Run);
+  // A Version-1 file had no trailer; the version gate must fire before
+  // the checksum is even consulted.
   Bytes[8] = 1;
   Bytes.resize(Bytes.size() - 4);
   prof::RunOutcome Out;
-  EXPECT_EQ(decodeOutcome(Bytes, "fp", Out), DecodeStatus::BadVersion);
+  EXPECT_EQ(profdb::decodeRunEntry(Bytes, "fp", Out),
+            DecodeStatus::BadVersion);
 }
 
 //===----------------------------------------------------------------------===//

@@ -317,6 +317,32 @@ TEST(WireDecoderTest, OutOfRangeEnumBytesAreMalformed) {
   EXPECT_EQ(Decoder.next(Out), WireStatus::Malformed);
 }
 
+TEST(WireDecoderTest, EveryDecodeStatusRoundTripsInReject) {
+  // The REJECT decode byte is the shared DecodeStatus: statuses 0-8 keep
+  // the numbers they always had on the wire, new ones are appended, and
+  // the decoder's bound follows the enum's count.
+  static_assert(static_cast<unsigned>(DecodeStatus::TrailingBytes) == 8);
+  static_assert(static_cast<unsigned>(DecodeStatus::FingerprintMismatch) ==
+                9);
+  for (unsigned Status = 0; Status != NumDecodeStatuses; ++Status) {
+    Frame F = rejectFrame();
+    F.Decode = static_cast<DecodeStatus>(Status);
+    FrameDecoder Decoder;
+    Decoder.feed(encodeFrame(F));
+    Frame Out;
+    ASSERT_EQ(Decoder.next(Out), WireStatus::Ok) << "status " << Status;
+    EXPECT_EQ(Out.Decode, F.Decode);
+  }
+
+  std::vector<uint8_t> Payload = {0, 0, 0, 0, 0, 0, 0, 0, // serial
+                                  1, NumDecodeStatuses, 0}; // reason, dec, wire
+  Payload.insert(Payload.end(), 8, 0); // empty message
+  FrameDecoder Decoder;
+  Decoder.feed(frameRaw(FrameType::Reject, Payload));
+  Frame Out;
+  EXPECT_EQ(Decoder.next(Out), WireStatus::Malformed);
+}
+
 TEST(WireDecoderTest, UnexplainedPayloadSuffixIsTrailingBytes) {
   std::vector<uint8_t> Bytes = encodeFrame(ackFrame());
   std::vector<uint8_t> Payload(Bytes.begin() + WireHeaderBytes,

@@ -35,7 +35,7 @@ run_tsan() {
         --target server_test --target opt_test \
         --target pgo_differential_test --target kpath_numbering_test
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-        -R 'DriverTest|RunKeyTest|OutcomeIOTest|SchedulerTest|Fault|ProfDb|Obs|Collectd|Wire|Server|Opt|Pgo|KPath|NumberingQueries')
+        -R 'DriverTest|RunKeyTest|RunEntryTest|SchedulerTest|Fault|ProfDb|Obs|Collectd|Wire|Server|Opt|Pgo|KPath|NumberingQueries')
 }
 
 case "$MODE" in
