@@ -71,7 +71,11 @@ driver::RunPlan profilePlan(const workloads::WorkloadSpec &Spec) {
 }
 
 /// An uninstrumented measurement run on \p Eng; \p OptVariant tags (and
-/// fingerprints) optimized reruns, empty means baseline.
+/// fingerprints) optimized reruns, empty means baseline. The engine is not
+/// part of the run's identity, so a reference-engine plan is uncacheable:
+/// otherwise it would fold onto (or be served from the cache entry of)
+/// the threaded run, and the engine differential would compare an
+/// outcome with itself.
 driver::RunPlan measurePlan(const workloads::WorkloadSpec &Spec,
                             vm::Engine Eng, const std::string &OptVariant) {
   driver::RunPlan Plan;
@@ -80,6 +84,7 @@ driver::RunPlan measurePlan(const workloads::WorkloadSpec &Spec,
   Plan.Options.Config.M = Mode::None;
   Plan.Options.MachineCfg = pgoMachine();
   Plan.Options.Engine = Eng;
+  Plan.Cacheable = Eng != vm::Engine::Reference;
   Plan.OptVariant = OptVariant;
   return Plan;
 }
@@ -196,7 +201,7 @@ int main(int Argc, char **Argv) {
       driver::RunPlan Plan = measurePlan(Spec, Eng, Variant);
       // Deterministic given the (deterministic) profile, so the
       // OptVariant-tagged fingerprint names the module contents exactly
-      // and the re-run can cache.
+      // and the threaded re-run can cache.
       Plan.Build = [Optimize] {
         auto M = Optimize(nullptr);
         assert(M && "pipeline succeeded on the dry run but failed here");

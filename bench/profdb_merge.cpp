@@ -5,7 +5,9 @@
 // under Context-Flow-HW, four D-cache geometries replicated 64 ways),
 // serial against the thread pool, and asserts the parallel result is
 // bit-identical to the serial one — the determinism contract under its
-// production workload.
+// production workload. A host with fewer cores than merge threads cannot
+// measure a parallel speedup, so the speedup is then reported as "not
+// measured" rather than as a ratio.
 //
 // Writes BENCH_profdb_merge.json (machine-readable; CI uploads it as a
 // workflow artifact).
@@ -15,6 +17,7 @@
 #include "prof/Session.h"
 #include "profdb/Artifact.h"
 #include "profdb/Merge.h"
+#include "support/Format.h"
 #include "support/TableWriter.h"
 #include "workloads/Spec.h"
 
@@ -115,26 +118,30 @@ int main() {
     }
   }
 
+  unsigned Cores = std::thread::hardware_concurrency();
+  bool Measured = Cores >= Threads;
   double Speedup = SerialBest / ParallelBest;
+  std::string SpeedupCell =
+      Measured ? std::to_string(Speedup).substr(0, 4) + "x" : "not measured";
   auto Ms = [](double Seconds) {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%.2f", Seconds * 1e3);
     return std::string(Buf);
   };
-  unsigned Cores = std::thread::hardware_concurrency();
   TableWriter Table;
   Table.setHeader({"Shards", "Bytes/shard", "Serial ms", "Threads", "Cores",
                    "Parallel ms", "Speedup"});
   Table.addRow({std::to_string(NumShards),
                 std::to_string(profdb::encodeArtifact(Variants[0]).size()),
                 Ms(SerialBest), std::to_string(Threads),
-                std::to_string(Cores), Ms(ParallelBest),
-                std::to_string(Speedup).substr(0, 4) + "x"});
+                std::to_string(Cores), Ms(ParallelBest), SpeedupCell});
   std::printf("Profile-repository k-way merge (%u shards, best of %u reps; "
               "parallel bytes == serial bytes)\n\n%s",
               NumShards, Reps, Table.render().c_str());
 
   std::ofstream Json("BENCH_profdb_merge.json");
+  std::string SpeedupJson =
+      Measured ? formatString("%.3f", Speedup) : "\"not measured\"";
   char Buf[512];
   std::snprintf(Buf, sizeof(Buf),
                 "{\n  \"bench\": \"profdb_merge\",\n"
@@ -145,12 +152,13 @@ int main() {
                 "  \"threads\": %u,\n"
                 "  \"hardware_cores\": %u,\n"
                 "  \"parallel_seconds\": %.6f,\n"
-                "  \"speedup\": %.3f,\n"
+                "  \"speedup\": %s,\n"
                 "  \"bit_identical\": true\n}\n",
                 NumShards, profdb::encodeArtifact(Variants[0]).size(),
                 SerialBytes.size(), SerialBest, Threads, Cores,
-                ParallelBest, Speedup);
+                ParallelBest, SpeedupJson.c_str());
   Json << Buf;
-  std::printf("\nwrote BENCH_profdb_merge.json (speedup %.2fx)\n", Speedup);
+  std::printf("\nwrote BENCH_profdb_merge.json (speedup %s)\n",
+              SpeedupCell.c_str());
   return 0;
 }

@@ -71,9 +71,10 @@ std::string groupKeyOf(const profdb::Artifact &A) {
 
 } // namespace
 
-IngestService::IngestService(IngestConfig C) : Cfg(std::move(C)) {
-  if (Cfg.QueueCapacity == 0)
-    Cfg.QueueCapacity = 1;
+IngestService::IngestService(IngestConfig C)
+    : Cfg(std::move(C)), Pool(Cfg.Threads, Cfg.QueueCapacity) {
+  // The pool's workers read Cfg only inside jobs, which are posted after
+  // the constructor returns.
   if (Cfg.RetainWindows == 0)
     Cfg.RetainWindows = retainWindowsFromEnv();
   if (Cfg.TenantRatePerSec > 0 && Cfg.TenantRateBurst <= 0)
@@ -85,102 +86,22 @@ IngestService::IngestService(IngestConfig C) : Cfg(std::move(C)) {
               std::chrono::steady_clock::now().time_since_epoch())
               .count());
     };
-  for (unsigned I = 0; I != Cfg.Threads; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
-}
-
-IngestService::~IngestService() {
-  drain();
-  {
-    std::lock_guard<std::mutex> Lock(QueueMu);
-    Stopping = true;
-  }
-  QueueNotEmpty.notify_all();
-  QueueNotFull.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
 }
 
 void IngestService::submit(Upload U) {
-  std::unique_lock<std::mutex> Lock(QueueMu);
-  if (Workers.empty()) {
-    // Manual-pump mode: blocking on QueueNotFull would deadlock — the
-    // calling thread is the only consumer. Make room by ingesting the
-    // queue head inline; capacity still bounds memory.
-    while (Queue.size() >= Cfg.QueueCapacity && !Stopping) {
-      Upload Head = std::move(Queue.front());
-      Queue.pop_front();
-      Lock.unlock();
-      ingestNow(std::move(Head));
-      Lock.lock();
-    }
-  } else {
-    QueueNotFull.wait(
-        Lock, [this] { return Queue.size() < Cfg.QueueCapacity || Stopping; });
-  }
-  if (Stopping)
-    return;
-  Queue.push_back(std::move(U));
-  QueueNotEmpty.notify_one();
+  Pool.post([this, U = std::move(U)]() mutable { ingestNow(std::move(U)); });
 }
 
 bool IngestService::trySubmit(Upload U) {
-  {
-    std::lock_guard<std::mutex> Lock(QueueMu);
-    if (!Stopping && Queue.size() < Cfg.QueueCapacity) {
-      Queue.push_back(std::move(U));
-      QueueNotEmpty.notify_one();
-      return true;
-    }
-  }
+  if (Pool.tryPost(
+          [this, U = std::move(U)]() mutable { ingestNow(std::move(U)); }))
+    return true;
   std::lock_guard<std::mutex> Lock(StateMu);
   ++Stats.Backpressured;
   return false;
 }
 
-bool IngestService::popUpload(Upload &Out) {
-  std::unique_lock<std::mutex> Lock(QueueMu);
-  QueueNotEmpty.wait(Lock, [this] { return !Queue.empty() || Stopping; });
-  if (Queue.empty())
-    return false;
-  Out = std::move(Queue.front());
-  Queue.pop_front();
-  ++InFlight;
-  QueueNotFull.notify_all();
-  return true;
-}
-
-void IngestService::workerLoop() {
-  Upload U;
-  while (popUpload(U)) {
-    ingestNow(std::move(U));
-    std::lock_guard<std::mutex> Lock(QueueMu);
-    --InFlight;
-    // Wake both blocked submitters and a drain() waiting for idle.
-    QueueNotFull.notify_all();
-  }
-}
-
-void IngestService::drain() {
-  if (Workers.empty()) {
-    // Manual-pump mode: the calling thread is the worker.
-    while (true) {
-      Upload U;
-      {
-        std::lock_guard<std::mutex> Lock(QueueMu);
-        if (Queue.empty())
-          break;
-        U = std::move(Queue.front());
-        Queue.pop_front();
-        QueueNotFull.notify_all();
-      }
-      ingestNow(std::move(U));
-    }
-    return;
-  }
-  std::unique_lock<std::mutex> Lock(QueueMu);
-  QueueNotFull.wait(Lock, [this] { return Queue.empty() && InFlight == 0; });
-}
+void IngestService::drain() { Pool.drain(); }
 
 UploadResult IngestService::ingestNow(Upload U) {
   obs::SpanScope Span("collectd", "ingest", "", /*Work=*/U.Bytes.size());

@@ -25,11 +25,11 @@
 ///      hashed-table thresholds) rejects this upload at admission —
 ///      never a later one, and never the group's accepted contents.
 ///
-/// Ingest runs on a thread pool behind a bounded queue: submit() blocks
-/// for space (backpressure), trySubmit() refuses instead. Threads == 0
-/// selects manual-pump mode — submissions only enqueue, drain() processes
-/// them on the calling thread — which is what the deterministic tests
-/// use.
+/// Ingest runs on a support/WorkerPool behind a bounded queue: submit()
+/// blocks for space (backpressure), trySubmit() refuses instead.
+/// Threads == 0 selects the pool's manual-pump mode — submissions only
+/// enqueue, drain() processes them on the calling thread — which is what
+/// the deterministic tests use.
 ///
 /// Every fold is deterministic: the window's merged bytes are identical
 /// for any arrival order, thread count, or compaction grouping (see
@@ -42,15 +42,13 @@
 #define PP_COLLECTD_INGEST_H
 
 #include "collectd/MergeTree.h"
+#include "support/WorkerPool.h"
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace pp {
@@ -100,8 +98,8 @@ struct IngestConfig {
   /// Ingest worker threads; 0 = manual-pump mode (drain() processes the
   /// queue on the calling thread — deterministic, used by tests).
   unsigned Threads = 4;
-  /// Bounded queue depth; submit() blocks at capacity, trySubmit()
-  /// refuses.
+  /// Bounded queue depth (0 is treated as 1); submit() blocks at
+  /// capacity, trySubmit() refuses.
   size_t QueueCapacity = 1024;
   /// Accepted uploads allowed per (tenant, window); 0 = unlimited.
   uint64_t TenantWindowQuota = 0;
@@ -162,8 +160,6 @@ size_t retainWindowsFromEnv();
 class IngestService {
 public:
   explicit IngestService(IngestConfig C);
-  /// Drains the queue and joins the workers.
-  ~IngestService();
 
   IngestService(const IngestService &) = delete;
   IngestService &operator=(const IngestService &) = delete;
@@ -218,8 +214,6 @@ private:
   };
   using Window = std::map<std::string, Group>;
 
-  void workerLoop();
-  bool popUpload(Upload &Out);
   /// Renders \p Window group by group via \p Render; shared shape of the
   /// three queries.
   template <typename RenderFn>
@@ -237,13 +231,6 @@ private:
 
   IngestConfig Cfg;
 
-  mutable std::mutex QueueMu;
-  std::condition_variable QueueNotEmpty;
-  std::condition_variable QueueNotFull;
-  std::deque<Upload> Queue;
-  size_t InFlight = 0; ///< popped but not yet ingested
-  bool Stopping = false;
-
   mutable std::mutex StateMu;
   std::map<uint64_t, Window> Windows;
   std::map<std::pair<std::string, uint64_t>, uint64_t> QuotaUsed;
@@ -258,7 +245,9 @@ private:
   /// and dropped; late uploads aimed under it reject as WindowExpired.
   uint64_t ExpiredBelow = 0;
 
-  std::vector<std::thread> Workers;
+  /// Declared last so it is destroyed first: its destructor finishes the
+  /// queued uploads while the state they fold into is still alive.
+  WorkerPool Pool;
 };
 
 } // namespace collectd

@@ -37,7 +37,9 @@ RunKey RunKey::of(const RunPlan &Plan) {
       profdb::MetricSchema::of(C, prof::acquisitionName(O.Acq.Kind));
 
   std::string &F = Key.Fingerprint;
-  F = "v2;wl=" + Plan.Workload;
+  // v3: the VM engine left the identity (the engines are bit-identical),
+  // so v2 entries, which named the engine, miss cleanly.
+  F = "v3;wl=" + Plan.Workload;
   F += formatString(";scale=%d;mode=%s;pic0=%s;pic1=%s;sites=%d", Plan.Scale,
                     prof::modeName(C.M), hw::eventName(C.Pic0),
                     hw::eventName(C.Pic1), C.DistinguishCallSites ? 1 : 0);
@@ -58,7 +60,6 @@ RunKey RunKey::of(const RunPlan &Plan) {
   F += formatString(";max=%llu;sig=%s:%llu",
                     (unsigned long long)O.MaxInsts, O.SignalHandler.c_str(),
                     (unsigned long long)O.SignalInterval);
-  F += formatString(";eng=%s", vm::engineName(O.Engine));
   // The acquisition dimension. Appended only for non-exact runs so every
   // pre-seam fingerprint — all of which were implicitly exact — keeps its
   // exact byte string, hash, and cache file. The trap-delivery cost joins

@@ -6,7 +6,9 @@
 /// placement options, the full machine configuration, and signal wiring —
 /// rendered into one stable text fingerprint. Equal fingerprints mean
 /// bit-identical outcomes (every run is deterministic), which is what the
-/// memoizing cache and the scheduler's duplicate folding rely on.
+/// memoizing cache and the scheduler's duplicate folding rely on. The VM
+/// engine is deliberately not a dimension: the engines are proven
+/// bit-identical, so plans differing only in engine share one run.
 ///
 //===----------------------------------------------------------------------===//
 

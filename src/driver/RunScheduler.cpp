@@ -4,7 +4,6 @@
 
 #include "driver/FaultInjector.h"
 #include "driver/RunCache.h"
-#include "hw/Event.h"
 #include "obs/Obs.h"
 #include "prof/Acquisition.h"
 #include "prof/Mode.h"
@@ -15,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include <sys/stat.h>
 
@@ -25,8 +23,7 @@ using namespace pp::driver;
 unsigned RunScheduler::defaultWorkerThreads() {
   if (envFlag("PP_DRIVER_SERIAL", "pp-driver"))
     return 0;
-  unsigned Hardware = std::thread::hardware_concurrency();
-  unsigned Default = std::clamp(Hardware ? Hardware : 4u, 4u, 16u);
+  unsigned Default = WorkerPool::hardwareDefault();
   uint64_t Value;
   switch (envUint64("PP_DRIVER_THREADS", "pp-driver", Value)) {
   case EnvParse::Ok:
@@ -44,27 +41,14 @@ unsigned RunScheduler::defaultWorkerThreads() {
 }
 
 RunScheduler::RunScheduler(RunCache *Cache, unsigned Threads)
-    : Cache(Cache), ProfileOutDir(profdb::profileOutDirFromEnv()) {
-  // Touch the obs collector before spawning any worker: function-local
-  // statics are destroyed in reverse construction order, so this
-  // guarantees the collector outlives a static Driver — its destructor
-  // (which joins the workers) runs before the collector flushes the
-  // report, and no worker can append to a destroyed ring buffer.
-  (void)obs::enabled();
-  Workers.reserve(Threads);
-  for (unsigned Index = 0; Index != Threads; ++Index)
-    Workers.emplace_back([this] { workerLoop(); });
-}
-
-RunScheduler::~RunScheduler() {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ShuttingDown = true;
-  }
-  WorkReady.notify_all();
-  for (std::thread &Worker : Workers)
-    Worker.join();
-}
+    : Cache(Cache), ProfileOutDir(profdb::profileOutDirFromEnv()),
+      // Touch the obs collector before the pool spawns its workers:
+      // function-local statics are destroyed in reverse construction
+      // order, so this guarantees the collector outlives a static Driver
+      // — the pool's destructor (which joins the workers) runs before the
+      // collector flushes the report, and no worker can append to a
+      // destroyed ring buffer.
+      Pool(((void)obs::enabled(), Threads)) {}
 
 size_t RunScheduler::submit(RunPlan Plan) {
   RunKey Key = RunKey::of(Plan);
@@ -85,9 +69,12 @@ size_t RunScheduler::submit(RunPlan Plan) {
     Tasks.push_back(std::move(T));
     if (Tasks.back()->Key.Cacheable)
       TaskOfKey.emplace(Tasks.back()->Key.Fingerprint, TaskIndex);
-    obs::gauge("scheduler.queue_depth",
-               static_cast<int64_t>(Tasks.size() - NextUnclaimed));
-    WorkReady.notify_one();
+    obs::gauge("scheduler.queue_depth", static_cast<int64_t>(++Unfinished));
+    // The pool's queue is unbounded, so post() never blocks under the
+    // lock; the task lives on the heap, so the pointer survives Tasks
+    // reallocating.
+    if (Pool.numThreads())
+      Pool.post([this, Posted = Tasks.back().get()] { executeTask(*Posted); });
   }
 
   size_t Ticket = TicketToTask.size();
@@ -98,20 +85,12 @@ size_t RunScheduler::submit(RunPlan Plan) {
 OutcomePtr RunScheduler::get(size_t Ticket) {
   std::unique_lock<std::mutex> Lock(Mu);
   assert(Ticket < TicketToTask.size() && "unknown ticket");
-  size_t TaskIndex = TicketToTask[Ticket];
-  Task &T = *Tasks[TaskIndex];
-  if (T.Done)
-    return T.Outcome;
-
-  if (Workers.empty()) {
-    // Serial mode: execute on the calling thread (unless a previous get()
-    // already claimed it — impossible serially, but cheap to honour).
-    if (!T.Claimed) {
-      T.Claimed = true;
-      Lock.unlock();
-      executeTask(T);
-      Lock.lock();
-    }
+  Task &T = *Tasks[TicketToTask[Ticket]];
+  if (!T.Done && !Pool.numThreads()) {
+    // Serial mode: the run executes on the calling thread.
+    Lock.unlock();
+    executeTask(T);
+    Lock.lock();
   }
   TaskDone.wait(Lock, [&T] { return T.Done; });
   return T.Outcome;
@@ -137,35 +116,11 @@ void RunScheduler::setProfileOutDir(std::string Dir) {
   ProfileOutDir = std::move(Dir);
 }
 
-void RunScheduler::workerLoop() {
-  // Per-worker run tally; a trace-only gauge (the sample lands in this
-  // worker's trace lane), never part of the deterministic report.
-  uint64_t WorkerRuns = 0;
-  for (;;) {
-    Task *Claimed;
-    {
-      std::unique_lock<std::mutex> Lock(Mu);
-      WorkReady.wait(Lock, [this] {
-        while (NextUnclaimed != Tasks.size() && Tasks[NextUnclaimed]->Claimed)
-          ++NextUnclaimed;
-        return ShuttingDown || NextUnclaimed != Tasks.size();
-      });
-      if (NextUnclaimed == Tasks.size())
-        return; // shutting down with no work left
-      Claimed = Tasks[NextUnclaimed++].get();
-      Claimed->Claimed = true;
-      obs::gauge("scheduler.queue_depth",
-                 static_cast<int64_t>(Tasks.size() - NextUnclaimed));
-    }
-    executeTask(*Claimed);
-    obs::gauge("scheduler.worker_runs", static_cast<int64_t>(++WorkerRuns));
-  }
-}
-
 void RunScheduler::executeTask(Task &T) {
-  // The Task lives on the heap and the claiming thread owns it until Done,
-  // so the plan and key are safe to read without the lock. (The Tasks
-  // vector itself is not: submit() may be reallocating it concurrently.)
+  // The Task lives on the heap and its one executing thread owns it until
+  // Done, so the plan and key are safe to read without the lock. (The
+  // Tasks vector itself is not: submit() may be reallocating it
+  // concurrently.)
   OutcomePtr Outcome = executePlan(T.Plan, T.Key);
   if (!Outcome || !Outcome->Result.Ok)
     obs::add(obs::Counter::SchedulerFailed);
@@ -175,6 +130,7 @@ void RunScheduler::executeTask(Task &T) {
       ++Failed;
     T.Outcome = std::move(Outcome);
     T.Done = true;
+    obs::gauge("scheduler.queue_depth", static_cast<int64_t>(--Unfinished));
   }
   TaskDone.notify_all();
 }
@@ -256,25 +212,12 @@ OutcomePtr RunScheduler::executePlan(const RunPlan &Plan, const RunKey &Key) {
   if (!M)
     return failedOutcome("unknown workload '" + Plan.Workload + "'");
 
+  // The stager records one prof/<stage> span per stage.
   prof::RunStager Stager(*M, Plan.Options);
-  {
-    obs::SpanScope S("driver", "instrument", Label);
-    Stager.instrument();
-  }
-  {
-    obs::SpanScope S("driver", "load", Label);
-    Stager.load();
-  }
-  OutcomePtr Outcome;
-  {
-    // Work = the run's simulated cycle total: deterministic for a given
-    // plan, and the dominant cost of the stage — it becomes the span's
-    // share of virtual time in the report.
-    obs::SpanScope S("driver", "execute", Label);
-    Stager.execute();
-    Outcome = std::make_shared<prof::RunOutcome>(Stager.extract());
-    S.setWork(Outcome->total(hw::Event::Cycles));
-  }
+  Stager.instrument();
+  Stager.load();
+  Stager.execute();
+  auto Outcome = std::make_shared<prof::RunOutcome>(Stager.extract());
   obs::add(obs::Counter::SchedulerExecuted);
   {
     std::lock_guard<std::mutex> Lock(Mu);

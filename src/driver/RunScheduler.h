@@ -1,7 +1,7 @@
 //===- driver/RunScheduler.h - Parallel run execution ----------*- C++ -*-===//
 ///
 /// \file
-/// Executes declared runs on a pool of worker threads. Every run is
+/// Executes declared runs on a support/WorkerPool. Every run is
 /// independent — one Machine and one Vm per execution, no shared mutable
 /// state anywhere in pp_vm/pp_hw/pp_prof — so runs proceed concurrently
 /// and results are collected deterministically in submission order.
@@ -29,11 +29,11 @@
 
 #include "driver/RunKey.h"
 #include "driver/RunPlan.h"
+#include "support/WorkerPool.h"
 
 #include <condition_variable>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -44,18 +44,18 @@ class RunCache;
 
 class RunScheduler {
 public:
-  /// \p Threads worker threads (0 = serial: runs execute on the calling
-  /// thread, in submission order, when their results are requested).
+  /// \p Threads worker threads (0 = serial: each run executes on the
+  /// thread that first requests its result, so a serial scheduler has one
+  /// calling thread).
   explicit RunScheduler(RunCache *Cache = nullptr,
                         unsigned Threads = defaultWorkerThreads());
-  ~RunScheduler();
 
   RunScheduler(const RunScheduler &) = delete;
   RunScheduler &operator=(const RunScheduler &) = delete;
 
-  /// Declares a run and returns its ticket. Workers pick it up
-  /// immediately; a cacheable plan whose key was already submitted shares
-  /// the earlier execution.
+  /// Declares a run and returns its ticket. A new run is posted to the
+  /// pool at once; a cacheable plan whose key was already submitted
+  /// shares the earlier execution.
   size_t submit(RunPlan Plan);
 
   /// Blocks until ticket \p Ticket's run finished and returns its outcome.
@@ -64,17 +64,16 @@ public:
   /// Number of tickets issued so far.
   size_t numTickets() const;
   /// Worker threads (0 in serial mode).
-  unsigned numThreads() const {
-    return static_cast<unsigned>(Workers.size());
-  }
+  unsigned numThreads() const { return Pool.numThreads(); }
   /// Runs actually executed (cache hits and folded duplicates excluded).
   uint64_t runsExecuted() const;
   /// Runs that resolved to a failed outcome (Result.Ok == false), whether
   /// executed or synthesised (unknown workload, injected fault).
   uint64_t runsFailed() const;
 
-  /// PP_DRIVER_SERIAL / PP_DRIVER_THREADS, defaulting to the hardware
-  /// concurrency clamped to [4, 16].
+  /// PP_DRIVER_SERIAL / PP_DRIVER_THREADS, defaulting to
+  /// WorkerPool::hardwareDefault() (the hardware concurrency clamped to
+  /// [4, 16]).
   static unsigned defaultWorkerThreads();
 
   /// Redirects artifact emission ("" disables it). Initialised from
@@ -85,12 +84,10 @@ private:
   struct Task {
     RunPlan Plan;
     RunKey Key;
-    bool Claimed = false;
     bool Done = false;
     OutcomePtr Outcome;
   };
 
-  void workerLoop();
   void executeTask(Task &T);
   OutcomePtr executePlan(const RunPlan &Plan, const RunKey &Key);
   /// Deposits \p Outcome as a profile artifact when a profile-out
@@ -104,20 +101,21 @@ private:
 
   RunCache *Cache;
   std::string ProfileOutDir;
-  std::vector<std::thread> Workers;
 
   mutable std::mutex Mu;
-  std::condition_variable WorkReady;
   std::condition_variable TaskDone;
   std::vector<std::unique_ptr<Task>> Tasks;
   /// Ticket -> task index (several tickets may alias one task).
   std::vector<size_t> TicketToTask;
   /// Fingerprint -> task index, for duplicate folding.
   std::unordered_map<std::string, size_t> TaskOfKey;
-  size_t NextUnclaimed = 0;
+  /// Runs submitted but not yet finished (the queue-depth trace gauge).
+  size_t Unfinished = 0;
   uint64_t Executed = 0;
   uint64_t Failed = 0;
-  bool ShuttingDown = false;
+  /// Declared last so it is destroyed first: its destructor finishes
+  /// every posted run while the tasks are still alive.
+  WorkerPool Pool;
 };
 
 } // namespace driver

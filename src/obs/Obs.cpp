@@ -29,7 +29,7 @@ const char *const CounterNames[] = {
     "cache.corrupt_evictions", "cache.write_failures",
     "scheduler.submitted",    "scheduler.folded",
     "scheduler.executed",     "scheduler.failed",
-    "vm.insts_reference",     "vm.insts_threaded",
+    "vm.insts",
     "profdb.bytes_encoded",   "profdb.bytes_decoded",
     "profdb.merges",          "fault.reads_corrupted",
     "fault.writes_failed",    "fault.runs_failed",

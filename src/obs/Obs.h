@@ -68,8 +68,7 @@ enum class Counter : unsigned {
   SchedulerFolded,       ///< submissions folded onto an earlier task
   SchedulerExecuted,     ///< runs actually executed (not cache hits)
   SchedulerFailed,       ///< runs resolving to a failed outcome
-  VmInstsReference,      ///< instructions dispatched by the switch engine
-  VmInstsThreaded,       ///< instructions dispatched by the threaded engine
+  VmInsts,               ///< instructions executed by the VM (either engine)
   ProfDbBytesEncoded,    ///< artifact bytes encoded (run-cache entries too)
   ProfDbBytesDecoded,    ///< artifact bytes decoded (run-cache entries too)
   ProfDbMerges,          ///< pairwise artifact merges performed

@@ -28,10 +28,12 @@ struct SessionOptions {
   ProfileConfig Config;
   hw::MachineConfig MachineCfg;
   uint64_t MaxInsts = uint64_t(1) << 32;
-  /// Which VM engine executes the run. Both engines are bit-identical (see
-  /// tests/EngineEquivalenceTest.cpp), but the choice is still part of the
-  /// run's identity so cached results never mix engines.
-  vm::Engine Engine = vm::defaultEngine();
+  /// Which VM engine executes the run. The engines are bit-identical (see
+  /// tests/EngineEquivalenceTest.cpp), so the choice is not part of the
+  /// run's identity: a Reference plan folds onto (and may be served by
+  /// the cache entry of) the Threaded run of the same plan. Code that
+  /// must execute on the reference oracle marks its plan uncacheable.
+  vm::Engine Engine = vm::Engine::Threaded;
   /// When non-empty, the named zero-argument function runs as a simulated
   /// signal handler every SignalInterval executed instructions.
   std::string SignalHandler;

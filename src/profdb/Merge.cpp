@@ -5,13 +5,12 @@
 #include "obs/Obs.h"
 #include "support/Env.h"
 #include "support/Format.h"
+#include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <thread>
 
 using namespace pp;
 using namespace pp::profdb;
@@ -29,8 +28,7 @@ unsigned profdb::mergeThreadsFromEnv() {
   if (envUint64("PP_DRIVER_THREADS", "pp-profdb", Value) == EnvParse::Ok)
     return static_cast<unsigned>(
         std::max<uint64_t>(1, std::min<uint64_t>(Value, 64)));
-  unsigned Hardware = std::thread::hardware_concurrency();
-  return std::clamp(Hardware ? Hardware : 4u, 4u, 16u);
+  return WorkerPool::hardwareDefault();
 }
 
 namespace {
@@ -431,6 +429,12 @@ bool profdb::mergeAll(std::vector<Artifact> Shards, Artifact &Out,
     Error = "no artifacts to merge";
     return false;
   }
+  // One pool per call, as wide as the first (widest) wave allows; with 0
+  // workers drain() runs each wave's pair merges here, in pair order.
+  size_t Widest = Shards.size() / 2;
+  WorkerPool Pool(Threads > 1 && Widest > 1
+                      ? static_cast<unsigned>(std::min<size_t>(Threads, Widest))
+                      : 0);
   unsigned Wave = 0;
   while (Shards.size() > 1) {
     size_t Pairs = Shards.size() / 2;
@@ -446,32 +450,16 @@ bool profdb::mergeAll(std::vector<Artifact> Shards, Artifact &Out,
     std::vector<Artifact> Next(Pairs + Shards.size() % 2);
     std::vector<std::string> Errors(Pairs);
     std::vector<uint8_t> Failed(Pairs, 0);
-    // The (2i, 2i+1) pairing is a function of position only; threads just
-    // race through an index counter, so the reduction tree — and with it
-    // the merged bytes — cannot depend on the schedule.
-    std::atomic<size_t> NextPair{0};
-    auto Work = [&] {
-      for (;;) {
-        size_t Pair = NextPair.fetch_add(1);
-        if (Pair >= Pairs)
-          return;
+    // The (2i, 2i+1) pairing is a function of position only; the pool
+    // just decides which thread merges a pair, so the reduction tree —
+    // and with it the merged bytes — cannot depend on the schedule.
+    for (size_t Pair = 0; Pair != Pairs; ++Pair)
+      Pool.post([&, Pair] {
         if (!mergeArtifacts(Shards[2 * Pair], Shards[2 * Pair + 1],
                             Next[Pair], Errors[Pair]))
           Failed[Pair] = 1;
-      }
-    };
-    unsigned Spawn = static_cast<unsigned>(
-        std::min<size_t>(Threads > 0 ? Threads : 1, Pairs));
-    if (Spawn <= 1) {
-      Work();
-    } else {
-      std::vector<std::thread> Workers;
-      Workers.reserve(Spawn);
-      for (unsigned Index = 0; Index != Spawn; ++Index)
-        Workers.emplace_back(Work);
-      for (std::thread &Worker : Workers)
-        Worker.join();
-    }
+      });
+    Pool.drain();
     for (size_t Pair = 0; Pair != Pairs; ++Pair)
       if (Failed[Pair]) {
         Error = Errors[Pair];

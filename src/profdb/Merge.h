@@ -15,10 +15,10 @@
 /// silently meaningless sum.
 ///
 /// mergeAll reduces N shards in O(log N) pairwise waves; the pairs of a
-/// wave are independent and run on a small thread pool (PP_PROFDB_THREADS,
-/// falling back to the driver's thread knobs). The pairing is fixed by
-/// shard position, never by thread schedule, which is what keeps the
-/// result thread-count-independent.
+/// wave are independent and run on a support/WorkerPool built once per
+/// call (PP_PROFDB_THREADS, falling back to the driver's thread knobs).
+/// The pairing is fixed by shard position, never by thread schedule,
+/// which is what keeps the result thread-count-independent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +35,8 @@ namespace profdb {
 
 /// Worker threads for mergeAll: PP_PROFDB_THREADS when set (0 means
 /// serial), else the driver's PP_DRIVER_SERIAL / PP_DRIVER_THREADS
-/// convention, else the hardware concurrency clamped to [4, 16]. Always
-/// at least 1.
+/// convention, else WorkerPool::hardwareDefault() (the hardware
+/// concurrency clamped to [4, 16]). Always at least 1.
 unsigned mergeThreadsFromEnv();
 
 /// Merges \p A and \p B into \p Out. Returns false (and sets \p Error)

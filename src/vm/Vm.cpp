@@ -10,9 +10,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 using namespace pp;
@@ -30,26 +27,6 @@ ProfRuntime::HookFn ProfRuntime::bindOp(const ir::Inst &) {
   return [](ProfRuntime &RT, Vm &VM, const ir::Inst &I) { RT.execOp(VM, I); };
 }
 
-const char *pp::vm::engineName(Engine E) {
-  return E == Engine::Reference ? "reference" : "threaded";
-}
-
-Engine pp::vm::defaultEngine() {
-  static Engine Choice = [] {
-    const char *Env = std::getenv("PP_VM_ENGINE");
-    if (!Env || !*Env || std::strcmp(Env, "threaded") == 0)
-      return Engine::Threaded;
-    if (std::strcmp(Env, "reference") == 0)
-      return Engine::Reference;
-    std::fprintf(stderr,
-                 "pp-vm: warning: ignoring unknown PP_VM_ENGINE='%s' "
-                 "(want reference|threaded); using threaded\n",
-                 Env);
-    return Engine::Threaded;
-  }();
-  return Choice;
-}
-
 Vm::Vm(ir::Module &M, hw::Machine &Machine) : M(M), Machine(Machine) {
   layout();
 }
@@ -60,10 +37,8 @@ RunResult Vm::run() {
   RunResult Result =
       Eng == Engine::Threaded ? runThreaded() : runReference();
   // One add per run, not per instruction: the dispatch loops stay
-  // untouched and the pipeline report still sees per-engine totals.
-  obs::add(Eng == Engine::Threaded ? obs::Counter::VmInstsThreaded
-                                   : obs::Counter::VmInstsReference,
-           Result.ExecutedInsts);
+  // untouched.
+  obs::add(obs::Counter::VmInsts, Result.ExecutedInsts);
   return Result;
 }
 

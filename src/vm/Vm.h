@@ -13,7 +13,10 @@
 /// DecodedInst stream (see Predecoder.h). Both drive the Machine through
 /// identical event sequences, so every RunResult, counter vector, path
 /// profile, and CCT export is bit-identical between them —
-/// tests/EngineEquivalenceTest.cpp enforces exactly that.
+/// tests/EngineEquivalenceTest.cpp enforces exactly that. Every Vm runs
+/// the threaded engine unless code selects the oracle with setEngine();
+/// there is no environment knob, and the choice is not part of a run's
+/// identity (driver/RunKey.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +38,7 @@ class Vm;
 struct DecodedFunction;
 class Predecoder;
 
-/// Which interpretation engine a Vm runs.
+/// Which interpretation engine a Vm runs (default: Threaded).
 enum class Engine : uint8_t {
   /// The original switch-dispatch interpreter; kept as the semantic oracle.
   Reference,
@@ -43,14 +46,6 @@ enum class Engine : uint8_t {
   /// portable switch fallback elsewhere).
   Threaded,
 };
-
-/// Short engine label ("reference"/"threaded") for fingerprints and logs.
-const char *engineName(Engine E);
-
-/// The process-wide engine choice: $PP_VM_ENGINE=reference|threaded,
-/// default threaded. Parsed once; an unknown value warns on stderr and
-/// falls back to the default.
-Engine defaultEngine();
 
 /// Callbacks the profiling runtime implements (src/prof). The VM invokes
 /// execOp for every Opcode with isProfRuntimeOp(); onFrameUnwound fires for
@@ -129,8 +124,8 @@ public:
   /// must not be deliverable at the hidden boundary inside a fused pair),
   /// exactly as installing a signal handler does.
   void setTrapHandler(TrapHandler *T) { TrapHook = T; }
-  /// Selects the execution engine (default: defaultEngine(), i.e. the
-  /// $PP_VM_ENGINE choice). Must be called before run().
+  /// Selects the execution engine (default: Threaded; Reference is the
+  /// differential oracle). Must be called before run().
   void setEngine(Engine E) { Eng = E; }
   Engine engine() const { return Eng; }
   /// Aborts the run with an error after this many executed instructions.
@@ -245,7 +240,7 @@ private:
   ProfRuntime *Runtime = nullptr;
   Tracer *TracerHook = nullptr;
   TrapHandler *TrapHook = nullptr;
-  Engine Eng = defaultEngine();
+  Engine Eng = Engine::Threaded;
   uint64_t MaxInsts = uint64_t(1) << 34;
   std::vector<Frame> Frames;
   /// Popped frames, kept for their register-vector allocations.

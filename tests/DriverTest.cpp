@@ -10,6 +10,7 @@
 
 #include "cct/Export.h"
 #include "driver/Driver.h"
+#include "obs/Obs.h"
 #include "profdb/Artifact.h"
 
 #include "gtest/gtest.h"
@@ -187,14 +188,27 @@ TEST(RunKeyTest, FingerprintSeparatesPlans) {
                 .Fingerprint);
 }
 
-TEST(RunKeyTest, FingerprintSeparatesEngines) {
-  // Cached outcomes must never cross engines: the engine is part of the
-  // run's identity even though the engines are proven bit-identical.
+TEST(RunKeyTest, EnginesShareOneRunIdentity) {
+  // The engines are proven bit-identical (EngineEquivalenceTest), so the
+  // engine is not a run dimension: a Reference plan and a Threaded plan
+  // of the same workload share one fingerprint and fold onto one run.
+  obs::resetForTesting();
   RunPlan Ref = makePlan("124.m88ksim", prof::Mode::FlowHw);
   Ref.Options.Engine = vm::Engine::Reference;
   RunPlan Thr = makePlan("124.m88ksim", prof::Mode::FlowHw);
   Thr.Options.Engine = vm::Engine::Threaded;
-  EXPECT_NE(RunKey::of(Ref).Fingerprint, RunKey::of(Thr).Fingerprint);
+  std::string Fingerprint = RunKey::of(Ref).Fingerprint;
+  EXPECT_EQ(Fingerprint.rfind("v3;", 0), 0u) << Fingerprint;
+  EXPECT_EQ(Fingerprint, RunKey::of(Thr).Fingerprint);
+
+  Driver D(/*DiskDir=*/"", /*Threads=*/2);
+  size_t A = D.submit(std::move(Ref));
+  size_t B = D.submit(std::move(Thr));
+  OutcomePtr OA = D.get(A), OB = D.get(B);
+  ASSERT_TRUE(OA && OA->Result.Ok);
+  EXPECT_EQ(OA.get(), OB.get());
+  EXPECT_EQ(obs::counterValue(obs::Counter::SchedulerFolded), 1u);
+  EXPECT_EQ(D.scheduler().runsExecuted(), 1u);
 }
 
 TEST(RunKeyTest, OptVariantDimensionIsAppendOnly) {

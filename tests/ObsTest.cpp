@@ -27,9 +27,6 @@ driver::RunPlan makePlan(const char *Workload, prof::Mode M) {
   Plan.Workload = Workload;
   Plan.Scale = 1;
   Plan.Options.Config.M = M;
-  // Pin the engine: the report records per-engine instruction totals, and
-  // the test must not depend on an inherited PP_VM_ENGINE.
-  Plan.Options.Engine = vm::Engine::Threaded;
   return Plan;
 }
 
@@ -106,9 +103,8 @@ TEST(Obs, VmCounterMatchesExecutedInstructions) {
   driver::OutcomePtr Outcome =
       Sched.get(Sched.submit(makePlan("129.compress", prof::Mode::FlowHw)));
   ASSERT_TRUE(Outcome && Outcome->Result.Ok);
-  EXPECT_EQ(obs::counterValue(obs::Counter::VmInstsThreaded),
+  EXPECT_EQ(obs::counterValue(obs::Counter::VmInsts),
             Outcome->Result.ExecutedInsts);
-  EXPECT_EQ(obs::counterValue(obs::Counter::VmInstsReference), 0u);
 }
 
 TEST(Obs, FailedRunsAreCounted) {
@@ -170,7 +166,7 @@ TEST(Obs, ReportParsesAndVirtualTimeIsContiguous) {
   EXPECT_EQ(obs::diffObsReports(R, R), "no differences\n");
   std::string Rendered = obs::renderObsReport(R);
   EXPECT_NE(Rendered.find("scheduler.submitted"), std::string::npos);
-  EXPECT_NE(Rendered.find("driver/execute"), std::string::npos);
+  EXPECT_NE(Rendered.find("prof/execute"), std::string::npos);
 }
 
 TEST(Obs, ReportReaderDecodesUnicodeEscapes) {

@@ -9,10 +9,12 @@
 # usage: tools/check.sh [asan|tsan|all]   (default: asan)
 #
 # The ASan pass runs the full suite; the TSan pass runs the driver,
-# fault-injection, profile-repository, observability, and optimizer
-# tests, which exercise every concurrent component (worker pool, run
-# cache, parallel artifact merge, per-thread obs ring buffers, and the
-# benches' Build closures optimizing modules on worker threads).
+# fault-injection, profile-repository, observability, optimizer, and
+# worker-pool tests, which exercise every concurrent component (the one
+# support::WorkerPool and its three users — run scheduler, ingest
+# service, parallel artifact merge — plus the run cache, per-thread obs
+# ring buffers, and the benches' Build closures optimizing modules on
+# worker threads).
 
 set -e
 
@@ -33,9 +35,10 @@ run_tsan() {
         --target fault_injection_test --target profdb_test \
         --target obs_test --target collectd_test --target wire_test \
         --target server_test --target opt_test \
-        --target pgo_differential_test --target kpath_numbering_test
+        --target pgo_differential_test --target kpath_numbering_test \
+        --target worker_pool_test
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-        -R 'DriverTest|RunKeyTest|RunEntryTest|SchedulerTest|Fault|ProfDb|Obs|Collectd|Wire|Server|Opt|Pgo|KPath|NumberingQueries')
+        -R 'DriverTest|RunKeyTest|RunEntryTest|SchedulerTest|Fault|ProfDb|Obs|Collectd|Wire|Server|Opt|Pgo|KPath|NumberingQueries|WorkerPool')
 }
 
 case "$MODE" in
