@@ -176,8 +176,7 @@ UploadResult IngestService::ingestNow(Upload U) {
   bool NewGroup = It == W.end();
   if (NewGroup)
     It = W.emplace(std::piecewise_construct, std::forward_as_tuple(Key),
-                   std::forward_as_tuple(A.Workload, Cfg.Fanout,
-                                         Cfg.MergeThreads))
+                   std::forward_as_tuple(A.Workload))
              .first;
   std::string Error;
   if (!It->second.Tree.add(std::move(A), Error)) {
@@ -327,9 +326,6 @@ IngestStats IngestService::stats() const {
   std::lock_guard<std::mutex> Lock(StateMu);
   IngestStats Out = Stats;
   Out.Windows = Windows.size();
-  for (const auto &[Id, W] : Windows)
-    for (const auto &[Key, G] : W)
-      Out.Compactions += G.Tree.compactions();
   return Out;
 }
 

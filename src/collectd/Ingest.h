@@ -3,10 +3,11 @@
 /// \file
 /// The continuous-profiling collector: a long-running service that
 /// accepts encoded profile artifacts (.ppa bytes) uploaded by a fleet of
-/// clients and folds them into per-window incremental merge trees
-/// (collectd/MergeTree.h). The paper's tables are batch reports over one
-/// run; this is the "always on" production shape — thousands of uploads
-/// an hour, bounded memory, queries served from the folded windows.
+/// clients and folds them incrementally, one fold per (window, schema
+/// group) (collectd/MergeTree.h). The paper's tables are batch reports
+/// over one run; this is the "always on" production shape — thousands of
+/// uploads an hour, bounded memory, queries served from the folded
+/// windows.
 ///
 /// Admission pipeline, per upload:
 ///
@@ -32,9 +33,9 @@
 /// the deterministic tests use.
 ///
 /// Every fold is deterministic: the window's merged bytes are identical
-/// for any arrival order, thread count, or compaction grouping (see
-/// MergeTree.h), so a rejected upload provably leaves the window
-/// byte-identical to a run that never saw it.
+/// for any arrival order or ingest thread count (see MergeTree.h), so a
+/// rejected upload provably leaves the window byte-identical to a run
+/// that never saw it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,10 +104,6 @@ struct IngestConfig {
   size_t QueueCapacity = 1024;
   /// Accepted uploads allowed per (tenant, window); 0 = unlimited.
   uint64_t TenantWindowQuota = 0;
-  /// MergeTree level fanout.
-  unsigned Fanout = 8;
-  /// Threads per mergeAll reduction wave.
-  unsigned MergeThreads = 1;
   /// The acquisition this collector accepts ("exact" or "overflow").
   std::string Acquisition = "exact";
   /// Root for persist(): window folds land in StoreDir/w<window>/.
@@ -131,9 +128,9 @@ struct IngestConfig {
 };
 
 /// Aggregate service counters. The totals (Submitted, Accepted,
-/// Rejected, RejectedBy, Compactions) depend only on the set of
-/// submitted uploads, never on worker interleaving — with one carve-out:
-/// when TenantWindowQuota is set and uploads race over a shared quota,
+/// Rejected, RejectedBy) depend only on the set of submitted uploads,
+/// never on worker interleaving — with one carve-out: when
+/// TenantWindowQuota is set and uploads race over a shared quota,
 /// *which* uploads win the remaining slots (and therefore the windows'
 /// folded contents) follows admission order; only the counts are stable.
 struct IngestStats {
@@ -143,6 +140,9 @@ struct IngestStats {
   uint64_t RejectedBy[static_cast<size_t>(RejectReason::NumReasons)] = {};
   /// trySubmit() refusals — backpressure, not upload verdicts.
   uint64_t Backpressured = 0;
+  /// Always 0: window groups fold incrementally and never compact. Kept
+  /// only because perfbench's fleet-ingest still reports it; it goes with
+  /// that collectd.compactions metric at the next benchmark change.
   uint64_t Compactions = 0;
   uint64_t Queries = 0;
   size_t Windows = 0;
@@ -209,8 +209,7 @@ private:
   struct Group {
     std::string Label; ///< workload name, for query headers
     MergeTree Tree;
-    Group(const std::string &Label, unsigned Fanout, unsigned MergeThreads)
-        : Label(Label), Tree(Fanout, MergeThreads) {}
+    explicit Group(const std::string &Label) : Label(Label) {}
   };
   using Window = std::map<std::string, Group>;
 

@@ -2,93 +2,36 @@
 
 #include "collectd/MergeTree.h"
 
-#include "obs/Obs.h"
 #include "profdb/Merge.h"
 
 using namespace pp;
 using namespace pp::collectd;
 
-MergeTree::MergeTree(unsigned Fanout, unsigned MergeThreads)
-    : Fanout(Fanout < 2 ? 2 : Fanout),
-      MergeThreads(MergeThreads ? MergeThreads : 1) {}
-
 bool MergeTree::add(profdb::Artifact A, std::string &Error) {
-  // Admission trial: fold the candidate into the running window fold
-  // before anything is mutated. The fold carries the union of every
-  // accepted leaf's structure, so a clean merge against it proves the
-  // candidate is mergeable with every subset a compaction below can
-  // form; a failure rejects this one add with the tree untouched.
+  // Admission trial: fold the candidate into a fresh artifact before
+  // anything is mutated. The fold carries the union of every accepted
+  // leaf's structure, so a failure rejects this one add with the tree
+  // untouched.
   profdb::Artifact NewFold;
-  if (!Fold) {
+  if (Leaves == 0) {
     // First leaf: self-merge exercises the structural checks the decoder
     // does not make (tree shape, backedge consistency), so a structurally
     // corrupt artifact cannot seed a group it would then poison.
     if (!profdb::mergeArtifacts(A, A, NewFold, Error))
       return false;
-    NewFold = profdb::cloneArtifact(A);
-  } else if (!profdb::mergeArtifacts(*Fold, A, NewFold, Error)) {
+    NewFold = std::move(A);
+  } else if (!profdb::mergeArtifacts(Fold, A, NewFold, Error)) {
     return false;
   }
-
-  if (Levels.empty())
-    Levels.emplace_back();
-  Levels[0].push_back(std::move(A));
-
-  // Cascade compactions up the levels on cloned inputs: a full level is
-  // merged into one artifact destined for the next level, which may fill
-  // that level in turn. No level is modified until the whole chain has
-  // succeeded, so a merge failure — which the admission trial above
-  // should have made impossible — still cannot destroy accepted uploads:
-  // the new leaf is popped back out and the tree is exactly as before.
-  std::vector<profdb::Artifact> Chain; // Chain[L] = compaction of level L
-  for (size_t Level = 0; Level != Levels.size(); ++Level) {
-    bool Incoming = Level != 0 && Chain.size() == Level;
-    size_t Count = Levels[Level].size() + (Incoming ? 1 : 0);
-    if (Count < Fanout)
-      break;
-    obs::SpanScope Span("collectd", "compact", "", /*Work=*/Count,
-                        /*Items=*/Count);
-    std::vector<profdb::Artifact> Inputs;
-    Inputs.reserve(Count);
-    for (const profdb::Artifact &Resident : Levels[Level])
-      Inputs.push_back(profdb::cloneArtifact(Resident));
-    if (Incoming)
-      Inputs.push_back(profdb::cloneArtifact(Chain.back()));
-    profdb::Artifact Merged;
-    if (!profdb::mergeAll(std::move(Inputs), Merged, Error, MergeThreads)) {
-      Levels[0].pop_back();
-      return false;
-    }
-    Chain.push_back(std::move(Merged));
-  }
-
-  // Commit: every compacted level empties out and the last chain artifact
-  // lands one level above the highest compacted one.
-  for (size_t Level = 0; Level != Chain.size(); ++Level)
-    Levels[Level].clear();
-  if (!Chain.empty()) {
-    if (Chain.size() == Levels.size())
-      Levels.emplace_back();
-    Levels[Chain.size()].push_back(std::move(Chain.back()));
-    Compactions += Chain.size();
-    obs::add(obs::Counter::CollectdCompactions, Chain.size());
-  }
+  Fold = std::move(NewFold);
   ++Leaves;
-  Fold = std::make_unique<profdb::Artifact>(std::move(NewFold));
   return true;
 }
 
 const profdb::Artifact *MergeTree::folded(std::string &Error) {
-  if (!Fold) {
+  if (Leaves == 0) {
     Error = "empty merge tree";
     return nullptr;
   }
-  return Fold.get();
-}
-
-size_t MergeTree::residentArtifacts() const {
-  size_t Count = 0;
-  for (const std::vector<profdb::Artifact> &Level : Levels)
-    Count += Level.size();
-  return Count;
+  return &Fold;
 }

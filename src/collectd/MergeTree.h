@@ -1,17 +1,16 @@
 //===- collectd/MergeTree.h - Windowed incremental merging -----*- C++ -*-===//
 ///
 /// \file
-/// The fleet collector's per-window accumulator: an LSM-style tree of
-/// profile artifacts. Accepted uploads land in level 0; when a level
-/// reaches the fanout it is compacted — merged into one artifact
-/// (profdb::mergeAll) that is pushed to the next level — so resident
-/// memory is O(fanout * log N) artifacts for N accepted uploads, not
-/// O(N).
+/// The fleet collector's per-(window, group) accumulator: an incremental
+/// fold of profile artifacts. Each accepted upload is merged into the
+/// running fold (profdb::mergeArtifacts) and then dropped, so a group
+/// holds exactly one artifact however many uploads it has accepted, and
+/// every add costs one pairwise merge.
 ///
 /// Determinism: because pairwise artifact merging is associative and
 /// commutative with canonical re-emission (see profdb/Merge.h), the fold
-/// of a window is bit-identical for any upload arrival order, any
-/// compaction grouping, and any merge thread count. CollectdTest pins
+/// of a window is bit-identical to a flat mergeAll of its leaves, for any
+/// upload arrival order and any ingest thread count. CollectdTest pins
 /// this by shuffling arrivals and comparing encoded bytes.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,56 +20,40 @@
 
 #include "profdb/Artifact.h"
 
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace pp {
 namespace collectd {
 
-/// One schema group's merge tree within one time window. Not
-/// thread-safe; the ingest service serializes access per window.
+/// One schema group's fold within one time window. Not thread-safe; the
+/// ingest service serializes access per window.
 class MergeTree {
 public:
-  /// \p Fanout artifacts per level before a compaction (clamped to >= 2);
-  /// \p MergeThreads is handed to mergeAll's reduction waves.
-  explicit MergeTree(unsigned Fanout = 8, unsigned MergeThreads = 1);
-
-  /// Folds \p A into the tree, compacting any level the add fills. The
-  /// add is transactional: \p A is trial-merged against the running fold
-  /// (which carries the union of every accepted leaf's structure) before
-  /// any level is touched, and a compaction cascade commits only after
-  /// every merge in the chain has succeeded. A merge-incompatible
-  /// artifact — structural corruption that slipped past the decoder, or
-  /// a shape the group key does not distinguish — therefore surfaces as
-  /// false + \p Error on *this* add, and provably leaves the tree (and
-  /// its folded bytes) exactly as if the artifact was never offered.
+  /// Folds \p A into the tree. The add is transactional: \p A is
+  /// trial-merged against the running fold (which carries the union of
+  /// every accepted leaf's structure), and the fold is replaced only when
+  /// that merge succeeds. The first leaf is self-merged instead, which
+  /// exercises the structural checks the decoder does not make. A
+  /// merge-incompatible artifact — structural corruption that slipped
+  /// past the decoder, or a shape the group key does not distinguish —
+  /// therefore surfaces as false + \p Error on *this* add, and provably
+  /// leaves the tree (and its folded bytes) exactly as if the artifact
+  /// was never offered.
   bool add(profdb::Artifact A, std::string &Error);
 
   /// The fold of everything added so far: one artifact merging every
-  /// leaf, maintained incrementally across adds (bit-identical to a flat
-  /// mergeAll of the leaves by the associativity pinned in CollectdTest).
-  /// Null (with \p Error set) only when the tree is empty.
+  /// leaf (bit-identical to a flat mergeAll of the leaves by the
+  /// associativity pinned in CollectdTest). Null (with \p Error set) only
+  /// when the tree is empty.
   const profdb::Artifact *folded(std::string &Error);
 
   /// Total artifacts accepted into the tree.
   uint64_t leafCount() const { return Leaves; }
-  /// Level compactions performed so far.
-  uint64_t compactions() const { return Compactions; }
-  /// Artifacts currently resident across all levels — the memory bound
-  /// the LSM shape exists to enforce.
-  size_t residentArtifacts() const;
 
 private:
-  unsigned Fanout;
-  unsigned MergeThreads;
-  /// Levels[0] holds raw uploads; Levels[i] holds merges of Fanout^i.
-  std::vector<std::vector<profdb::Artifact>> Levels;
   uint64_t Leaves = 0;
-  uint64_t Compactions = 0;
-  /// The incremental fold of every accepted leaf — both what folded()
-  /// serves and the admission witness add() trial-merges against.
-  std::unique_ptr<profdb::Artifact> Fold;
+  /// The fold of every accepted leaf; meaningful once Leaves != 0.
+  profdb::Artifact Fold;
 };
 
 } // namespace collectd

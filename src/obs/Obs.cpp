@@ -35,14 +35,13 @@ const char *const CounterNames[] = {
     "fault.writes_failed",    "fault.runs_failed",
     "acq.traps_delivered",    "acq.samples_recorded",
     "collectd.accepted",      "collectd.rejected",
-    "collectd.compactions",   "collectd.queries",
-    "collectd.rate_limited",  "collectd.windows_expired",
-    "collectd.net.conns",     "collectd.net.frames_in",
-    "collectd.net.frames_out", "collectd.net.bytes_in",
-    "collectd.net.bytes_out", "collectd.net.protocol_errors",
-    "collectd.net.idle_closed", "opt.functions_reordered",
-    "opt.blocks_duplicated",  "opt.sites_inlined",
-    "opt.profile_refusals",
+    "collectd.queries",       "collectd.rate_limited",
+    "collectd.windows_expired", "collectd.net.conns",
+    "collectd.net.frames_in", "collectd.net.frames_out",
+    "collectd.net.bytes_in",  "collectd.net.bytes_out",
+    "collectd.net.protocol_errors", "collectd.net.idle_closed",
+    "opt.functions_reordered", "opt.blocks_duplicated",
+    "opt.sites_inlined",      "opt.profile_refusals",
 };
 static_assert(sizeof(CounterNames) / sizeof(CounterNames[0]) ==
                   static_cast<size_t>(Counter::NumCounters),

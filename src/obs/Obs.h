@@ -79,7 +79,6 @@ enum class Counter : unsigned {
   AcqSamplesRecorded,    ///< stack samples recorded by overflow sampling
   CollectdAccepted,      ///< fleet uploads folded into a window tree
   CollectdRejected,      ///< fleet uploads rejected with a typed reason
-  CollectdCompactions,   ///< merge-tree level compactions performed
   CollectdQueries,       ///< window queries served
   CollectdRateLimited,   ///< uploads refused by the per-tenant token bucket
   CollectdWindowsExpired, ///< windows persisted + dropped by retention

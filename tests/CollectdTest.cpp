@@ -3,9 +3,10 @@
 // The collector's contract: every upload gets a typed verdict; a corrupt
 // or cross-acquisition upload rejects exactly that artifact and provably
 // leaves the window's fold byte-identical to a service that never saw
-// it; window folds are bit-identical under any arrival order, thread
-// count, or compaction fanout; quotas and queue backpressure bound the
-// fleet; persisted windows are ordinary .ppa artifacts.
+// it; window folds are bit-identical under any arrival order or thread
+// count, and equal a flat merge of their leaves; quotas and queue
+// backpressure bound the fleet; persisted windows are ordinary .ppa
+// artifacts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -173,7 +174,7 @@ TEST(CollectdIngestTest, InjectedReadCorruptionRejectsUploadNotWindow) {
 // Determinism of the window folds
 //===----------------------------------------------------------------------===//
 
-TEST(CollectdIngestTest, ArrivalOrderThreadsAndFanoutDoNotChangeBytes) {
+TEST(CollectdIngestTest, ArrivalOrderAndThreadsDoNotChangeBytes) {
   constexpr unsigned NumUploads = 9;
   std::vector<Upload> Uploads;
   for (unsigned Serial = 0; Serial != NumUploads; ++Serial)
@@ -199,23 +200,16 @@ TEST(CollectdIngestTest, ArrivalOrderThreadsAndFanoutDoNotChangeBytes) {
   std::vector<Upload> Reversed(Uploads.rbegin(), Uploads.rend());
   EXPECT_EQ(FoldBytes(std::move(Reversed), Manual), Reference);
 
-  // A different compaction shape (fanout 2 instead of 8).
-  IngestConfig Shallow = manualConfig();
-  Shallow.Fanout = 2;
-  EXPECT_EQ(FoldBytes(Uploads, Shallow), Reference);
-
-  // A racing thread pool with parallel merges: arrival interleaving is
-  // whatever the scheduler makes it, the bytes must not care.
+  // A racing thread pool: arrival interleaving is whatever the scheduler
+  // makes it, the bytes must not care.
   IngestConfig Threaded = manualConfig();
   Threaded.Threads = 4;
-  Threaded.MergeThreads = 2;
-  Threaded.Fanout = 3;
   EXPECT_EQ(FoldBytes(std::move(Uploads), Threaded), Reference);
 }
 
-TEST(CollectdMergeTreeTest, CompactionsBoundResidencyAndMatchFlatMerge) {
+TEST(CollectdMergeTreeTest, FoldedBytesEqualFlatMergeOfLeaves) {
   constexpr unsigned NumLeaves = 8;
-  MergeTree Tree(/*Fanout=*/2, /*MergeThreads=*/1);
+  MergeTree Tree;
   std::vector<profdb::Artifact> Flat;
   std::string Error;
   for (unsigned Serial = 0; Serial != NumLeaves; ++Serial) {
@@ -227,11 +221,7 @@ TEST(CollectdMergeTreeTest, CompactionsBoundResidencyAndMatchFlatMerge) {
     Flat.push_back(profdb::cloneArtifact(A));
     ASSERT_TRUE(Tree.add(std::move(A), Error)) << Error;
   }
-  // Fanout 2 over 8 leaves is a binary counter: 7 carries, and the tree
-  // holds exactly one resident artifact at the top.
   EXPECT_EQ(Tree.leafCount(), NumLeaves);
-  EXPECT_EQ(Tree.compactions(), 7u);
-  EXPECT_EQ(Tree.residentArtifacts(), 1u);
 
   const profdb::Artifact *Folded = Tree.folded(Error);
   ASSERT_NE(Folded, nullptr) << Error;
@@ -274,7 +264,7 @@ std::vector<uint8_t> incompatibleBytes() {
 } // namespace
 
 TEST(CollectdMergeTreeTest, IncompatibleAddRejectsAndLeavesTreeUntouched) {
-  MergeTree Tree(/*Fanout=*/2, /*MergeThreads=*/1);
+  MergeTree Tree;
   std::string Error;
   for (unsigned Serial = 0; Serial != 3; ++Serial)
     ASSERT_TRUE(Tree.add(decodedArtifact(Serial), Error)) << Error;
@@ -282,24 +272,18 @@ TEST(CollectdMergeTreeTest, IncompatibleAddRejectsAndLeavesTreeUntouched) {
   const profdb::Artifact *Before = Tree.folded(Error);
   ASSERT_NE(Before, nullptr) << Error;
   std::vector<uint8_t> BeforeBytes = profdb::encodeArtifact(*Before);
-  uint64_t BeforeCompactions = Tree.compactions();
-  size_t BeforeResident = Tree.residentArtifacts();
 
-  // With fanout 2 and three leaves, this add would fill level 0 and
-  // cascade; the used-to-be bug let a failing compaction move the level's
-  // accepted artifacts out and lose them. The trial merge must reject the
-  // incompatible artifact before any level is touched.
+  // The trial merge must reject the incompatible artifact before the
+  // fold is replaced.
   profdb::Artifact Bad;
   ASSERT_EQ(profdb::decodeArtifact(incompatibleBytes(), Bad),
             profdb::DecodeStatus::Ok);
   EXPECT_FALSE(Tree.add(std::move(Bad), Error));
   EXPECT_NE(Error.find("CCT geometry mismatch"), std::string::npos) << Error;
 
-  // Nothing moved: counters, residency, and the folded bytes are exactly
-  // as if the artifact was never offered.
+  // Nothing moved: the leaf count and the folded bytes are exactly as if
+  // the artifact was never offered.
   EXPECT_EQ(Tree.leafCount(), 3u);
-  EXPECT_EQ(Tree.compactions(), BeforeCompactions);
-  EXPECT_EQ(Tree.residentArtifacts(), BeforeResident);
   const profdb::Artifact *After = Tree.folded(Error);
   ASSERT_NE(After, nullptr) << Error;
   EXPECT_EQ(profdb::encodeArtifact(*After), BeforeBytes);
@@ -313,9 +297,8 @@ TEST(CollectdIngestTest, MergeIncompatibleUploadRejectsAtAdmission) {
   IngestService Clean(manualConfig());
   IngestService Faulty(manualConfig());
 
-  // Level 0 is far from full (default fanout 8): the old failure mode
-  // accepted the incompatible upload here and surfaced the merge failure
-  // on a later innocent upload or query.
+  // The incompatible upload must be refused on its own admission, never
+  // surface later as the merge failure of an innocent upload or query.
   for (unsigned Serial = 0; Serial != 2; ++Serial) {
     Upload U = makeUpload("t0", 5, Serial);
     EXPECT_TRUE(Clean.ingestNow(U).Accepted);

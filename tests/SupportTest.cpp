@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 using namespace pp;
 
@@ -47,6 +48,68 @@ TEST(Checksum, Crc32KnownVectors) {
       Flipped[Byte] ^= uint8_t(1) << Bit;
       EXPECT_NE(crc32(Flipped, sizeof(Flipped)), 0xCBF43926u);
     }
+}
+
+namespace {
+
+/// The textbook bytewise CRC32, kept as the oracle the sliced
+/// implementation must match bit for bit.
+uint32_t referenceCrc32(const uint8_t *Data, size_t Size, uint32_t Seed) {
+  uint32_t Crc = ~Seed;
+  for (size_t Index = 0; Index != Size; ++Index) {
+    Crc ^= Data[Index];
+    for (unsigned Bit = 0; Bit != 8; ++Bit)
+      Crc = (Crc >> 1) ^ ((Crc & 1) ? 0xedb88320u : 0);
+  }
+  return ~Crc;
+}
+
+/// Deterministic pseudo-random bytes (a 64-bit LCG's high byte).
+std::vector<uint8_t> noiseBytes(size_t Size) {
+  std::vector<uint8_t> Bytes(Size);
+  uint64_t State = 0x9e3779b97f4a7c15ull;
+  for (uint8_t &Byte : Bytes) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    Byte = uint8_t(State >> 56);
+  }
+  return Bytes;
+}
+
+} // namespace
+
+TEST(Checksum, Crc32MatchesBytewiseReference) {
+  constexpr size_t MiB = size_t(1) << 20;
+  // Eight spare bytes in front so every length runs at every alignment
+  // of the word loads.
+  std::vector<uint8_t> Buffer = noiseBytes(MiB + 8);
+  std::vector<size_t> Lengths;
+  for (size_t Length = 0; Length <= 80; ++Length)
+    Lengths.push_back(Length);
+  Lengths.push_back(4097);
+  Lengths.push_back(MiB);
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Length : Lengths) {
+      const uint8_t *Data = Buffer.data() + Offset;
+      EXPECT_EQ(crc32(Data, Length), referenceCrc32(Data, Length, 0))
+          << "offset " << Offset << " length " << Length;
+      EXPECT_EQ(crc32(Data, Length, 0xdeadbeefu),
+                referenceCrc32(Data, Length, 0xdeadbeefu))
+          << "seeded, offset " << Offset << " length " << Length;
+    }
+
+  // Seeded continuation split at every position of a 40-byte run: the
+  // splits cross several 8-byte boundaries, so the continuation enters
+  // the sliced loop mid-word and the bytewise tail hands it a partial
+  // word.
+  constexpr size_t SplitLength = 40;
+  for (size_t Offset = 0; Offset != 8; ++Offset) {
+    const uint8_t *Data = Buffer.data() + Offset;
+    uint32_t Whole = referenceCrc32(Data, SplitLength, 0);
+    for (size_t Split = 0; Split <= SplitLength; ++Split)
+      EXPECT_EQ(crc32(Data + Split, SplitLength - Split, crc32(Data, Split)),
+                Whole)
+          << "offset " << Offset << " split " << Split;
+  }
 }
 
 TEST(Format, FormatString) {

@@ -13,7 +13,7 @@
 //                                           wire instead of in process
 //
 // Either way, uploads flow through the bounded-queue ingest service into
-// per-window merge trees, and the folded windows answer the same queries
+// per-window incremental folds, and the folded windows answer the same queries
 // pp-report does (top-paths / top-procs / cct-stats) — plus an ingest
 // stats table with every typed rejection reason.
 //
@@ -52,7 +52,7 @@ void printUsage() {
       "usage: pp-collectd [options]\n"
       "\n"
       "Fleet profile collector: ingests .ppa artifact uploads into\n"
-      "time-windowed incremental merge trees and serves pp-report-style\n"
+      "time-windowed incremental folds and serves pp-report-style\n"
       "queries over the folded windows.\n"
       "\n"
       "feeding (pick one):\n"
@@ -79,7 +79,6 @@ void printUsage() {
       "  --burst=<n>        per-tenant burst allowance (0 = max(1, rate))\n"
       "  --retain=<n>       resident-window cap: persist + drop the oldest\n"
       "                     beyond <n> (0 = unlimited; needs --store)\n"
-      "  --fanout=<n>       merge-tree level fanout (default 8)\n"
       "  --store=<dir>      persist folded windows to <dir>/w<id>/ as .ppa\n"
       "\n"
       "serve options:\n"
@@ -178,7 +177,6 @@ void printStats(const collectd::IngestService &Service) {
                                            collectd::RejectReason(R))),
                   std::to_string(Stats.RejectedBy[R])});
   Table.addRow({"backpressured", std::to_string(Stats.Backpressured)});
-  Table.addRow({"compactions", std::to_string(Stats.Compactions)});
   Table.addRow({"windows", std::to_string(Stats.Windows)});
   Table.addRow({"queries", std::to_string(Stats.Queries)});
   Table.addRow({"windows expired", std::to_string(Stats.WindowsExpired)});
@@ -420,10 +418,6 @@ int main(int Argc, char **Argv) {
     } else if (const char *V = Value("--quota=")) {
       if (!parseCount("--quota", V, Config.TenantWindowQuota))
         return 1;
-    } else if (const char *V = Value("--fanout=")) {
-      if (!parseCount("--fanout", V, N))
-        return 1;
-      Config.Fanout = static_cast<unsigned>(N);
     } else if (const char *V = Value("--store=")) {
       Config.StoreDir = V;
     } else if (const char *V = Value("--top-paths=")) {
