@@ -196,6 +196,12 @@ public:
 
   const ProcDesc &procDesc(ProcId Proc) const { return Procs[Proc]; }
   size_t numProcs() const { return Procs.size(); }
+  const std::vector<ProcDesc> &procs() const { return Procs; }
+
+  /// The geometry the constructor was given.
+  unsigned numMetrics() const { return NumMetrics; }
+  unsigned pathCellBytes() const { return PathCellBytes; }
+  uint64_t hashThreshold() const { return HashThreshold; }
 
   /// The procedure-entry operation of §4.2: resolves \p SlotIndex of
   /// \p Caller for callee \p Proc, reusing, backedging, or allocating a

@@ -45,13 +45,13 @@ size_t collectd::retainWindowsFromEnv() {
 
 namespace {
 
-/// The admission key of an artifact: the cheap shape checks
-/// mergeArtifacts makes before summing — workload, scale, full metric
+/// The admission key of an artifact: the cheap shape checks a
+/// profdb::Fold makes before summing — workload, scale, full metric
 /// schema, function table, path-table geometry, CCT presence. It routes
 /// obviously-distinct shapes to distinct trees; it is NOT a mergeability
 /// proof (it cannot see CCT edge structure or hashed-table thresholds),
-/// so the authoritative gate is MergeTree::add's trial merge, which
-/// rejects an incompatible artifact at admission with the tree intact.
+/// so the authoritative gate is MergeTree::add's checks, which reject an
+/// incompatible artifact at admission with the tree intact.
 std::string groupKeyOf(const profdb::Artifact &A) {
   std::string Shape;
   for (const std::string &F : A.Functions) {
@@ -180,7 +180,7 @@ UploadResult IngestService::ingestNow(Upload U) {
              .first;
   std::string Error;
   if (!It->second.Tree.add(std::move(A), Error)) {
-    // The trial merge inside add() rejected the upload with the tree
+    // The checks inside add() rejected the upload with the tree
     // untouched. A group (and window) created only for this upload must
     // not linger empty — an empty tree would fail every later query.
     if (NewGroup) {

@@ -20,8 +20,8 @@
 ///      from the service's is rejected (CrossAcquisition).
 ///   4. Per-(tenant, window) quota (charged to accepted uploads only).
 ///   5. Fold into the window's schema group (keyed by workload, scale,
-///      schema, and program shape). The group's MergeTree trial-merges
-///      the artifact against its running fold before committing it, so
+///      schema, and program shape). The group's MergeTree checks the
+///      artifact against its running fold before summing it in, so
 ///      an incompatibility the key cannot see (CCT edge structure,
 ///      hashed-table thresholds) rejects this upload at admission —
 ///      never a later one, and never the group's accepted contents.
@@ -64,7 +64,7 @@ enum class RejectReason : unsigned {
   CrossAcquisition,
   /// The (tenant, window) accepted-upload quota is exhausted.
   QuotaExceeded,
-  /// The admission trial merge failed (structural corruption that passed
+  /// The admission merge checks failed (structural corruption that passed
   /// the decoder, or a shape the group key does not distinguish); the
   /// upload is dropped at admission, the window survives byte-identical.
   MergeFailed,

@@ -2,23 +2,23 @@
 ///
 /// \file
 /// The fleet collector's per-(window, group) accumulator: an incremental
-/// fold of profile artifacts. Each accepted upload is merged into the
-/// running fold (profdb::mergeArtifacts) and then dropped, so a group
-/// holds exactly one artifact however many uploads it has accepted, and
-/// every add costs one pairwise merge.
+/// fold of profile artifacts. Each accepted upload is summed into the
+/// group's profdb::Fold in place and then dropped, so a group holds one
+/// merge form however many uploads it has accepted, and an add never
+/// copies what the group has already folded.
 ///
-/// Determinism: because pairwise artifact merging is associative and
-/// commutative with canonical re-emission (see profdb/Merge.h), the fold
-/// of a window is bit-identical to a flat mergeAll of its leaves, for any
-/// upload arrival order and any ingest thread count. CollectdTest pins
-/// this by shuffling arrivals and comparing encoded bytes.
+/// Determinism: the fold is emitted canonically (see profdb/Merge.h), so
+/// the folded artifact of a window is bit-identical to a flat mergeAll of
+/// its leaves, for any upload arrival order and any ingest thread count.
+/// CollectdTest pins this by shuffling arrivals and comparing encoded
+/// bytes.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_COLLECTD_MERGETREE_H
 #define PP_COLLECTD_MERGETREE_H
 
-#include "profdb/Artifact.h"
+#include "profdb/Merge.h"
 
 #include <string>
 
@@ -29,31 +29,29 @@ namespace collectd {
 /// ingest service serializes access per window.
 class MergeTree {
 public:
-  /// Folds \p A into the tree. The add is transactional: \p A is
-  /// trial-merged against the running fold (which carries the union of
-  /// every accepted leaf's structure), and the fold is replaced only when
-  /// that merge succeeds. The first leaf is self-merged instead, which
-  /// exercises the structural checks the decoder does not make. A
-  /// merge-incompatible artifact — structural corruption that slipped
-  /// past the decoder, or a shape the group key does not distinguish —
-  /// therefore surfaces as false + \p Error on *this* add, and provably
-  /// leaves the tree (and its folded bytes) exactly as if the artifact
-  /// was never offered.
-  bool add(profdb::Artifact A, std::string &Error);
+  /// Folds \p A into the tree. The add is transactional: \p A is checked
+  /// on its own and against everything folded so far before anything is
+  /// mutated (profdb::Fold). A merge-incompatible artifact — structural
+  /// corruption that slipped past the decoder, or a shape the group key
+  /// does not distinguish — therefore surfaces as false + \p Error on
+  /// *this* add, and provably leaves the tree (and its folded bytes)
+  /// exactly as if the artifact was never offered.
+  bool add(profdb::Artifact A, std::string &Error) {
+    return Merged.add(std::move(A), Error);
+  }
 
   /// The fold of everything added so far: one artifact merging every
-  /// leaf (bit-identical to a flat mergeAll of the leaves by the
-  /// associativity pinned in CollectdTest). Null (with \p Error set) only
-  /// when the tree is empty.
+  /// leaf, bit-identical to a flat mergeAll of the leaves (a single leaf
+  /// is returned as it was added). Emitted on first use and cached until
+  /// the next accepted add. Null (with \p Error set) only when the tree
+  /// is empty.
   const profdb::Artifact *folded(std::string &Error);
 
   /// Total artifacts accepted into the tree.
-  uint64_t leafCount() const { return Leaves; }
+  uint64_t leafCount() const { return Merged.inputs(); }
 
 private:
-  uint64_t Leaves = 0;
-  /// The fold of every accepted leaf; meaningful once Leaves != 0.
-  profdb::Artifact Fold;
+  profdb::Fold Merged;
 };
 
 } // namespace collectd

@@ -14,7 +14,7 @@
 ///      protocol version; anything else before it is a typed REJECT and
 ///      a close.
 ///   2. UPLOAD frames flow through the ingest admission pipeline (rate
-///      limit, decode, acquisition, expiry, quota, trial merge); each
+///      limit, decode, acquisition, expiry, quota, merge checks); each
 ///      gets an ACK or a REJECT that mirrors the typed RejectReason.
 ///   3. QUERY frames render the folded windows through the same
 ///      renderers pp-report uses; answers ride in ACK text.

@@ -8,9 +8,9 @@
 #include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <cassert>
+#include <iterator>
+#include <unordered_set>
 
 using namespace pp;
 using namespace pp::profdb;
@@ -31,338 +31,348 @@ unsigned profdb::mergeThreadsFromEnv() {
   return WorkerPool::hardwareDefault();
 }
 
-namespace {
+/// One merged CCT vertex. Its edges are the resolved call-site slots,
+/// ascending by (slot, callee), which is the canonical emission order. A
+/// child edge owns the callee's vertex; a recursion backedge has no child
+/// and records the ancestor's distance instead (0 = the owner itself,
+/// 1 = its parent, ...).
+struct Fold::Node {
+  struct Edge {
+    uint64_t Key = 0; // slot << 32 | callee
+    unsigned Distance = 0;
+    std::unique_ptr<Node> Child;
 
-/// The merge-time view of one CCT vertex: children keyed by (slot,
-/// callee), backedges by (slot, callee, ancestor distance). std::map keys
-/// make every traversal canonical regardless of the order the shards
-/// presented their records in.
-struct MNode {
+    unsigned slot() const { return static_cast<unsigned>(Key >> 32); }
+    cct::ProcId callee() const { return static_cast<cct::ProcId>(Key); }
+  };
+
   cct::ProcId Proc = cct::RootProcId;
   std::vector<uint64_t> Metrics;
-  std::map<uint64_t, cct::PathCell> Cells;
-
-  struct MSlot {
-    uint8_t Kind = 0; // CallRecord::Slot::Kind
-    std::map<cct::ProcId, std::unique_ptr<MNode>> Children;
-    /// Recursion backedges: callee -> ancestor distance from the owner
-    /// (0 = the owner itself, 1 = its parent, ...).
-    std::map<cct::ProcId, unsigned> Backedges;
-  };
-  std::vector<MSlot> Slots;
+  /// Per-path counters, ascending by path sum.
+  std::vector<std::pair<uint64_t, cct::PathCell>> Cells;
+  std::vector<Edge> Edges;
 };
 
-constexpr uint8_t KindUnresolved =
-    static_cast<uint8_t>(cct::CallRecord::Slot::Kind::Unresolved);
+namespace {
 
-/// Lifts \p Image into the merge structure. Rejects images whose edges do
-/// not form a tree-with-backedges (the only shape enter() can build).
-bool buildMergedTree(const cct::TreeImage &Image, std::unique_ptr<MNode> &Out,
-                     std::string &Error) {
-  const auto &Records = Image.Records;
-  if (Records.empty() || Records[0].Proc != cct::RootProcId ||
-      Records[0].Parent != -1) {
-    Error = "tree has no root record";
+using Node = Fold::Node;
+using Edge = Fold::Node::Edge;
+using SlotKind = cct::CallRecord::Slot::Kind;
+
+uint64_t edgeKey(unsigned Slot, cct::ProcId Callee) {
+  return uint64_t(Slot) << 32 | Callee;
+}
+
+/// Whether slot \p S of \p Proc is an indirect (list) call site. Emission
+/// builds every record's slots from this, whatever kind a file claims;
+/// the root's one list is its signal slot.
+bool siteIsIndirect(const std::vector<cct::ProcDesc> &Procs, cct::ProcId Proc,
+                    unsigned S) {
+  if (Proc == cct::RootProcId)
+    return S == cct::SignalSlot;
+  const std::vector<uint8_t> &Mask = Procs[Proc].SiteIsIndirect;
+  return S < Mask.size() && Mask[S];
+}
+
+/// Merges the ascending sequence \p From into the ascending \p Into:
+/// entries with equal keys are combined by \p Combine, the rest are moved
+/// in. Stays in place when \p From brings no new key, the common case
+/// when folding runs of one program.
+template <typename T, typename KeyFn, typename CombineFn>
+void mergeSorted(std::vector<T> &Into, std::vector<T> &From, KeyFn Key,
+                 CombineFn Combine) {
+  size_t Missing = 0;
+  auto I = Into.begin();
+  for (T &X : From) {
+    while (I != Into.end() && Key(*I) < Key(X))
+      ++I;
+    if (I != Into.end() && Key(*I) == Key(X))
+      Combine(*I, X);
+    else
+      ++Missing;
+  }
+  if (Missing == 0)
+    return;
+  std::vector<T> Out;
+  Out.reserve(Into.size() + Missing);
+  auto A = Into.begin();
+  for (T &X : From) {
+    while (A != Into.end() && Key(*A) < Key(X))
+      Out.push_back(std::move(*A++));
+    if (A == Into.end() || Key(*A) != Key(X))
+      Out.push_back(std::move(X)); // else combined above
+  }
+  Out.insert(Out.end(), std::make_move_iterator(A),
+             std::make_move_iterator(Into.end()));
+  Into = std::move(Out);
+}
+
+/// Lifts one input's CCT into merge form straight from its call records,
+/// checking on the way every property the canonical emission relies on:
+/// enter() must allocate each child edge's record, resolve each backedge
+/// to its ancestor, and find every slot it is handed.
+///
+/// Each check reads only the input's records on the path from the root
+/// to the record at hand. Records match across inputs by (slot, callee)
+/// from the root down, so a merged record has the same root path in
+/// every input that contributed to it; an input that passes on its own
+/// therefore passes inside any fold. Only a direct call site can still
+/// collide across inputs — see checkOverlay.
+class Lifter {
+public:
+  explicit Lifter(const cct::CallingContextTree &Tree) : Tree(Tree) {}
+
+  std::unique_ptr<Node> run(std::string &Error) {
+    const cct::CallRecord *Root = Tree.root();
+    if (!Root || Root->procId() != cct::RootProcId || Root->parent()) {
+      Error = "tree has no root record";
+      return nullptr;
+    }
+    auto Out = std::make_unique<Node>();
+    Lifted.insert(Root);
+    if (!lift(*Root, *Out, Error))
+      return nullptr;
+    if (Lifted.size() != Tree.numRecords()) {
+      Error = "orphan record: no slot of its parent reaches it";
+      return nullptr;
+    }
+    return Out;
+  }
+
+private:
+  bool onPath(cct::ProcId Proc) const {
+    for (const cct::CallRecord *R : Path)
+      if (R->procId() == Proc)
+        return true;
     return false;
   }
-  size_t N = Records.size();
-  std::vector<std::unique_ptr<MNode>> Owned(N);
-  std::vector<MNode *> Node(N);
-  std::vector<unsigned> Depth(N, 0);
-  for (size_t Index = 0; Index != N; ++Index) {
-    Owned[Index] = std::make_unique<MNode>();
-    Node[Index] = Owned[Index].get();
-    Node[Index]->Proc = Records[Index].Proc;
-    Node[Index]->Metrics = Records[Index].Metrics;
-    if (Node[Index]->Metrics.size() != Image.NumMetrics) {
+
+  bool lift(const cct::CallRecord &R, Node &N, std::string &Error) {
+    N.Proc = R.procId();
+    if (N.Proc != cct::RootProcId && N.Proc >= Tree.numProcs()) {
+      Error = "record procedure out of range";
+      return false;
+    }
+    if (R.Metrics.size() != Tree.numMetrics()) {
       Error = "record metric vector disagrees with the tree's metric count";
       return false;
     }
-    for (const auto &[Sum, Cell] : Records[Index].PathCells)
-      Node[Index]->Cells[Sum] = Cell;
-    Node[Index]->Slots.resize(Records[Index].Slots.size());
-    if (Index == 0)
-      continue;
-    int64_t Parent = Records[Index].Parent;
-    if (Parent < 0 || static_cast<size_t>(Parent) >= Index) {
-      Error = "record parents do not precede their children";
+    unsigned Sites =
+        N.Proc == cct::RootProcId ? 2 : Tree.procDesc(N.Proc).NumSites;
+    if (R.numSlots() != Sites) {
+      Error = "record slot count disagrees with its procedure's call sites";
       return false;
     }
-    Depth[Index] = Depth[static_cast<size_t>(Parent)] + 1;
+    N.Metrics = R.Metrics;
+    N.Cells.assign(R.PathTable.begin(), R.PathTable.end());
+    std::sort(N.Cells.begin(), N.Cells.end(),
+              [](const auto &A, const auto &B) { return A.first < B.first; });
+
+    Path.push_back(&R);
+    bool Ok = liftSlots(R, N, Error);
+    Path.pop_back();
+    return Ok;
   }
 
-  std::vector<uint8_t> Placed(N, 0);
-  for (size_t Index = 0; Index != N; ++Index) {
-    const cct::TreeImage::Record &Rec = Records[Index];
-    for (size_t S = 0; S != Rec.Slots.size(); ++S) {
-      MNode::MSlot &Slot = Node[Index]->Slots[S];
-      Slot.Kind = Rec.Slots[S].Kind;
-      for (const auto &[Target, CellAddr] : Rec.Slots[S].Targets) {
-        (void)CellAddr; // list-cell addresses are reassigned canonically
-        if (Target >= N) {
-          Error = "slot target out of range";
-          return false;
-        }
-        cct::ProcId Callee = Records[Target].Proc;
-        if (Target != Index &&
-            Records[Target].Parent == static_cast<int64_t>(Index)) {
-          // Tree edge: this slot owns the child.
-          if (Placed[Target]) {
-            Error = "record claimed as a child by two slots";
-            return false;
-          }
-          if (Slot.Children.count(Callee) || Slot.Backedges.count(Callee)) {
-            Error = "duplicate callee in one call-site slot";
-            return false;
-          }
-          Slot.Children[Callee] = std::move(Owned[Target]);
-          Placed[Target] = 1;
-        } else {
-          // Must be a recursion backedge: the target is the owner or one
-          // of its ancestors.
-          size_t Walk = Index;
-          for (;;) {
-            if (Walk == Target)
-              break;
-            if (Records[Walk].Parent < 0) {
-              Error = "slot target is neither a child nor an ancestor";
-              return false;
-            }
-            Walk = static_cast<size_t>(Records[Walk].Parent);
-          }
-          unsigned Distance = Depth[Index] - Depth[Target];
-          auto It = Slot.Backedges.find(Callee);
-          if (Slot.Children.count(Callee) ||
-              (It != Slot.Backedges.end() && It->second != Distance)) {
-            Error = "conflicting backedge for one call-site slot";
-            return false;
-          }
-          Slot.Backedges[Callee] = Distance;
-        }
+  bool liftEdge(const cct::CallRecord &R, unsigned S,
+                const cct::CallRecord *T, Node &N, std::string &Error) {
+    if (T->parent() == &R) {
+      // enter() searches the ancestors before it allocates, so a child
+      // of an ancestor's procedure would come back as that ancestor.
+      if (onPath(T->procId())) {
+        Error = "child callee repeats an ancestor's procedure";
+        return false;
       }
+      // A record's only claimant is its parent; a second claim would lift
+      // it twice.
+      if (!Lifted.insert(T).second) {
+        Error = "record claimed as a child by two slots";
+        return false;
+      }
+      auto Child = std::make_unique<Node>();
+      if (!lift(*T, *Child, Error))
+        return false;
+      N.Edges.push_back({edgeKey(S, T->procId()), 0, std::move(Child)});
+      return true;
     }
-  }
-  for (size_t Index = 1; Index != N; ++Index)
-    if (!Placed[Index]) {
-      Error = "orphan record: no slot of its parent reaches it";
+    // Otherwise a recursion backedge to the owner or an ancestor. The
+    // child check keeps the procedures on a root path distinct, so the
+    // target is the nearest ancestor of its procedure: the one enter()
+    // resolves to.
+    unsigned Depth = T->depth();
+    if (Depth >= Path.size() || Path[Depth] != T) {
+      Error = "slot target is neither a child nor an ancestor";
       return false;
     }
-  Out = std::move(Owned[0]);
+    N.Edges.push_back({edgeKey(S, T->procId()), R.depth() - Depth, nullptr});
+    return true;
+  }
+
+  bool liftSlots(const cct::CallRecord &R, Node &N, std::string &Error) {
+    for (unsigned S = 0; S != R.numSlots(); ++S) {
+      const cct::CallRecord::Slot &Slot = R.slot(S);
+      bool Used = (Slot.K == SlotKind::Record && Slot.Direct) ||
+                  !Slot.List.empty();
+      if (!Used)
+        continue;
+      SlotKind Site = siteIsIndirect(Tree.procs(), N.Proc, S)
+                          ? SlotKind::List
+                          : SlotKind::Record;
+      if (Slot.K != Site) {
+        Error = "call-site slot kind disagrees with its procedure's call site";
+        return false;
+      }
+      if (Slot.K == SlotKind::Record) {
+        if (!liftEdge(R, S, Slot.Direct, N, Error))
+          return false;
+      } else {
+        for (const auto &Cell : Slot.List)
+          if (!liftEdge(R, S, Cell.first, N, Error))
+            return false;
+      }
+    }
+    std::sort(N.Edges.begin(), N.Edges.end(),
+              [](const Edge &A, const Edge &B) { return A.Key < B.Key; });
+    if (std::adjacent_find(N.Edges.begin(), N.Edges.end(),
+                           [](const Edge &A, const Edge &B) {
+                             return A.Key == B.Key && (A.Child || B.Child);
+                           }) != N.Edges.end()) {
+      Error = "duplicate callee in one call-site slot";
+      return false;
+    }
+    // A list may repeat a backedge; it names the same ancestor each time.
+    N.Edges.erase(std::unique(N.Edges.begin(), N.Edges.end(),
+                              [](const Edge &A, const Edge &B) {
+                                return A.Key == B.Key;
+                              }),
+                  N.Edges.end());
+    return true;
+  }
+
+  const cct::CallingContextTree &Tree;
+  /// The records from the root to the one being lifted, by depth.
+  std::vector<const cct::CallRecord *> Path;
+  std::unordered_set<const cct::CallRecord *> Lifted;
+};
+
+/// The checks an overlay of \p In onto \p F needs beyond each input's own,
+/// read-only so that overlay() cannot fail. Matched records share their
+/// root path, so a callee is a child on both sides or a backedge of the
+/// same distance on both. What can still collide is a direct call site:
+/// its slot holds one record, each input resolves it to at most one
+/// callee, but two inputs may resolve it to different ones.
+bool checkOverlay(const Node &F, const Node &In,
+                  const std::vector<cct::ProcDesc> &Procs,
+                  std::string &Error) {
+  auto I = F.Edges.begin();
+  for (const Edge &E : In.Edges) {
+    while (I != F.Edges.end() && I->Key < E.Key)
+      ++I;
+    if (I != F.Edges.end() && I->Key == E.Key) {
+      assert(!I->Child == !E.Child && I->Distance == E.Distance);
+      if (E.Child && !checkOverlay(*I->Child, *E.Child, Procs, Error))
+        return false;
+      continue;
+    }
+    if (siteIsIndirect(Procs, In.Proc, E.slot()))
+      continue;
+    if ((I != F.Edges.end() && I->slot() == E.slot()) ||
+        (I != F.Edges.begin() && std::prev(I)->slot() == E.slot())) {
+      Error = "direct call site resolved to two different callees";
+      return false;
+    }
+  }
   return true;
 }
 
-/// Sums \p B into \p A, uniting structure. \p B is consumed (unmatched
-/// subtrees are moved, not copied).
-bool overlay(MNode &A, MNode &B, std::string &Error) {
-  if (A.Proc != B.Proc) {
-    Error = "procedure mismatch between matched records";
-    return false;
-  }
-  if (A.Metrics.size() != B.Metrics.size()) {
-    Error = "metric vector length mismatch between matched records";
-    return false;
-  }
-  for (size_t Index = 0; Index != A.Metrics.size(); ++Index)
-    A.Metrics[Index] += B.Metrics[Index];
-  for (const auto &[Sum, Cell] : B.Cells) {
-    cct::PathCell &Into = A.Cells[Sum];
-    Into.Freq += Cell.Freq;
-    Into.Metric0 += Cell.Metric0;
-    Into.Metric1 += Cell.Metric1;
-  }
-  if (A.Slots.size() != B.Slots.size()) {
-    Error = "call-site count mismatch between matched records";
-    return false;
-  }
-  for (size_t S = 0; S != A.Slots.size(); ++S) {
-    MNode::MSlot &SA = A.Slots[S];
-    MNode::MSlot &SB = B.Slots[S];
-    if (SA.Kind == KindUnresolved)
-      SA.Kind = SB.Kind;
-    else if (SB.Kind != KindUnresolved && SB.Kind != SA.Kind) {
-      Error = "call-site slot kind conflict (direct vs indirect)";
-      return false;
-    }
-    for (auto &[Callee, Child] : SB.Children) {
-      if (SA.Backedges.count(Callee)) {
-        Error = "callee is a child in one profile, recursion in the other";
-        return false;
-      }
-      auto It = SA.Children.find(Callee);
-      if (It == SA.Children.end())
-        SA.Children[Callee] = std::move(Child);
-      else if (!overlay(*It->second, *Child, Error))
-        return false;
-    }
-    for (const auto &[Callee, Distance] : SB.Backedges) {
-      if (SA.Children.count(Callee)) {
-        Error = "callee is a child in one profile, recursion in the other";
-        return false;
-      }
-      auto It = SA.Backedges.find(Callee);
-      if (It == SA.Backedges.end())
-        SA.Backedges[Callee] = Distance;
-      else if (It->second != Distance) {
-        Error = "recursion backedge height mismatch";
-        return false;
-      }
-    }
-  }
-  return true;
+/// Sums \p In into \p F, uniting structure; unmatched subtrees of \p In
+/// are moved, not copied. checkOverlay() has approved the pair.
+void overlay(Node &F, Node &In) {
+  for (size_t Index = 0; Index != F.Metrics.size(); ++Index)
+    F.Metrics[Index] += In.Metrics[Index];
+  mergeSorted(
+      F.Cells, In.Cells, [](const auto &C) { return C.first; },
+      [](auto &Into, const auto &From) {
+        Into.second.Freq += From.second.Freq;
+        Into.second.Metric0 += From.second.Metric0;
+        Into.second.Metric1 += From.second.Metric1;
+      });
+  mergeSorted(
+      F.Edges, In.Edges, [](const Edge &E) { return E.Key; },
+      [](Edge &Into, Edge &From) {
+        if (Into.Child)
+          overlay(*Into.Child, *From.Child);
+      });
 }
 
 /// Replays the merged structure through the real CCT allocator in a
-/// canonical order — node, then its slots in index order, each slot's
-/// callees in ascending ProcId order — so addresses, heap usage, and list
-/// layout depend only on the merged structure.
-bool emitNode(cct::CallingContextTree &Tree, cct::CallRecord *R, MNode &N,
-              std::string &Error) {
+/// canonical order — node, then its edges ascending by (slot, callee) —
+/// so addresses, heap usage, and list layout depend only on the merged
+/// structure. The lift and overlay checks guarantee that every enter()
+/// resolves as its edge says.
+void emitNode(cct::CallingContextTree &Tree, cct::CallRecord *R,
+              const Node &N) {
   R->Metrics = N.Metrics;
   for (const auto &[Sum, Cell] : N.Cells)
     R->PathTable.emplace(Sum, Cell);
-  for (size_t S = 0; S != N.Slots.size(); ++S) {
-    MNode::MSlot &Slot = N.Slots[S];
-    auto Child = Slot.Children.begin();
-    auto Back = Slot.Backedges.begin();
-    // Interleave children and backedges in one ascending callee order.
-    while (Child != Slot.Children.end() || Back != Slot.Backedges.end()) {
-      bool TakeChild =
-          Back == Slot.Backedges.end() ||
-          (Child != Slot.Children.end() && Child->first < Back->first);
-      if (TakeChild) {
-        cct::CallRecord *C =
-            Tree.enter(R, static_cast<unsigned>(S), Child->first);
-        if (C->parent() != R) {
-          Error = "merged child callee collides with an ancestor";
-          return false;
-        }
-        if (!emitNode(Tree, C, *Child->second, Error))
-          return false;
-        ++Child;
-      } else {
-        cct::CallRecord *C =
-            Tree.enter(R, static_cast<unsigned>(S), Back->first);
-        if (C->depth() + Back->second != R->depth()) {
-          Error = "recursion backedge resolved to an unexpected ancestor";
-          return false;
-        }
-        ++Back;
-      }
+  for (const Edge &E : N.Edges) {
+    cct::CallRecord *C = Tree.enter(R, E.slot(), E.callee());
+    if (E.Child) {
+      assert(C->parent() == R && "child edge resolved to an ancestor");
+      emitNode(Tree, C, *E.Child);
+    } else {
+      assert(C->depth() + E.Distance == R->depth() &&
+             "backedge resolved to another ancestor");
     }
   }
-  return true;
 }
 
-bool mergeTrees(const cct::CallingContextTree &A,
-                const cct::CallingContextTree &B,
-                std::unique_ptr<cct::CallingContextTree> &Out,
-                std::string &Error) {
-  cct::TreeImage ImageA = A.image();
-  cct::TreeImage ImageB = B.image();
-  if (ImageA.NumMetrics != ImageB.NumMetrics ||
-      ImageA.PathCellBytes != ImageB.PathCellBytes ||
-      ImageA.HashThreshold != ImageB.HashThreshold) {
-    Error = "CCT geometry mismatch (metrics / path-cell stride / hash "
-            "threshold)";
+bool sameProcs(const std::vector<cct::ProcDesc> &A,
+               const std::vector<cct::ProcDesc> &B) {
+  if (A.size() != B.size())
     return false;
-  }
-  if (ImageA.Procs.size() != ImageB.Procs.size()) {
-    Error = "CCT procedure tables differ";
-    return false;
-  }
-  for (size_t Index = 0; Index != ImageA.Procs.size(); ++Index) {
-    const cct::ProcDesc &PA = ImageA.Procs[Index];
-    const cct::ProcDesc &PB = ImageB.Procs[Index];
-    if (PA.Name != PB.Name || PA.NumSites != PB.NumSites ||
-        PA.SiteIsIndirect != PB.SiteIsIndirect ||
-        PA.NumPaths != PB.NumPaths) {
-      Error = "CCT procedure tables differ";
+  for (size_t Index = 0; Index != A.size(); ++Index)
+    if (A[Index].Name != B[Index].Name ||
+        A[Index].NumSites != B[Index].NumSites ||
+        A[Index].SiteIsIndirect != B[Index].SiteIsIndirect ||
+        A[Index].NumPaths != B[Index].NumPaths)
       return false;
-    }
-  }
-
-  std::unique_ptr<MNode> Merged, Other;
-  if (!buildMergedTree(ImageA, Merged, Error) ||
-      !buildMergedTree(ImageB, Other, Error) ||
-      !overlay(*Merged, *Other, Error))
-    return false;
-
-  auto Tree = std::make_unique<cct::CallingContextTree>(
-      ImageA.Procs, ImageA.NumMetrics, nullptr, ImageA.PathCellBytes,
-      ImageA.HashThreshold);
-  if (!emitNode(*Tree, Tree->root(), *Merged, Error))
-    return false;
-  Out = std::move(Tree);
-  return true;
-}
-
-bool mergePathProfiles(const std::vector<prof::FunctionPathProfile> &A,
-                       const std::vector<prof::FunctionPathProfile> &B,
-                       std::vector<prof::FunctionPathProfile> &Out,
-                       std::string &Error) {
-  if (A.size() != B.size()) {
-    Error = "path-profile function counts differ";
-    return false;
-  }
-  Out.clear();
-  Out.reserve(A.size());
-  for (size_t Index = 0; Index != A.size(); ++Index) {
-    const prof::FunctionPathProfile &PA = A[Index];
-    const prof::FunctionPathProfile &PB = B[Index];
-    // Cross-k sums share numeric values but name different paths; refuse
-    // with the specific reason before the generic shape complaint.
-    if (PA.KIters != PB.KIters) {
-      Error = formatString(
-          "cannot merge path profiles across k for function %u: "
-          "k=%u vs k=%u",
-          PA.FuncId, PA.KIters, PB.KIters);
-      return false;
-    }
-    if (PA.FuncId != PB.FuncId || PA.HasProfile != PB.HasProfile ||
-        PA.NumPaths != PB.NumPaths || PA.Hashed != PB.Hashed) {
-      Error = formatString("path-profile shape differs for function %u",
-                           PA.FuncId);
-      return false;
-    }
-    prof::FunctionPathProfile Merged;
-    Merged.FuncId = PA.FuncId;
-    Merged.HasProfile = PA.HasProfile;
-    Merged.NumPaths = PA.NumPaths;
-    Merged.Hashed = PA.Hashed;
-    Merged.KIters = PA.KIters;
-    // Both sides are sorted by PathSum; a merge walk keeps the output
-    // sorted and sums entries present in both.
-    size_t IA = 0, IB = 0;
-    while (IA != PA.Paths.size() || IB != PB.Paths.size()) {
-      bool TakeA = IB == PB.Paths.size() ||
-                   (IA != PA.Paths.size() &&
-                    PA.Paths[IA].PathSum <= PB.Paths[IB].PathSum);
-      bool TakeB = IA == PA.Paths.size() ||
-                   (IB != PB.Paths.size() &&
-                    PB.Paths[IB].PathSum <= PA.Paths[IA].PathSum);
-      prof::PathEntry Entry;
-      if (TakeA && TakeB) {
-        Entry = PA.Paths[IA];
-        Entry.Freq += PB.Paths[IB].Freq;
-        Entry.Metric0 += PB.Paths[IB].Metric0;
-        Entry.Metric1 += PB.Paths[IB].Metric1;
-        ++IA, ++IB;
-      } else if (TakeA) {
-        Entry = PA.Paths[IA++];
-      } else {
-        Entry = PB.Paths[IB++];
-      }
-      Merged.Paths.push_back(Entry);
-    }
-    Out.push_back(std::move(Merged));
-  }
   return true;
 }
 
 } // namespace
 
-bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
-                            Artifact &Out, std::string &Error) {
+Fold::Fold() = default;
+Fold::~Fold() = default;
+Fold::Fold(Fold &&) = default;
+Fold &Fold::operator=(Fold &&) = default;
+
+bool Fold::lift(const Artifact &A, std::string &Error) {
+  if (A.Tree) {
+    Root = Lifter(*A.Tree).run(Error);
+    if (!Root)
+      return false;
+    Procs = A.Tree->procs();
+    NumMetrics = A.Tree->numMetrics();
+    PathCellBytes = A.Tree->pathCellBytes();
+    HashThreshold = A.Tree->hashThreshold();
+  }
+  Header.RunCount = A.RunCount;
+  Header.SourceHash = A.SourceHash;
+  Header.Workload = A.Workload;
+  Header.Scale = A.Scale;
+  Header.Schema = A.Schema;
+  Header.ExecutedInsts = A.ExecutedInsts;
+  Header.Totals = A.Totals;
+  Header.Functions = A.Functions;
+  Header.PathProfiles = A.PathProfiles;
+  Inputs = 1;
+  return true;
+}
+
+bool Fold::compatible(const Fold &In, std::string &Error) const {
+  const Artifact &A = Header;
+  const Artifact &B = In.Header;
   // A k mismatch is a schema mismatch too, but deserves its own message:
   // the artifacts may agree on every metric and still count incomparable
   // path spaces.
@@ -395,31 +405,134 @@ bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
             "builds)";
     return false;
   }
-  if (static_cast<bool>(A.Tree) != static_cast<bool>(B.Tree)) {
+  if (static_cast<bool>(Root) != static_cast<bool>(In.Root)) {
     Error = "one artifact has a CCT and the other does not";
     return false;
   }
+  if (A.PathProfiles.size() != B.PathProfiles.size()) {
+    Error = "path-profile function counts differ";
+    return false;
+  }
+  for (size_t Index = 0; Index != A.PathProfiles.size(); ++Index) {
+    const prof::FunctionPathProfile &PA = A.PathProfiles[Index];
+    const prof::FunctionPathProfile &PB = B.PathProfiles[Index];
+    // Cross-k sums share numeric values but name different paths; refuse
+    // with the specific reason before the generic shape complaint.
+    if (PA.KIters != PB.KIters) {
+      Error = formatString(
+          "cannot merge path profiles across k for function %u: "
+          "k=%u vs k=%u",
+          PA.FuncId, PA.KIters, PB.KIters);
+      return false;
+    }
+    if (PA.FuncId != PB.FuncId || PA.HasProfile != PB.HasProfile ||
+        PA.NumPaths != PB.NumPaths || PA.Hashed != PB.Hashed) {
+      Error = formatString("path-profile shape differs for function %u",
+                           PA.FuncId);
+      return false;
+    }
+  }
+  if (!Root)
+    return true;
+  if (NumMetrics != In.NumMetrics || PathCellBytes != In.PathCellBytes ||
+      HashThreshold != In.HashThreshold) {
+    Error = "CCT geometry mismatch (metrics / path-cell stride / hash "
+            "threshold)";
+    return false;
+  }
+  if (!sameProcs(Procs, In.Procs)) {
+    Error = "CCT procedure tables differ";
+    return false;
+  }
+  return true;
+}
 
-  Artifact Merged;
-  Merged.RunCount = A.RunCount + B.RunCount;
-  Merged.SourceHash = A.SourceHash ^ B.SourceHash;
-  Merged.Fingerprint = formatString(
+bool Fold::add(const Artifact &A, std::string &Error) {
+  Fold In;
+  return In.lift(A, Error) && add(std::move(In), Error);
+}
+
+bool Fold::add(Artifact &&A, std::string &Error) {
+  bool First = Inputs == 0;
+  if (!add(static_cast<const Artifact &>(A), Error))
+    return false;
+  if (First)
+    Result = std::make_unique<Artifact>(std::move(A));
+  else
+    A = Artifact(); // folded in; its memory goes now, not with the caller
+  return true;
+}
+
+bool Fold::add(Fold &&In, std::string &Error) {
+  if (In.Inputs == 0)
+    return true;
+  if (Inputs == 0) {
+    *this = std::move(In);
+    return true;
+  }
+  if (!compatible(In, Error) ||
+      (Root && !checkOverlay(*Root, *In.Root, Procs, Error)))
+    return false;
+
+  // Every check has passed; nothing below can fail.
+  Artifact &H = Header;
+  Artifact &B = In.Header;
+  H.RunCount += B.RunCount;
+  H.SourceHash ^= B.SourceHash;
+  H.ExecutedInsts += B.ExecutedInsts;
+  for (size_t Index = 0; Index != H.Totals.size(); ++Index)
+    H.Totals[Index] += B.Totals[Index];
+  for (size_t Index = 0; Index != H.PathProfiles.size(); ++Index)
+    mergeSorted(
+        H.PathProfiles[Index].Paths, B.PathProfiles[Index].Paths,
+        [](const prof::PathEntry &E) { return E.PathSum; },
+        [](prof::PathEntry &Into, const prof::PathEntry &From) {
+          Into.Freq += From.Freq;
+          Into.Metric0 += From.Metric0;
+          Into.Metric1 += From.Metric1;
+        });
+  if (Root)
+    overlay(*Root, *In.Root);
+  Inputs += In.Inputs;
+  Result.reset();
+  return true;
+}
+
+Artifact Fold::emit() const {
+  Artifact Out = cloneArtifact(Header);
+  Out.Fingerprint = formatString(
       "merged;v1;runs=%llu;src=%016llx",
-      static_cast<unsigned long long>(Merged.RunCount),
-      static_cast<unsigned long long>(Merged.SourceHash));
-  Merged.Workload = A.Workload;
-  Merged.Scale = A.Scale;
-  Merged.Schema = A.Schema;
-  Merged.ExecutedInsts = A.ExecutedInsts + B.ExecutedInsts;
-  for (size_t Index = 0; Index != Merged.Totals.size(); ++Index)
-    Merged.Totals[Index] = A.Totals[Index] + B.Totals[Index];
-  Merged.Functions = A.Functions;
-  if (!mergePathProfiles(A.PathProfiles, B.PathProfiles, Merged.PathProfiles,
-                         Error))
+      static_cast<unsigned long long>(Header.RunCount),
+      static_cast<unsigned long long>(Header.SourceHash));
+  if (Root) {
+    auto Tree = std::make_unique<cct::CallingContextTree>(
+        Procs, NumMetrics, nullptr, PathCellBytes, HashThreshold);
+    emitNode(*Tree, Tree->root(), *Root);
+    Out.Tree = std::move(Tree);
+  }
+  return Out;
+}
+
+const Artifact &Fold::result() {
+  assert(Inputs != 0 && "result of an empty fold");
+  if (!Result)
+    Result = std::make_unique<Artifact>(emit());
+  return *Result;
+}
+
+Artifact Fold::take() {
+  result();
+  Artifact Out = std::move(*Result);
+  *this = Fold();
+  return Out;
+}
+
+bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
+                            Artifact &Out, std::string &Error) {
+  Fold F;
+  if (!F.add(A, Error) || !F.add(B, Error))
     return false;
-  if (A.Tree && !mergeTrees(*A.Tree, *B.Tree, Merged.Tree, Error))
-    return false;
-  Out = std::move(Merged);
+  Out = F.take();
   return true;
 }
 
@@ -429,46 +542,39 @@ bool profdb::mergeAll(std::vector<Artifact> Shards, Artifact &Out,
     Error = "no artifacts to merge";
     return false;
   }
-  // One pool per call, as wide as the first (widest) wave allows; with 0
-  // workers drain() runs each wave's pair merges here, in pair order.
-  size_t Widest = Shards.size() / 2;
-  WorkerPool Pool(Threads > 1 && Widest > 1
-                      ? static_cast<unsigned>(std::min<size_t>(Threads, Widest))
-                      : 0);
-  unsigned Wave = 0;
-  while (Shards.size() > 1) {
-    size_t Pairs = Shards.size() / 2;
-    // One span per reduction wave; work = runs folded this wave, which
-    // depends only on the shard list, never on Threads.
-    obs::SpanScope WaveSpan("profdb", "merge_wave",
-                            "wave" + std::to_string(Wave++), 0, Pairs);
-    uint64_t WaveRuns = 0;
-    for (size_t Pair = 0; Pair != Pairs; ++Pair)
-      WaveRuns += Shards[2 * Pair].RunCount + Shards[2 * Pair + 1].RunCount;
-    WaveSpan.setWork(WaveRuns);
-    obs::add(obs::Counter::ProfDbMerges, Pairs);
-    std::vector<Artifact> Next(Pairs + Shards.size() % 2);
-    std::vector<std::string> Errors(Pairs);
-    std::vector<uint8_t> Failed(Pairs, 0);
-    // The (2i, 2i+1) pairing is a function of position only; the pool
-    // just decides which thread merges a pair, so the reduction tree —
-    // and with it the merged bytes — cannot depend on the schedule.
-    for (size_t Pair = 0; Pair != Pairs; ++Pair)
-      Pool.post([&, Pair] {
-        if (!mergeArtifacts(Shards[2 * Pair], Shards[2 * Pair + 1],
-                            Next[Pair], Errors[Pair]))
-          Failed[Pair] = 1;
-      });
-    Pool.drain();
-    for (size_t Pair = 0; Pair != Pairs; ++Pair)
-      if (Failed[Pair]) {
-        Error = Errors[Pair];
-        return false;
-      }
-    if (Shards.size() % 2)
-      Next.back() = std::move(Shards.back());
-    Shards = std::move(Next);
+  // One span per call; its work (runs folded) depends only on the shard
+  // list, never on Threads.
+  uint64_t Runs = 0;
+  for (const Artifact &Shard : Shards)
+    Runs += Shard.RunCount;
+  obs::SpanScope Span("profdb", "merge", "", Runs);
+  obs::add(obs::Counter::ProfDbMerges, Shards.size() - 1);
+
+  // Contiguous chunks of at least two shards, one per thread, each folded
+  // on its own; the chunk folds are then absorbed in chunk order. The
+  // canonical emission makes the bytes independent of the chunking. One
+  // chunk runs on a 0-thread pool, that is, here.
+  size_t Chunks = std::max<size_t>(
+      1, std::min<size_t>(Threads, Shards.size() / 2));
+  std::vector<Fold> Parts(Chunks);
+  std::vector<std::string> Errors(Chunks);
+  WorkerPool Pool(Chunks > 1 ? static_cast<unsigned>(Chunks) : 0);
+  for (size_t Chunk = 0; Chunk != Chunks; ++Chunk)
+    Pool.post([&, Chunk] {
+      size_t End = Shards.size() * (Chunk + 1) / Chunks;
+      for (size_t I = Shards.size() * Chunk / Chunks; I != End; ++I)
+        if (!Parts[Chunk].add(std::move(Shards[I]), Errors[Chunk]))
+          return;
+    });
+  Pool.drain();
+  for (size_t Chunk = 0; Chunk != Chunks; ++Chunk) {
+    if (!Errors[Chunk].empty()) {
+      Error = Errors[Chunk];
+      return false;
+    }
+    if (Chunk != 0 && !Parts[0].add(std::move(Parts[Chunk]), Error))
+      return false;
   }
-  Out = std::move(Shards.front());
+  Out = Parts[0].take();
   return true;
 }

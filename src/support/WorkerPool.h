@@ -3,8 +3,8 @@
 /// \file
 /// The one thread pool of the code base: N worker threads draining one
 /// bounded FIFO of jobs. The run scheduler posts each declared run, the
-/// fleet ingest service each upload, and mergeAll each pair merge of a
-/// reduction wave.
+/// fleet ingest service each upload, and mergeAll each chunk of its
+/// threaded fold.
 ///
 /// A pool of 0 threads runs every job on a calling thread: a post() that
 /// finds the queue full runs the queue head inline to make room (there is

@@ -19,10 +19,13 @@
 #include "profdb/Store.h"
 #include "workloads/Spec.h"
 
+#include "CraftedTrees.h"
+
 #include "gtest/gtest.h"
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -273,8 +276,8 @@ TEST(CollectdMergeTreeTest, IncompatibleAddRejectsAndLeavesTreeUntouched) {
   ASSERT_NE(Before, nullptr) << Error;
   std::vector<uint8_t> BeforeBytes = profdb::encodeArtifact(*Before);
 
-  // The trial merge must reject the incompatible artifact before the
-  // fold is replaced.
+  // The fold's checks must reject the incompatible artifact before the
+  // fold is touched.
   profdb::Artifact Bad;
   ASSERT_EQ(profdb::decodeArtifact(incompatibleBytes(), Bad),
             profdb::DecodeStatus::Ok);
@@ -333,6 +336,78 @@ TEST(CollectdIngestTest, MergeIncompatibleUploadRejectsAtAdmission) {
   EXPECT_NE(Faulty.queryCctStats(5, Error).find("runs=3"),
             std::string::npos);
   EXPECT_TRUE(Error.empty()) << Error;
+}
+
+namespace {
+
+/// Upload \p Serial's artifact with its CCT rebuilt from an image edited
+/// by \p Edit and re-encoded: the CRC is valid and decodeArtifact returns
+/// Ok, but emitting a fold with it would trip an assertion in the CCT.
+std::vector<uint8_t>
+craftedBytes(unsigned Serial,
+             const std::function<void(cct::TreeImage &)> &Edit) {
+  return profdb::encodeArtifact(
+      testutil::withEditedTree(decodedArtifact(Serial), Edit));
+}
+
+} // namespace
+
+TEST(CollectdIngestTest, ExtraSlotUploadIsMergeFailedNotAnAbort) {
+  // A child moved past its procedure's call sites: the very first add
+  // must refuse it, or emitting the fold would enter a slot that does
+  // not exist.
+  std::vector<uint8_t> Bytes =
+      craftedBytes(98, testutil::moveChildToExtraSlot);
+  profdb::Artifact A;
+  ASSERT_EQ(profdb::decodeArtifact(Bytes, A), profdb::DecodeStatus::Ok);
+  MergeTree Tree;
+  std::string Error;
+  EXPECT_FALSE(Tree.add(std::move(A), Error));
+  EXPECT_NE(Error.find("slot count"), std::string::npos) << Error;
+  EXPECT_EQ(Tree.leafCount(), 0u);
+
+  IngestService Service(manualConfig());
+  UploadResult Verdict = Service.ingestNow(Upload{"t0", 5, Bytes});
+  EXPECT_FALSE(Verdict.Accepted);
+  EXPECT_EQ(Verdict.Reason, RejectReason::MergeFailed);
+  EXPECT_EQ(Verdict.Decode, profdb::DecodeStatus::Ok);
+  // The window was created only for the refused upload; it is gone.
+  EXPECT_TRUE(Service.windows().empty());
+  EXPECT_TRUE(Service.ingestNow(makeUpload("t0", 5, 0)).Accepted);
+}
+
+TEST(CollectdIngestTest, SecondCalleeInDirectSlotIsMergeFailedNotAnAbort) {
+  // On its own the swapped tree is sound; after the original it would
+  // resolve one direct slot to two procedures.
+  IngestService Clean(manualConfig());
+  IngestService Faulty(manualConfig());
+  Upload U = makeUpload("t0", 5, 0);
+  EXPECT_TRUE(Clean.ingestNow(U).Accepted);
+  EXPECT_TRUE(Faulty.ingestNow(std::move(U)).Accepted);
+
+  UploadResult Verdict = Faulty.ingestNow(
+      Upload{"t0", 5, craftedBytes(99, testutil::swapLeafCallee)});
+  EXPECT_FALSE(Verdict.Accepted);
+  EXPECT_EQ(Verdict.Reason, RejectReason::MergeFailed);
+  EXPECT_EQ(Verdict.Decode, profdb::DecodeStatus::Ok);
+
+  std::string Error;
+  std::vector<std::vector<uint8_t>> FaultyBytes = Faulty.windowBytes(5, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  EXPECT_EQ(FaultyBytes, Clean.windowBytes(5, Error));
+  EXPECT_EQ(Faulty.stats().Accepted, 1u);
+}
+
+TEST(CollectdMergeTreeTest, SingleLeafFoldIsTheLeafItself) {
+  const std::vector<uint8_t> Bytes = encodedArtifact("fleet;u0", "exact");
+  profdb::Artifact A;
+  ASSERT_EQ(profdb::decodeArtifact(Bytes, A), profdb::DecodeStatus::Ok);
+  MergeTree Tree;
+  std::string Error;
+  ASSERT_TRUE(Tree.add(std::move(A), Error)) << Error;
+  const profdb::Artifact *Folded = Tree.folded(Error);
+  ASSERT_NE(Folded, nullptr) << Error;
+  EXPECT_EQ(profdb::encodeArtifact(*Folded), Bytes);
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,10 @@
 //    (the canonical re-emission through the real CCT allocator).
 //  * Schema safety — artifacts with different modes or PIC routings are
 //    rejected with a descriptive error, never silently summed.
+//  * Transactional folds — every rejection, including crafted trees the
+//    CCT allocator would assert on, leaves a fold's bytes and run count
+//    untouched; merged sums match an oracle that reads the inputs' trees
+//    and path tables directly.
 //
 // PP_CROSSMODE_SEEDS scales the fuzz seed count (default 64), the same
 // knob the cross-mode suite uses.
@@ -24,15 +28,18 @@
 #include "profdb/Merge.h"
 #include "profdb/Store.h"
 
+#include "CraftedTrees.h"
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <random>
+#include <set>
 #include <unistd.h>
 
 using namespace pp;
@@ -340,6 +347,354 @@ TEST(ProfDbCrossKTest, KSurvivesTheEncodeDecodeTrip) {
     if (Profile.HasProfile)
       EXPECT_EQ(Profile.KIters, 2u);
   EXPECT_EQ(profdb::encodeArtifact(Back), Bytes);
+}
+
+//===----------------------------------------------------------------------===//
+// The fold: crafted trees, transactional adds, one emission
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using SlotKind = cct::CallRecord::Slot::Kind;
+using testutil::DirectChild;
+using testutil::findDirectChild;
+using testutil::moveChildToExtraSlot;
+using testutil::swapLeafCallee;
+using testutil::withEditedTree;
+
+bool isAncestor(const cct::TreeImage &Image, size_t Ancestor, size_t Of) {
+  for (int64_t Walk = static_cast<int64_t>(Of); Walk >= 0;
+       Walk = Image.Records[static_cast<size_t>(Walk)].Parent)
+    if (static_cast<size_t>(Walk) == Ancestor)
+      return true;
+  return false;
+}
+
+/// A record with \p Proc's slot count, a zeroed metric vector, under
+/// \p Parent; returns its index.
+size_t appendRecord(cct::TreeImage &Image, size_t Parent, cct::ProcId Proc) {
+  cct::TreeImage::Record Rec;
+  Rec.Proc = Proc;
+  Rec.Parent = static_cast<int64_t>(Parent);
+  Rec.Metrics.assign(Image.NumMetrics, 0);
+  Rec.Slots.resize(Image.Procs[Proc].NumSites);
+  Image.Records.push_back(Rec);
+  return Image.Records.size() - 1;
+}
+
+cct::ProcId zeroSiteProc(const cct::TreeImage &Image) {
+  for (cct::ProcId P = 0; P != Image.Procs.size(); ++P)
+    if (Image.Procs[P].NumSites == 0)
+      return P;
+  ADD_FAILURE() << "no procedure without call sites";
+  return 0;
+}
+
+struct Rejection {
+  const char *Expect;
+  profdb::Artifact Bad;
+};
+
+/// One artifact per rejection a fold of \p Base's mode can make, each
+/// derived from \p Base and wrong in exactly the way its expected message
+/// names: path-table rejections need flat path profiles, tree rejections
+/// a CCT.
+std::vector<Rejection> rejections(const profdb::Artifact &Base) {
+  std::vector<Rejection> Out;
+  auto Header = [&](const char *Expect,
+                    const std::function<void(profdb::Artifact &)> &Edit) {
+    profdb::Artifact Bad = profdb::cloneArtifact(Base);
+    Edit(Bad);
+    Out.push_back({Expect, std::move(Bad)});
+  };
+  auto Tree = [&](const char *Expect,
+                  const std::function<void(cct::TreeImage &)> &Edit) {
+    Out.push_back({Expect, withEditedTree(Base, Edit)});
+  };
+
+  Header("cannot merge artifacts across k",
+         [](profdb::Artifact &A) { A.Schema.K = 2; });
+  Header("incompatible metric schemas",
+         [](profdb::Artifact &A) { A.Schema.Pic1 = "IC Miss"; });
+  Header("different programs",
+         [](profdb::Artifact &A) { A.Workload = "someone-else"; });
+  Header("function tables differ",
+         [](profdb::Artifact &A) { A.Functions.back() += "'"; });
+  if (Base.Tree)
+    Header("one artifact has a CCT and the other does not",
+           [](profdb::Artifact &A) { A.Tree = nullptr; });
+  if (!Base.PathProfiles.empty()) {
+    Header("path-profile function counts differ",
+           [](profdb::Artifact &A) { A.PathProfiles.pop_back(); });
+    Header("cannot merge path profiles across k for function",
+           [](profdb::Artifact &A) {
+             for (prof::FunctionPathProfile &P : A.PathProfiles)
+               if (P.HasProfile) {
+                 P.KIters = 2;
+                 return;
+               }
+             FAIL() << "no function with a path profile";
+           });
+    Header("path-profile shape differs", [](profdb::Artifact &A) {
+      A.PathProfiles.front().NumPaths += 1;
+    });
+  }
+  if (!Base.Tree)
+    return Out;
+  Tree("CCT geometry mismatch",
+       [](cct::TreeImage &I) { I.HashThreshold += 1; });
+  Tree("CCT procedure tables differ",
+       [](cct::TreeImage &I) { I.Procs.front().Name += "'"; });
+  Tree("tree has no root record",
+       [](cct::TreeImage &I) { I.Records.front().Proc = 0; });
+  Tree("record procedure out of range", [](cct::TreeImage &I) {
+    DirectChild E;
+    ASSERT_TRUE(findDirectChild(I, E, /*LeafOnly=*/true));
+    I.Records[E.Child].Proc = static_cast<cct::ProcId>(I.Procs.size() + 3);
+  });
+  Tree("record metric vector disagrees", [](cct::TreeImage &I) {
+    I.Records.back().Metrics.push_back(0);
+  });
+  Tree("record slot count disagrees", moveChildToExtraSlot);
+  Tree("call-site slot kind disagrees", [](cct::TreeImage &I) {
+    DirectChild E;
+    ASSERT_TRUE(findDirectChild(I, E));
+    I.Records[E.Parent].Slots[E.Slot].Kind = static_cast<uint8_t>(SlotKind::List);
+  });
+  Tree("child callee repeats an ancestor's procedure", [](cct::TreeImage &I) {
+    DirectChild E;
+    ASSERT_TRUE(findDirectChild(I, E, /*LeafOnly=*/false, /*MinParent=*/1));
+    I.Records[E.Child].Proc = I.Records[E.Parent].Proc;
+  });
+  Tree("slot target is neither a child nor an ancestor",
+       [](cct::TreeImage &I) {
+         DirectChild E;
+         ASSERT_TRUE(findDirectChild(I, E));
+         for (size_t Y = 1; Y != I.Records.size(); ++Y)
+           if (I.Records[Y].Parent != static_cast<int64_t>(E.Parent) &&
+               !isAncestor(I, Y, E.Parent)) {
+             I.Records[E.Parent].Slots[E.Slot].Targets[0].first = Y;
+             return;
+           }
+         FAIL() << "no record outside the parent's root path";
+       });
+  Tree("orphan record", [](cct::TreeImage &I) {
+    DirectChild E;
+    ASSERT_TRUE(findDirectChild(I, E));
+    I.Records[E.Parent].Slots[E.Slot] = {};
+  });
+  Tree("record claimed as a child by two slots", [](cct::TreeImage &I) {
+    // Main, entered through the root's entry slot, also on its signal list.
+    const cct::TreeImage::Slot &Entry = I.Records[0].Slots[0];
+    ASSERT_EQ(Entry.Targets.size(), 1u);
+    I.Records[0].Slots[cct::SignalSlot].Targets.push_back(
+        {Entry.Targets[0].first, 0});
+  });
+  Tree("duplicate callee in one call-site slot", [](cct::TreeImage &I) {
+    cct::ProcId Leaf = zeroSiteProc(I);
+    size_t A = appendRecord(I, 0, Leaf);
+    size_t B = appendRecord(I, 0, Leaf);
+    I.Records[0].Slots[cct::SignalSlot].Targets.push_back({A, 0});
+    I.Records[0].Slots[cct::SignalSlot].Targets.push_back({B, 0});
+  });
+  Tree("direct call site resolved to two different callees", swapLeafCallee);
+  return Out;
+}
+
+/// Context-path sums read straight off a tree, keyed by the (slot, callee)
+/// steps from the root; with the per-(function, path sum) counters and
+/// the header sums. Shares no code with profdb/Merge.
+using ContextSums = std::map<std::string, std::vector<uint64_t>>;
+
+ContextSums contextSums(const profdb::Artifact &A) {
+  ContextSums Out;
+  auto Add = [&Out](const std::string &Key, std::vector<uint64_t> Values) {
+    std::vector<uint64_t> &Into = Out[Key];
+    Into.resize(std::max(Into.size(), Values.size()), 0);
+    for (size_t I = 0; I != Values.size(); ++I)
+      Into[I] += Values[I];
+  };
+  Add("#runs", {A.RunCount});
+  Add("#insts", {A.ExecutedInsts});
+  Add("#totals", std::vector<uint64_t>(A.Totals.begin(), A.Totals.end()));
+  for (const prof::FunctionPathProfile &P : A.PathProfiles)
+    for (const prof::PathEntry &E : P.Paths)
+      Add("path:" + std::to_string(P.FuncId) + ":" + std::to_string(E.PathSum),
+          {E.Freq, E.Metric0, E.Metric1});
+  if (!A.Tree)
+    return Out;
+  auto SlotOf = [](const cct::CallRecord *Parent,
+                   const cct::CallRecord *Child) -> unsigned {
+    for (unsigned S = 0; S != Parent->numSlots(); ++S) {
+      const cct::CallRecord::Slot &Slot = Parent->slot(S);
+      if (Slot.Direct == Child)
+        return S;
+      for (const auto &Cell : Slot.List)
+        if (Cell.first == Child)
+          return S;
+    }
+    ADD_FAILURE() << "record unreachable from its parent";
+    return ~0u;
+  };
+  for (const auto &R : A.Tree->records()) {
+    std::string Key;
+    for (const cct::CallRecord *Walk = R.get(); Walk->parent();
+         Walk = Walk->parent())
+      Key = std::to_string(SlotOf(Walk->parent(), Walk)) + ":" +
+            std::to_string(Walk->procId()) + "/" + Key;
+    Add("ctx:" + Key, R->Metrics);
+    for (const auto &[Sum, Cell] : R->PathTable)
+      Add("ctx:" + Key + "#" + std::to_string(Sum),
+          {Cell.Freq, Cell.Metric0, Cell.Metric1});
+  }
+  return Out;
+}
+
+std::vector<profdb::Artifact> foldShards(uint64_t Seed, unsigned N,
+                                         const ir::Module &Program) {
+  std::vector<profdb::Artifact> Shards;
+  for (unsigned I = 0; I != N; ++I)
+    Shards.push_back(makeShard(Seed, I, Mode::ContextFlowHw, Program));
+  return Shards;
+}
+
+std::vector<profdb::Artifact>
+cloneAll(const std::vector<profdb::Artifact> &Shards,
+         const std::vector<size_t> &Order) {
+  std::vector<profdb::Artifact> Out;
+  for (size_t Index : Order)
+    Out.push_back(profdb::cloneArtifact(Shards[Index]));
+  return Out;
+}
+
+} // namespace
+
+TEST(ProfDbFoldTest, RejectedAddLeavesTheFoldAsItWas) {
+  const uint64_t Seed = 2029;
+  auto Program = makeProgram(Seed);
+  std::set<std::string> Covered;
+  for (Mode M : {Mode::ContextFlowHw, Mode::FlowHw}) {
+    profdb::Artifact A = makeShard(Seed, 0, M, *Program);
+    profdb::Artifact B = makeShard(Seed, 1, M, *Program);
+    profdb::Artifact Before;
+    std::string Error;
+    ASSERT_TRUE(profdb::mergeArtifacts(A, B, Before, Error)) << Error;
+    std::vector<uint8_t> BeforeBytes = profdb::encodeArtifact(Before);
+
+    for (Rejection &Case : rejections(A)) {
+      SCOPED_TRACE(Case.Expect);
+      Covered.insert(Case.Expect);
+      profdb::Fold F;
+      ASSERT_TRUE(F.add(A, Error)) << Error;
+      ASSERT_TRUE(F.add(B, Error)) << Error;
+      Error.clear();
+      EXPECT_FALSE(F.add(std::move(Case.Bad), Error));
+      EXPECT_NE(Error.find(Case.Expect), std::string::npos) << Error;
+      // Nothing moved: the input count, the run count and the emitted
+      // bytes are exactly those of the fold that never saw the input.
+      EXPECT_EQ(F.inputs(), 2u);
+      EXPECT_EQ(F.result().RunCount, 2u);
+      EXPECT_EQ(profdb::encodeArtifact(F.result()), BeforeBytes);
+    }
+  }
+  EXPECT_EQ(Covered.size(), 21u);
+}
+
+TEST(ProfDbFoldTest, CraftedSlotsAreMergeErrorsNotAborts) {
+  // Both trees decode cleanly, and emitting either merge would trip an
+  // assertion in enter(): the fold must refuse them with typed errors.
+  const uint64_t Seed = 2029;
+  auto Program = makeProgram(Seed);
+  profdb::Artifact Base = makeShard(Seed, 0, Mode::ContextFlowHw, *Program);
+  profdb::Artifact Out;
+  std::string Error;
+
+  profdb::Artifact Extra = withEditedTree(Base, moveChildToExtraSlot);
+  EXPECT_FALSE(profdb::mergeArtifacts(Extra, Base, Out, Error));
+  EXPECT_NE(Error.find("slot count"), std::string::npos) << Error;
+
+  profdb::Artifact Swapped = withEditedTree(Base, swapLeafCallee);
+  Error.clear();
+  EXPECT_FALSE(profdb::mergeArtifacts(Base, Swapped, Out, Error));
+  EXPECT_NE(Error.find("two different callees"), std::string::npos) << Error;
+  // On its own the swapped tree is sound.
+  EXPECT_TRUE(profdb::mergeArtifacts(Swapped, Swapped, Out, Error)) << Error;
+}
+
+TEST(ProfDbFoldTest, FoldMergeAllAndPairwiseFoldAgreeOverShuffles) {
+  const uint64_t Seed = 2031;
+  auto Program = makeProgram(Seed);
+  std::vector<profdb::Artifact> Shards = foldShards(Seed, 8, *Program);
+  std::vector<size_t> Order(Shards.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::vector<uint8_t> Reference;
+  std::mt19937_64 Rng(11);
+  for (unsigned Trial = 0; Trial != 4; ++Trial) {
+    SCOPED_TRACE(Trial);
+    std::shuffle(Order.begin(), Order.end(), Rng);
+    std::string Error;
+
+    profdb::Fold F;
+    for (size_t Index : Order)
+      ASSERT_TRUE(F.add(Shards[Index], Error)) << Error;
+    std::vector<uint8_t> Folded = profdb::encodeArtifact(F.take());
+    if (Reference.empty())
+      Reference = Folded;
+    EXPECT_EQ(Folded, Reference);
+
+    for (unsigned Threads : {1u, 4u}) {
+      profdb::Artifact Out;
+      ASSERT_TRUE(profdb::mergeAll(cloneAll(Shards, Order), Out, Error,
+                                   Threads))
+          << Error;
+      EXPECT_EQ(profdb::encodeArtifact(Out), Reference) << Threads;
+    }
+
+    profdb::Artifact Left = profdb::cloneArtifact(Shards[Order[0]]);
+    for (size_t I = 1; I != Order.size(); ++I) {
+      profdb::Artifact Next;
+      ASSERT_TRUE(profdb::mergeArtifacts(Left, Shards[Order[I]], Next, Error))
+          << Error;
+      Left = std::move(Next);
+    }
+    EXPECT_EQ(profdb::encodeArtifact(Left), Reference);
+  }
+}
+
+TEST(ProfDbFoldTest, SingleInputMergeAllReturnsTheInput) {
+  const uint64_t Seed = 2031;
+  auto Program = makeProgram(Seed);
+  profdb::Artifact A = makeShard(Seed, 1, Mode::ContextFlowHw, *Program);
+  std::vector<uint8_t> Bytes = profdb::encodeArtifact(A);
+  std::vector<profdb::Artifact> One;
+  One.push_back(std::move(A));
+  profdb::Artifact Out;
+  std::string Error;
+  ASSERT_TRUE(profdb::mergeAll(std::move(One), Out, Error, 4)) << Error;
+  EXPECT_EQ(profdb::encodeArtifact(Out), Bytes);
+}
+
+TEST(ProfDbFoldTest, MergedSumsMatchAnOracleOutsideTheMergeCode) {
+  for (uint64_t Seed : {2033u, 2035u}) {
+    SCOPED_TRACE(Seed);
+    auto Program = makeProgram(Seed);
+    std::vector<profdb::Artifact> Shards = foldShards(Seed, 6, *Program);
+    ContextSums Expected;
+    for (const profdb::Artifact &Shard : Shards)
+      for (const auto &[Key, Values] : contextSums(Shard)) {
+        std::vector<uint64_t> &Into = Expected[Key];
+        Into.resize(std::max(Into.size(), Values.size()), 0);
+        for (size_t I = 0; I != Values.size(); ++I)
+          Into[I] += Values[I];
+      }
+    std::vector<size_t> Order(Shards.size());
+    std::iota(Order.begin(), Order.end(), 0);
+    profdb::Artifact Merged;
+    std::string Error;
+    ASSERT_TRUE(profdb::mergeAll(cloneAll(Shards, Order), Merged, Error, 3))
+        << Error;
+    EXPECT_EQ(contextSums(Merged), Expected);
+  }
 }
 
 TEST(ProfDbDiffTest, SelfDiffIsEmptyAndShardDiffIsNot) {
