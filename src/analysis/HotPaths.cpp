@@ -8,10 +8,10 @@
 using namespace pp;
 using namespace pp::analysis;
 
-std::vector<PathRecord>
-analysis::collectPathRecords(const prof::RunOutcome &Outcome) {
+std::vector<PathRecord> analysis::collectPathRecords(
+    const std::vector<prof::FunctionPathProfile> &Profiles) {
   std::vector<PathRecord> Records;
-  for (const prof::FunctionPathProfile &Profile : Outcome.PathProfiles) {
+  for (const prof::FunctionPathProfile &Profile : Profiles) {
     if (!Profile.HasProfile)
       continue;
     for (const prof::PathEntry &Entry : Profile.Paths) {
@@ -25,6 +25,11 @@ analysis::collectPathRecords(const prof::RunOutcome &Outcome) {
     }
   }
   return Records;
+}
+
+std::vector<PathRecord>
+analysis::collectPathRecords(const prof::RunOutcome &Outcome) {
+  return collectPathRecords(Outcome.PathProfiles);
 }
 
 HotPathAnalysis

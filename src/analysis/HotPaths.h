@@ -31,7 +31,11 @@ struct PathRecord {
   uint64_t Misses = 0;
 };
 
-/// Flattens a FlowHw RunOutcome into path records.
+/// Flattens FlowHw path profiles (a run's, or a stored artifact's) into
+/// path records, function by function in the profiles' order.
+std::vector<PathRecord>
+collectPathRecords(const std::vector<prof::FunctionPathProfile> &Profiles);
+/// The path records of a FlowHw RunOutcome.
 std::vector<PathRecord> collectPathRecords(const prof::RunOutcome &Outcome);
 
 /// Sums over one class of paths or procedures.

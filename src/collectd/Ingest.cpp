@@ -43,34 +43,6 @@ size_t collectd::retainWindowsFromEnv() {
       envUint64Or("PP_COLLECTD_RETAIN_WINDOWS", "pp-collectd", 0));
 }
 
-namespace {
-
-/// The admission key of an artifact: the cheap shape checks a
-/// profdb::Fold makes before summing — workload, scale, full metric
-/// schema, function table, path-table geometry, CCT presence. It routes
-/// obviously-distinct shapes to distinct trees; it is NOT a mergeability
-/// proof (it cannot see CCT edge structure or hashed-table thresholds),
-/// so the authoritative gate is MergeTree::add's checks, which reject an
-/// incompatible artifact at admission with the tree intact.
-std::string groupKeyOf(const profdb::Artifact &A) {
-  std::string Shape;
-  for (const std::string &F : A.Functions) {
-    Shape += F;
-    Shape += ';';
-  }
-  for (const prof::FunctionPathProfile &P : A.PathProfiles)
-    Shape += formatString("%u:%d:%llu;", P.FuncId, int(P.HasProfile),
-                          static_cast<unsigned long long>(P.NumPaths));
-  return formatString(
-      "%s|%llu|%s|%s|%s|%s|%c|%016llx", A.Workload.c_str(),
-      static_cast<unsigned long long>(A.Scale), A.Schema.Mode.c_str(),
-      A.Schema.Pic0.c_str(), A.Schema.Pic1.c_str(),
-      A.Schema.Acquisition.c_str(), A.Tree ? 'c' : '-',
-      static_cast<unsigned long long>(profdb::fnv1a(Shape)));
-}
-
-} // namespace
-
 IngestService::IngestService(IngestConfig C)
     : Cfg(std::move(C)), Pool(Cfg.Threads, Cfg.QueueCapacity) {
   // The pool's workers read Cfg only inside jobs, which are posted after
@@ -105,15 +77,6 @@ void IngestService::drain() { Pool.drain(); }
 
 UploadResult IngestService::ingestNow(Upload U) {
   obs::SpanScope Span("collectd", "ingest", "", /*Work=*/U.Bytes.size());
-  auto Reject = [this](RejectReason Reason,
-                       profdb::DecodeStatus Decode) -> UploadResult {
-    obs::add(obs::Counter::CollectdRejected);
-    std::lock_guard<std::mutex> Lock(StateMu);
-    ++Stats.Submitted;
-    ++Stats.Rejected;
-    ++Stats.RejectedBy[static_cast<size_t>(Reason)];
-    return UploadResult{false, Reason, Decode};
-  };
 
   // The token bucket gates admission before any byte of the upload is
   // touched: a tenant hammering the collector is refused at the cost of
@@ -121,13 +84,9 @@ UploadResult IngestService::ingestNow(Upload U) {
   if (Cfg.TenantRatePerSec > 0) {
     std::lock_guard<std::mutex> Lock(StateMu);
     if (!rateAllowLocked(U.Tenant)) {
-      obs::add(obs::Counter::CollectdRejected);
       obs::add(obs::Counter::CollectdRateLimited);
       ++Stats.Submitted;
-      ++Stats.Rejected;
-      ++Stats.RejectedBy[static_cast<size_t>(RejectReason::RateLimited)];
-      return UploadResult{false, RejectReason::RateLimited,
-                          profdb::DecodeStatus::Ok};
+      return rejectLocked(RejectReason::RateLimited);
     }
   }
 
@@ -138,13 +97,16 @@ UploadResult IngestService::ingestNow(Upload U) {
 
   profdb::Artifact A;
   profdb::DecodeStatus Decode = profdb::decodeArtifact(U.Bytes, A);
-  if (Decode != profdb::DecodeStatus::Ok)
-    return Reject(RejectReason::Corrupt, Decode);
+  if (Decode != profdb::DecodeStatus::Ok ||
+      A.Schema.Acquisition != Cfg.Acquisition) {
+    std::lock_guard<std::mutex> Lock(StateMu);
+    ++Stats.Submitted;
+    return Decode != profdb::DecodeStatus::Ok
+               ? rejectLocked(RejectReason::Corrupt, Decode)
+               : rejectLocked(RejectReason::CrossAcquisition);
+  }
 
-  if (A.Schema.Acquisition != Cfg.Acquisition)
-    return Reject(RejectReason::CrossAcquisition, profdb::DecodeStatus::Ok);
-
-  std::string Key = groupKeyOf(A);
+  std::string Key = profdb::shapeKey(A);
   std::lock_guard<std::mutex> Lock(StateMu);
   ++Stats.Submitted;
 
@@ -152,48 +114,28 @@ UploadResult IngestService::ingestNow(Upload U) {
   // dropped; folding into a fresh resident copy would make the stored
   // artifact and the late fold disagree about the same window, so the
   // window is simply closed.
-  if (U.Window < ExpiredBelow) {
-    obs::add(obs::Counter::CollectdRejected);
-    ++Stats.Rejected;
-    ++Stats.RejectedBy[static_cast<size_t>(RejectReason::WindowExpired)];
-    return UploadResult{false, RejectReason::WindowExpired,
-                        profdb::DecodeStatus::Ok};
-  }
+  if (U.Window < ExpiredBelow)
+    return rejectLocked(RejectReason::WindowExpired);
 
-  if (Cfg.TenantWindowQuota) {
-    uint64_t Used = QuotaUsed[{U.Tenant, U.Window}];
-    if (Used >= Cfg.TenantWindowQuota) {
-      obs::add(obs::Counter::CollectdRejected);
-      ++Stats.Rejected;
-      ++Stats.RejectedBy[static_cast<size_t>(RejectReason::QuotaExceeded)];
-      return UploadResult{false, RejectReason::QuotaExceeded,
-                          profdb::DecodeStatus::Ok};
-    }
-  }
+  if (Cfg.TenantWindowQuota &&
+      QuotaUsed[{U.Tenant, U.Window}] >= Cfg.TenantWindowQuota)
+    return rejectLocked(RejectReason::QuotaExceeded);
 
+  // The fold's checks reject an upload with the fold untouched. A new
+  // group is folded apart and kept only once it has accepted, so no
+  // group is ever empty.
   Window &W = Windows[U.Window];
   auto It = W.find(Key);
-  bool NewGroup = It == W.end();
-  if (NewGroup)
-    It = W.emplace(std::piecewise_construct, std::forward_as_tuple(Key),
-                   std::forward_as_tuple(A.Workload))
-             .first;
+  profdb::Fold Fresh;
+  profdb::Fold &F = It == W.end() ? Fresh : It->second;
   std::string Error;
-  if (!It->second.Tree.add(std::move(A), Error)) {
-    // The checks inside add() rejected the upload with the tree
-    // untouched. A group (and window) created only for this upload must
-    // not linger empty — an empty tree would fail every later query.
-    if (NewGroup) {
-      W.erase(It);
-      if (W.empty())
-        Windows.erase(U.Window);
-    }
-    obs::add(obs::Counter::CollectdRejected);
-    ++Stats.Rejected;
-    ++Stats.RejectedBy[static_cast<size_t>(RejectReason::MergeFailed)];
-    return UploadResult{false, RejectReason::MergeFailed,
-                        profdb::DecodeStatus::Ok};
+  if (!F.add(std::move(A), Error)) {
+    if (W.empty()) // created only for this upload
+      Windows.erase(U.Window);
+    return rejectLocked(RejectReason::MergeFailed);
   }
+  if (&F == &Fresh)
+    W.emplace(std::move(Key), std::move(Fresh));
   // Quota charges accepted uploads only, as IngestConfig documents.
   if (Cfg.TenantWindowQuota)
     ++QuotaUsed[{U.Tenant, U.Window}];
@@ -202,6 +144,14 @@ UploadResult IngestService::ingestNow(Upload U) {
   if (Cfg.RetainWindows && Windows.size() > Cfg.RetainWindows)
     enforceRetentionLocked();
   return UploadResult{true, RejectReason::None, profdb::DecodeStatus::Ok};
+}
+
+UploadResult IngestService::rejectLocked(RejectReason Reason,
+                                         profdb::DecodeStatus Decode) {
+  obs::add(obs::Counter::CollectdRejected);
+  ++Stats.Rejected;
+  ++Stats.RejectedBy[static_cast<size_t>(Reason)];
+  return UploadResult{false, Reason, Decode};
 }
 
 bool IngestService::rateAllowLocked(const std::string &Tenant) {
@@ -260,12 +210,9 @@ std::string IngestService::queryWindow(uint64_t Window, std::string &Error,
     return "";
   }
   std::string Out;
-  for (auto &[Key, G] : It->second) {
-    const profdb::Artifact *F = G.Tree.folded(Error);
-    if (!F)
-      return "";
+  for (auto &[Key, F] : It->second) {
     // The renderers open with reportHeader themselves.
-    Out += Render(*F);
+    Out += Render(F.result());
     Out += "\n";
   }
   return Out;
@@ -305,12 +252,8 @@ IngestService::windowBytes(uint64_t Window, std::string &Error) {
                          static_cast<unsigned long long>(Window));
     return Out;
   }
-  for (auto &[Key, G] : It->second) {
-    const profdb::Artifact *F = G.Tree.folded(Error);
-    if (!F)
-      return {};
-    Out.push_back(profdb::encodeArtifact(*F));
-  }
+  for (auto &[Key, F] : It->second)
+    Out.push_back(profdb::encodeArtifact(F.result()));
   return Out;
 }
 
@@ -333,15 +276,12 @@ bool IngestService::persistWindowLocked(uint64_t Id, Window &W,
                                         std::string &Error) {
   std::string Dir =
       Cfg.StoreDir + "/w" + formatString("%llu", (unsigned long long)Id);
-  for (auto &[Key, G] : W) {
-    const profdb::Artifact *F = G.Tree.folded(Error);
-    if (!F)
-      return false;
+  for (auto &[Key, F] : W) {
     // Named by group key, not fingerprint: two groups whose merged
     // fingerprints degenerate to the same hash (XOR of identical
     // sources) must still land in distinct files.
     std::string Path = Dir + "/" + profdb::artifactFileName(Key);
-    if (!profdb::writeArtifactFile(Path, *F, Error))
+    if (!profdb::writeArtifactFile(Path, F.result(), Error))
       return false;
   }
   return true;

@@ -3,11 +3,10 @@
 /// \file
 /// The continuous-profiling collector: a long-running service that
 /// accepts encoded profile artifacts (.ppa bytes) uploaded by a fleet of
-/// clients and folds them incrementally, one fold per (window, schema
-/// group) (collectd/MergeTree.h). The paper's tables are batch reports
-/// over one run; this is the "always on" production shape — thousands of
-/// uploads an hour, bounded memory, queries served from the folded
-/// windows.
+/// clients and folds them incrementally, one profdb::Fold per (window,
+/// shape group). The paper's tables are batch reports over one run; this
+/// is the "always on" production shape — thousands of uploads an hour,
+/// bounded memory, queries served from the folded windows.
 ///
 /// Admission pipeline, per upload:
 ///
@@ -19,12 +18,14 @@
 ///      fold together, so an upload whose schema acquisition differs
 ///      from the service's is rejected (CrossAcquisition).
 ///   4. Per-(tenant, window) quota (charged to accepted uploads only).
-///   5. Fold into the window's schema group (keyed by workload, scale,
-///      schema, and program shape). The group's MergeTree checks the
-///      artifact against its running fold before summing it in, so
-///      an incompatibility the key cannot see (CCT edge structure,
-///      hashed-table thresholds) rejects this upload at admission —
-///      never a later one, and never the group's accepted contents.
+///   5. Fold into the window's shape group, keyed by profdb::shapeKey:
+///      uploads share a group exactly when profdb::checkShape lets them
+///      merge (schema and k, workload, scale, function table, CCT
+///      presence, path-profile geometry). The group's fold checks the
+///      artifact against everything folded so far before summing it in,
+///      so an incompatibility the key cannot see (CCT geometry and edge
+///      structure) rejects this upload at admission — never a later
+///      one, and never the group's accepted contents.
 ///
 /// Ingest runs on a support/WorkerPool behind a bounded queue: submit()
 /// blocks for space (backpressure), trySubmit() refuses instead.
@@ -33,16 +34,17 @@
 /// the deterministic tests use.
 ///
 /// Every fold is deterministic: the window's merged bytes are identical
-/// for any arrival order or ingest thread count (see MergeTree.h), so a
-/// rejected upload provably leaves the window byte-identical to a run
-/// that never saw it.
+/// for any arrival order or ingest thread count, and equal a flat
+/// mergeAll of the group's uploads (see profdb/Merge.h), so a rejected
+/// upload provably leaves the window byte-identical to a run that never
+/// saw it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_COLLECTD_INGEST_H
 #define PP_COLLECTD_INGEST_H
 
-#include "collectd/MergeTree.h"
+#include "profdb/Merge.h"
 #include "support/WorkerPool.h"
 
 #include <cstdint>
@@ -65,8 +67,9 @@ enum class RejectReason : unsigned {
   /// The (tenant, window) accepted-upload quota is exhausted.
   QuotaExceeded,
   /// The admission merge checks failed (structural corruption that passed
-  /// the decoder, or a shape the group key does not distinguish); the
-  /// upload is dropped at admission, the window survives byte-identical.
+  /// the decoder, or CCT geometry the group key does not distinguish);
+  /// the upload is dropped at admission, the window survives
+  /// byte-identical.
   MergeFailed,
   /// The tenant's token bucket is empty. Checked ahead of everything
   /// else — a rate-limited refusal costs no decode work.
@@ -181,7 +184,7 @@ public:
   UploadResult ingestNow(Upload U);
 
   /// The hottest paths / procedures / CCT statistics of \p Window,
-  /// rendered per schema group through the same profdb report code
+  /// rendered per shape group through the same profdb report code
   /// pp-report uses (so a collector answer is byte-comparable to a
   /// pp-report run over the same artifacts).
   std::string queryTopPaths(uint64_t Window, size_t Limit,
@@ -190,7 +193,7 @@ public:
                             std::string &Error);
   std::string queryCctStats(uint64_t Window, std::string &Error);
 
-  /// The encoded folded artifact of each schema group in \p Window, in
+  /// The encoded folded artifact of each shape group in \p Window, in
   /// group-key order — the byte-identity hook the determinism and
   /// rejection-isolation tests compare.
   std::vector<std::vector<uint8_t>> windowBytes(uint64_t Window,
@@ -206,18 +209,20 @@ public:
   bool persist(std::string &Error);
 
 private:
-  struct Group {
-    std::string Label; ///< workload name, for query headers
-    MergeTree Tree;
-    explicit Group(const std::string &Label) : Label(Label) {}
-  };
-  using Window = std::map<std::string, Group>;
+  /// A window's shape groups by profdb::shapeKey. A group exists only
+  /// once its fold has accepted an upload, so it is never empty.
+  using Window = std::map<std::string, profdb::Fold>;
 
   /// Renders \p Window group by group via \p Render; shared shape of the
   /// three queries.
   template <typename RenderFn>
   std::string queryWindow(uint64_t Window, std::string &Error,
                           RenderFn Render);
+  /// Counts a rejection for \p Reason and returns its verdict (StateMu
+  /// held).
+  UploadResult rejectLocked(RejectReason Reason,
+                            profdb::DecodeStatus Decode =
+                                profdb::DecodeStatus::Ok);
   /// Token-bucket check for \p Tenant (StateMu held). False = refuse.
   bool rateAllowLocked(const std::string &Tenant);
   /// Writes window \p Id's folded groups under StoreDir/w<Id>/ (StateMu

@@ -2,7 +2,7 @@
 
 #include "profdb/Diff.h"
 
-#include "support/Format.h"
+#include "profdb/Merge.h"
 
 #include <algorithm>
 #include <map>
@@ -84,49 +84,10 @@ uint64_t magnitude(int64_t V) {
 
 bool profdb::diffArtifacts(const Artifact &A, const Artifact &B,
                            ArtifactDiff &Out, std::string &Error) {
-  // Cross-k schemas fail the generic comparison too, but get the specific
-  // message: the sums are incomparable path-id spaces, not merely
-  // different metrics.
-  if (A.Schema.K != B.Schema.K) {
-    Error = formatString("cannot diff artifacts across k: k=%u vs k=%u",
-                         A.Schema.K, B.Schema.K);
+  // The (FuncId, PathSum) diff key is only meaningful within one path-id
+  // space, so the shapes must agree exactly as a merge needs them to.
+  if (!checkShape(A, A.Tree != nullptr, B, B.Tree != nullptr, "diff", Error))
     return false;
-  }
-  if (A.Schema != B.Schema) {
-    Error = "incompatible metric schemas";
-    return false;
-  }
-  if (A.Workload != B.Workload || A.Scale != B.Scale) {
-    Error = "different programs";
-    return false;
-  }
-  if (A.Functions != B.Functions) {
-    Error = "function tables differ";
-    return false;
-  }
-  // The (FuncId, PathSum) diff key is only meaningful within one
-  // path-id space, so validate each function's space before comparing
-  // sums: the fallback ladder can leave one run at a lower effective k
-  // than another even when the requested (schema) k matches.
-  for (size_t I = 0,
-              N = std::min(A.PathProfiles.size(), B.PathProfiles.size());
-       I != N; ++I) {
-    const prof::FunctionPathProfile &PA = A.PathProfiles[I];
-    const prof::FunctionPathProfile &PB = B.PathProfiles[I];
-    if (PA.KIters != PB.KIters) {
-      Error = formatString(
-          "cannot diff across k for function %u: k=%u vs k=%u", PA.FuncId,
-          PA.KIters, PB.KIters);
-      return false;
-    }
-    if (PA.HasProfile && PB.HasProfile && PA.NumPaths != PB.NumPaths) {
-      Error = formatString(
-          "path-id spaces differ for function %u: %llu vs %llu paths",
-          PA.FuncId, static_cast<unsigned long long>(PA.NumPaths),
-          static_cast<unsigned long long>(PB.NumPaths));
-      return false;
-    }
-  }
   Out.Paths.clear();
   Out.Contexts.clear();
 

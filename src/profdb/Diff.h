@@ -23,10 +23,10 @@ namespace profdb {
 
 /// Delta of one Ball-Larus path between two profiles (B minus A). The
 /// (FuncId, PathSum) key names a path only within one path-id space;
-/// diffArtifacts validates that both artifacts agree on k (schema-level
-/// and per-function KIters) and on each function's NumPaths before any
-/// sums are compared, so a k=2 window sum never silently diffs against a
-/// k=1 path sum that happens to share its value.
+/// diffArtifacts checks that both artifacts share it (profdb::checkShape:
+/// k, per-function KIters, NumPaths, ...) before any sums are compared, so
+/// a k=2 window sum never silently diffs against a k=1 path sum that
+/// happens to share its value.
 struct PathDelta {
   unsigned FuncId = 0;
   uint64_t PathSum = 0;
@@ -51,9 +51,9 @@ struct ArtifactDiff {
   std::vector<ContextDelta> Contexts;
 };
 
-/// Diffs \p B against \p A (deltas are B - A). The artifacts must agree
-/// on workload, scale, schema, and function table; returns false with
-/// \p Error set otherwise. Identical entries (all deltas zero) are
+/// Diffs \p B against \p A (deltas are B - A). The artifacts must pass
+/// the same shape check a merge makes (profdb::checkShape); returns false
+/// with \p Error set otherwise. Identical entries (all deltas zero) are
 /// omitted.
 bool diffArtifacts(const Artifact &A, const Artifact &B, ArtifactDiff &Out,
                    std::string &Error);

@@ -370,14 +370,13 @@ bool Fold::lift(const Artifact &A, std::string &Error) {
   return true;
 }
 
-bool Fold::compatible(const Fold &In, std::string &Error) const {
-  const Artifact &A = Header;
-  const Artifact &B = In.Header;
+bool profdb::checkShape(const Artifact &A, bool ATree, const Artifact &B,
+                        bool BTree, const char *Verb, std::string &Error) {
   // A k mismatch is a schema mismatch too, but deserves its own message:
   // the artifacts may agree on every metric and still count incomparable
   // path spaces.
   if (A.Schema.K != B.Schema.K) {
-    Error = formatString("cannot merge artifacts across k: k=%u vs k=%u",
+    Error = formatString("cannot %s artifacts across k: k=%u vs k=%u", Verb,
                          A.Schema.K, B.Schema.K);
     return false;
   }
@@ -405,7 +404,7 @@ bool Fold::compatible(const Fold &In, std::string &Error) const {
             "builds)";
     return false;
   }
-  if (static_cast<bool>(Root) != static_cast<bool>(In.Root)) {
+  if (ATree != BTree) {
     Error = "one artifact has a CCT and the other does not";
     return false;
   }
@@ -417,12 +416,12 @@ bool Fold::compatible(const Fold &In, std::string &Error) const {
     const prof::FunctionPathProfile &PA = A.PathProfiles[Index];
     const prof::FunctionPathProfile &PB = B.PathProfiles[Index];
     // Cross-k sums share numeric values but name different paths; refuse
-    // with the specific reason before the generic shape complaint.
+    // with the specific reason before the generic shape complaint. The
+    // fallback ladder can leave a function at a lower k than the schema's.
     if (PA.KIters != PB.KIters) {
       Error = formatString(
-          "cannot merge path profiles across k for function %u: "
-          "k=%u vs k=%u",
-          PA.FuncId, PA.KIters, PB.KIters);
+          "cannot %s path profiles across k for function %u: k=%u vs k=%u",
+          Verb, PA.FuncId, PA.KIters, PB.KIters);
       return false;
     }
     if (PA.FuncId != PB.FuncId || PA.HasProfile != PB.HasProfile ||
@@ -432,6 +431,52 @@ bool Fold::compatible(const Fold &In, std::string &Error) const {
       return false;
     }
   }
+  return true;
+}
+
+std::string profdb::shapeKey(const Artifact &A) {
+  // Every field checkShape compares, each ended by '|'. A '|' or a
+  // backslash inside a name is escaped, so equal keys mean equal fields;
+  // the key sorts by workload first.
+  std::string Key;
+  auto Text = [&Key](const std::string &S) {
+    for (char C : S) {
+      if (C == '|' || C == '\\')
+        Key += '\\';
+      Key += C;
+    }
+    Key += '|';
+  };
+  auto Num = [&Key](uint64_t V) {
+    Key += std::to_string(V);
+    Key += '|';
+  };
+  Text(A.Workload);
+  Num(A.Scale);
+  Text(A.Schema.Mode);
+  Text(A.Schema.Pic0);
+  Text(A.Schema.Pic1);
+  Text(A.Schema.Acquisition);
+  Num(A.Schema.K);
+  Num(A.Functions.size());
+  for (const std::string &F : A.Functions)
+    Text(F);
+  Num(A.Tree != nullptr);
+  Num(A.PathProfiles.size());
+  for (const prof::FunctionPathProfile &P : A.PathProfiles) {
+    Num(P.FuncId);
+    Num(P.HasProfile);
+    Num(P.NumPaths);
+    Num(P.Hashed);
+    Num(P.KIters);
+  }
+  return Key;
+}
+
+bool Fold::compatible(const Fold &In, std::string &Error) const {
+  if (!checkShape(Header, Root != nullptr, In.Header, In.Root != nullptr,
+                  "merge", Error))
+    return false;
   if (!Root)
     return true;
   if (NumMetrics != In.NumMetrics || PathCellBytes != In.PathCellBytes ||

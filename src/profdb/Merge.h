@@ -15,9 +15,11 @@
 /// the same artifact set in any order, with any thread count, yields
 /// bit-identical bytes; MergeDeterminism tests pin this.
 ///
-/// Artifacts with incompatible metric schemas, workloads, or program
-/// shapes are rejected with a descriptive error instead of producing a
-/// silently meaningless sum.
+/// Whether two artifacts count the same path-id space is decided once,
+/// by checkShape: merge, diff (profdb/Diff.h) and the fleet collector's
+/// routing (collectd/Ingest.h, by shapeKey) all ask it. Incompatible
+/// artifacts are rejected with a descriptive error instead of producing
+/// a silently meaningless sum.
 ///
 /// mergeAll folds N shards once. With more than one thread it folds
 /// contiguous chunks of the shard list on a support/WorkerPool built once
@@ -39,6 +41,21 @@
 namespace pp {
 namespace profdb {
 
+/// The header shape two artifacts must share to be merged or diffed: the
+/// schema (a k mismatch gets its own message), workload and scale, the
+/// function table, CCT presence (\p ATree, \p BTree: a fold keeps its
+/// tree apart from its header), and the path-profile geometry (per
+/// function FuncId, HasProfile, NumPaths, Hashed and KIters). False sets
+/// \p Error to the first difference; \p Verb ("merge", "diff") is the
+/// operation the k messages name. The CCT's own geometry is not compared:
+/// that needs the lifted tree, so Fold checks it when it folds.
+bool checkShape(const Artifact &A, bool ATree, const Artifact &B, bool BTree,
+                const char *Verb, std::string &Error);
+
+/// The routing key of checkShape: two artifacts get equal keys exactly
+/// when checkShape passes for them.
+std::string shapeKey(const Artifact &A);
+
 /// Worker threads for mergeAll: PP_PROFDB_THREADS when set (0 means
 /// serial), else the driver's PP_DRIVER_SERIAL / PP_DRIVER_THREADS
 /// convention, else WorkerPool::hardwareDefault() (the hardware
@@ -52,8 +69,8 @@ unsigned mergeThreadsFromEnv();
 /// the tree is a tree with backedges to the nearest ancestor, every
 /// record has its procedure's slot count, slot kinds match the call
 /// sites, no child repeats an ancestor's procedure — then against the
-/// fold (schema, program, geometry, path-table shapes, and at most one
-/// callee per direct call site across every input). Nothing is mutated
+/// fold (checkShape, the CCT geometry and procedure table, and at most
+/// one callee per direct call site across every input). Nothing is mutated
 /// until both passed, and the summing step that follows cannot fail.
 class Fold {
 public:

@@ -12,9 +12,10 @@
 
 #include "cct/CallingContextTree.h"
 #include "collectd/Ingest.h"
-#include "collectd/MergeTree.h"
 #include "driver/Driver.h"
 #include "driver/FaultInjector.h"
+#include "ir/Parser.h"
+#include "prof/Session.h"
 #include "profdb/Merge.h"
 #include "profdb/Store.h"
 #include "workloads/Spec.h"
@@ -210,29 +211,26 @@ TEST(CollectdIngestTest, ArrivalOrderAndThreadsDoNotChangeBytes) {
   EXPECT_EQ(FoldBytes(std::move(Uploads), Threaded), Reference);
 }
 
-TEST(CollectdMergeTreeTest, FoldedBytesEqualFlatMergeOfLeaves) {
+TEST(CollectdFoldTest, WindowBytesEqualFlatMergeOfLeaves) {
   constexpr unsigned NumLeaves = 8;
-  MergeTree Tree;
+  IngestService Service(manualConfig());
   std::vector<profdb::Artifact> Flat;
-  std::string Error;
   for (unsigned Serial = 0; Serial != NumLeaves; ++Serial) {
+    Upload U = makeUpload("t0", 3, Serial);
     profdb::Artifact A;
-    ASSERT_EQ(profdb::decodeArtifact(
-                  encodedArtifact("fleet;u" + std::to_string(Serial), "exact"),
-                  A),
-              profdb::DecodeStatus::Ok);
-    Flat.push_back(profdb::cloneArtifact(A));
-    ASSERT_TRUE(Tree.add(std::move(A), Error)) << Error;
+    ASSERT_EQ(profdb::decodeArtifact(U.Bytes, A), profdb::DecodeStatus::Ok);
+    Flat.push_back(std::move(A));
+    ASSERT_TRUE(Service.ingestNow(std::move(U)).Accepted);
   }
-  EXPECT_EQ(Tree.leafCount(), NumLeaves);
 
-  const profdb::Artifact *Folded = Tree.folded(Error);
-  ASSERT_NE(Folded, nullptr) << Error;
+  std::string Error;
+  std::vector<std::vector<uint8_t>> Folded = Service.windowBytes(3, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
   profdb::Artifact FlatMerged;
   ASSERT_TRUE(profdb::mergeAll(std::move(Flat), FlatMerged, Error, 1))
       << Error;
-  EXPECT_EQ(profdb::encodeArtifact(*Folded),
-            profdb::encodeArtifact(FlatMerged));
+  EXPECT_EQ(Folded, std::vector<std::vector<uint8_t>>{
+                        profdb::encodeArtifact(FlatMerged)});
 }
 
 //===----------------------------------------------------------------------===//
@@ -250,10 +248,10 @@ profdb::Artifact decodedArtifact(unsigned Serial) {
   return A;
 }
 
-/// An artifact that decodes cleanly and lands in the same schema group as
+/// An artifact that decodes cleanly and lands in the same shape group as
 /// the good uploads — the group key sees only CCT *presence*, not its
 /// geometry — but cannot merge with them: its CCT hash threshold differs,
-/// which mergeArtifacts rejects as a CCT geometry mismatch.
+/// which the fold rejects as a CCT geometry mismatch.
 std::vector<uint8_t> incompatibleBytes() {
   profdb::Artifact A = decodedArtifact(97);
   EXPECT_NE(A.Tree, nullptr);
@@ -266,34 +264,29 @@ std::vector<uint8_t> incompatibleBytes() {
 
 } // namespace
 
-TEST(CollectdMergeTreeTest, IncompatibleAddRejectsAndLeavesTreeUntouched) {
-  MergeTree Tree;
+TEST(CollectdFoldTest, IncompatibleAddRejectsAndLeavesFoldUntouched) {
+  profdb::Fold Fold;
   std::string Error;
   for (unsigned Serial = 0; Serial != 3; ++Serial)
-    ASSERT_TRUE(Tree.add(decodedArtifact(Serial), Error)) << Error;
-
-  const profdb::Artifact *Before = Tree.folded(Error);
-  ASSERT_NE(Before, nullptr) << Error;
-  std::vector<uint8_t> BeforeBytes = profdb::encodeArtifact(*Before);
+    ASSERT_TRUE(Fold.add(decodedArtifact(Serial), Error)) << Error;
+  std::vector<uint8_t> BeforeBytes = profdb::encodeArtifact(Fold.result());
 
   // The fold's checks must reject the incompatible artifact before the
   // fold is touched.
   profdb::Artifact Bad;
   ASSERT_EQ(profdb::decodeArtifact(incompatibleBytes(), Bad),
             profdb::DecodeStatus::Ok);
-  EXPECT_FALSE(Tree.add(std::move(Bad), Error));
+  EXPECT_FALSE(Fold.add(std::move(Bad), Error));
   EXPECT_NE(Error.find("CCT geometry mismatch"), std::string::npos) << Error;
 
-  // Nothing moved: the leaf count and the folded bytes are exactly as if
+  // Nothing moved: the input count and the folded bytes are exactly as if
   // the artifact was never offered.
-  EXPECT_EQ(Tree.leafCount(), 3u);
-  const profdb::Artifact *After = Tree.folded(Error);
-  ASSERT_NE(After, nullptr) << Error;
-  EXPECT_EQ(profdb::encodeArtifact(*After), BeforeBytes);
+  EXPECT_EQ(Fold.inputs(), 3u);
+  EXPECT_EQ(profdb::encodeArtifact(Fold.result()), BeforeBytes);
 
-  // And the tree still accepts compatible leaves afterwards.
-  ASSERT_TRUE(Tree.add(decodedArtifact(3), Error)) << Error;
-  EXPECT_EQ(Tree.leafCount(), 4u);
+  // And the fold still accepts compatible inputs afterwards.
+  ASSERT_TRUE(Fold.add(decodedArtifact(3), Error)) << Error;
+  EXPECT_EQ(Fold.inputs(), 4u);
 }
 
 TEST(CollectdIngestTest, MergeIncompatibleUploadRejectsAtAdmission) {
@@ -360,11 +353,11 @@ TEST(CollectdIngestTest, ExtraSlotUploadIsMergeFailedNotAnAbort) {
       craftedBytes(98, testutil::moveChildToExtraSlot);
   profdb::Artifact A;
   ASSERT_EQ(profdb::decodeArtifact(Bytes, A), profdb::DecodeStatus::Ok);
-  MergeTree Tree;
+  profdb::Fold Fold;
   std::string Error;
-  EXPECT_FALSE(Tree.add(std::move(A), Error));
+  EXPECT_FALSE(Fold.add(std::move(A), Error));
   EXPECT_NE(Error.find("slot count"), std::string::npos) << Error;
-  EXPECT_EQ(Tree.leafCount(), 0u);
+  EXPECT_EQ(Fold.inputs(), 0u);
 
   IngestService Service(manualConfig());
   UploadResult Verdict = Service.ingestNow(Upload{"t0", 5, Bytes});
@@ -398,16 +391,90 @@ TEST(CollectdIngestTest, SecondCalleeInDirectSlotIsMergeFailedNotAnAbort) {
   EXPECT_EQ(Faulty.stats().Accepted, 1u);
 }
 
-TEST(CollectdMergeTreeTest, SingleLeafFoldIsTheLeafItself) {
-  const std::vector<uint8_t> Bytes = encodedArtifact("fleet;u0", "exact");
-  profdb::Artifact A;
-  ASSERT_EQ(profdb::decodeArtifact(Bytes, A), profdb::DecodeStatus::Ok);
-  MergeTree Tree;
+TEST(CollectdFoldTest, SingleUploadWindowIsTheUploadItself) {
+  Upload U = makeUpload("t0", 4, 0);
+  const std::vector<uint8_t> Bytes = U.Bytes;
+  IngestService Service(manualConfig());
+  ASSERT_TRUE(Service.ingestNow(std::move(U)).Accepted);
   std::string Error;
-  ASSERT_TRUE(Tree.add(std::move(A), Error)) << Error;
-  const profdb::Artifact *Folded = Tree.folded(Error);
-  ASSERT_NE(Folded, nullptr) << Error;
-  EXPECT_EQ(profdb::encodeArtifact(*Folded), Bytes);
+  EXPECT_EQ(Service.windowBytes(4, Error),
+            std::vector<std::vector<uint8_t>>{Bytes});
+  EXPECT_TRUE(Error.empty()) << Error;
+}
+
+namespace {
+
+/// A loop-free program: every function keeps its path count at any k, so
+/// only the schema's k tells a k=1 profile from a k=2 one.
+constexpr const char *LoopFreeProgram = R"(func @fib(1) regs=16 {
+entry:
+  cmplt r1, r0, 2
+  condbr r1, @base, @rec
+base:
+  ret r0
+rec:
+  sub r2, r0, 1
+  call r3, @fib (r2)
+  sub r4, r0, 2
+  call r5, @fib (r4)
+  add r6, r3, r5
+  ret r6
+}
+
+func @main(0) regs=4 {
+entry:
+  mov r0, 12
+  call r1, @fib (r0)
+  ret r1
+}
+
+main @main
+)";
+
+profdb::Artifact loopFreeArtifact(const ir::Module &M, unsigned K) {
+  prof::SessionOptions Options;
+  Options.Config.M = prof::Mode::FlowHw;
+  Options.Config.K = K;
+  prof::RunOutcome Run = prof::runProfile(M, Options);
+  EXPECT_TRUE(Run.Result.Ok) << Run.Result.Error;
+  return profdb::artifactFromOutcome(Run, M, "loopfree;k=" + std::to_string(K),
+                                     "loopfree", 1, Options.Config);
+}
+
+} // namespace
+
+TEST(CollectdIngestTest, LoopFreeUploadsAtTwoKsFoldInTwoGroups) {
+  ir::ParseResult Parsed = ir::parseModule(LoopFreeProgram);
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  profdb::Artifact K1 = loopFreeArtifact(*Parsed.M, 1);
+  profdb::Artifact K2 = loopFreeArtifact(*Parsed.M, 2);
+  // The two profiles agree on every per-function path count; only k
+  // differs, and a k=2 sum must never fold into a k=1 one.
+  ASSERT_EQ(K1.PathProfiles.size(), K2.PathProfiles.size());
+  for (size_t F = 0; F != K1.PathProfiles.size(); ++F)
+    EXPECT_EQ(K1.PathProfiles[F].NumPaths, K2.PathProfiles[F].NumPaths);
+
+  IngestService Service(manualConfig());
+  for (const profdb::Artifact *A : {&K1, &K2, &K2}) {
+    UploadResult Verdict =
+        Service.ingestNow(Upload{"t0", 6, profdb::encodeArtifact(*A)});
+    EXPECT_TRUE(Verdict.Accepted) << rejectReasonName(Verdict.Reason);
+  }
+  std::string Error;
+  std::vector<std::vector<uint8_t>> Groups = Service.windowBytes(6, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  ASSERT_EQ(Groups.size(), 2u);
+  std::vector<unsigned> Ks;
+  std::vector<uint64_t> Runs;
+  for (const std::vector<uint8_t> &Bytes : Groups) {
+    profdb::Artifact A;
+    ASSERT_EQ(profdb::decodeArtifact(Bytes, A), profdb::DecodeStatus::Ok);
+    Ks.push_back(A.Schema.K);
+    Runs.push_back(A.RunCount);
+  }
+  // Groups come in key order, and k precedes the program shape there.
+  EXPECT_EQ(Ks, (std::vector<unsigned>{1, 2}));
+  EXPECT_EQ(Runs, (std::vector<uint64_t>{1, 2}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,7 +11,8 @@
 //    association of pairwise merges yields bit-identical artifact bytes
 //    (the canonical re-emission through the real CCT allocator).
 //  * Schema safety — artifacts with different modes or PIC routings are
-//    rejected with a descriptive error, never silently summed.
+//    rejected with a descriptive error, never silently summed; merge, diff
+//    and the collector's routing key share that one shape check.
 //  * Transactional folds — every rejection, including crafted trees the
 //    CCT allocator would assert on, leaves a fold's bytes and run count
 //    untouched; merged sums match an oracle that reads the inputs' trees
@@ -393,6 +394,8 @@ cct::ProcId zeroSiteProc(const cct::TreeImage &Image) {
 struct Rejection {
   const char *Expect;
   profdb::Artifact Bad;
+  /// Made by profdb::checkShape (a header edit), not by the tree checks.
+  bool Header = false;
 };
 
 /// One artifact per rejection a fold of \p Base's mode can make, each
@@ -405,7 +408,7 @@ std::vector<Rejection> rejections(const profdb::Artifact &Base) {
                     const std::function<void(profdb::Artifact &)> &Edit) {
     profdb::Artifact Bad = profdb::cloneArtifact(Base);
     Edit(Bad);
-    Out.push_back({Expect, std::move(Bad)});
+    Out.push_back({Expect, std::move(Bad), /*Header=*/true});
   };
   auto Tree = [&](const char *Expect,
                   const std::function<void(cct::TreeImage &)> &Edit) {
@@ -598,6 +601,50 @@ TEST(ProfDbFoldTest, RejectedAddLeavesTheFoldAsItWas) {
     }
   }
   EXPECT_EQ(Covered.size(), 21u);
+}
+
+TEST(ProfDbShapeTest, HeaderRejectionsRefuseDiffAndSplitTheRoutingKey) {
+  // Merge, diff and the collector's routing key share one shape check:
+  // every header rejection a fold makes, diff makes with the same reason,
+  // and the routing key tells the two artifacts apart. The tree
+  // rejections pass the shape check, so their keys stay equal.
+  const uint64_t Seed = 2029;
+  auto Program = makeProgram(Seed);
+  unsigned Headers = 0;
+  for (Mode M : {Mode::ContextFlowHw, Mode::FlowHw}) {
+    profdb::Artifact Base = makeShard(Seed, 0, M, *Program);
+    const std::string BaseKey = profdb::shapeKey(Base);
+    profdb::ArtifactDiff Diff;
+    std::string Error;
+    EXPECT_EQ(profdb::shapeKey(profdb::cloneArtifact(Base)), BaseKey);
+    EXPECT_TRUE(
+        profdb::diffArtifacts(Base, profdb::cloneArtifact(Base), Diff, Error))
+        << Error;
+
+    for (Rejection &Case : rejections(Base)) {
+      SCOPED_TRACE(Case.Expect);
+      bool Passes = profdb::checkShape(Base, Base.Tree != nullptr, Case.Bad,
+                                       Case.Bad.Tree != nullptr, "merge",
+                                       Error);
+      EXPECT_EQ(Passes, !Case.Header) << Error;
+      EXPECT_EQ(profdb::shapeKey(Case.Bad) == BaseKey, Passes);
+      if (!Case.Header)
+        continue;
+      ++Headers;
+      profdb::Artifact Out;
+      std::string MergeError, DiffError;
+      EXPECT_FALSE(profdb::mergeArtifacts(Base, Case.Bad, Out, MergeError));
+      EXPECT_FALSE(profdb::diffArtifacts(Base, Case.Bad, Diff, DiffError));
+      // The same reason, naming the operation refused.
+      std::string Expect = Case.Expect;
+      for (std::string *Text : {&Expect, &MergeError})
+        if (size_t Verb = Text->find("merge"); Verb != std::string::npos)
+          Text->replace(Verb, 5, "diff");
+      EXPECT_NE(DiffError.find(Expect), std::string::npos) << DiffError;
+      EXPECT_EQ(DiffError, MergeError);
+    }
+  }
+  EXPECT_EQ(Headers, 12u);
 }
 
 TEST(ProfDbFoldTest, CraftedSlotsAreMergeErrorsNotAborts) {

@@ -354,7 +354,7 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
 
 TEST(ServerLoopbackTest, ConcurrentClientProcessesFoldIdentically) {
   // No injector here: with concurrent clients the arrival order is
-  // nondeterministic, and the window fold must not care (the MergeTree
+  // nondeterministic, and the window fold must not care (the profdb::Fold
   // order-independence guarantee, now exercised through real sockets).
   const unsigned Clients = 6, PerClient = 2;
   std::vector<std::vector<Upload>> Fleet(Clients);

@@ -170,20 +170,6 @@ profdb::MetricSchema schemaOf(prof::Mode M, const std::string &Acq,
   return Schema;
 }
 
-/// The artifact-side collectPathRecords: same flattening, same order.
-std::vector<analysis::PathRecord>
-pathRecordsFromArtifact(const profdb::Artifact &A) {
-  std::vector<analysis::PathRecord> Records;
-  for (const prof::FunctionPathProfile &Profile : A.PathProfiles) {
-    if (!Profile.HasProfile)
-      continue;
-    for (const prof::PathEntry &Entry : Profile.Paths)
-      Records.push_back({Profile.FuncId, Entry.PathSum, Entry.Freq,
-                         Entry.Metric0, Entry.Metric1});
-  }
-  return Records;
-}
-
 void noteMissingRow(const std::string &Workload, const char *Mode) {
   std::fprintf(stderr,
                "pp-report: no scale-1 %s artifact for %s; row skipped\n",
@@ -205,7 +191,8 @@ int renderRepoPathTable(const std::string &Dir, bool Table5,
       noteMissingRow(Spec.Name, Want.Mode.c_str());
       continue;
     }
-    Rows.push_back({Spec.Name, Spec.IsFloat, pathRecordsFromArtifact(*A)});
+    Rows.push_back({Spec.Name, Spec.IsFloat,
+                    analysis::collectPathRecords(A->PathProfiles)});
   }
   std::string Out =
       Table5 ? analysis::renderTable5(Rows) : analysis::renderTable4(Rows);
