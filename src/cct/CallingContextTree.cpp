@@ -210,6 +210,36 @@ void CallingContextTree::commitPath(CallRecord *R, uint64_t PathSum,
   }
 }
 
+RecordCounts cct::recordCounts(const CallRecord &R) {
+  RecordCounts Counts;
+  const std::vector<uint64_t> &M = R.Metrics;
+  Counts.Calls = M.empty() ? 0 : M[0];
+  Counts.Pic0 = M.size() > 1 ? M[1] : 0;
+  Counts.Pic1 = M.size() > 2 ? M[2] : 0;
+  for (const auto &[Sum, Cell] : R.PathTable) {
+    (void)Sum;
+    Counts.Pic0 += Cell.Metric0;
+    Counts.Pic1 += Cell.Metric1;
+  }
+  return Counts;
+}
+
+std::string cct::contextName(const CallRecord &R,
+                             const std::function<std::string(ProcId)> &Name,
+                             const char *Sep) {
+  std::vector<const CallRecord *> Chain;
+  for (const CallRecord *Walk = &R;
+       Walk && Walk->procId() != RootProcId; Walk = Walk->parent())
+    Chain.push_back(Walk);
+  std::string Context;
+  for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
+    if (!Context.empty())
+      Context += Sep;
+    Context += Name((*It)->procId());
+  }
+  return Context;
+}
+
 CctStats CallingContextTree::computeStats() const {
   CctStats Stats;
   Stats.NumRecords = Records.size();

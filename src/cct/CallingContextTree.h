@@ -29,6 +29,7 @@
 #include "support/AddressLayout.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -124,6 +125,22 @@ private:
   unsigned Depth = 0;
   std::vector<Slot> Slots;
 };
+
+/// What one record counted: its calls (Metrics[0]) and its PIC0/PIC1
+/// events — Metrics[1]/[2] for Context+HW plus the sums over the record's
+/// path cells for the combined flow modes. A missing metric reads 0.
+struct RecordCounts {
+  uint64_t Calls = 0;
+  uint64_t Pic0 = 0;
+  uint64_t Pic1 = 0;
+};
+RecordCounts recordCounts(const CallRecord &R);
+
+/// \p R's calling context from the root down, the root's pseudo-procedure
+/// excluded: each procedure named by \p Name, joined by \p Sep.
+std::string contextName(const CallRecord &R,
+                        const std::function<std::string(ProcId)> &Name,
+                        const char *Sep);
 
 /// Aggregate statistics (the raw material of the paper's Table 3).
 struct CctStats {

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -26,11 +25,6 @@ uint64_t nowMs() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-bool setNonBlocking(int Fd) {
-  int Flags = fcntl(Fd, F_GETFL, 0);
-  return Flags >= 0 && fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
 } // namespace

@@ -16,12 +16,10 @@ Driver::~Driver() {
   RunCache::Stats C = Cache.stats();
   std::fprintf(stderr,
                "pp-driver: %zu tickets, %llu runs executed on %u threads; "
-               "cache: %llu memory hits, %llu disk hits, %llu misses, "
-               "%llu stores%s\n",
+               "cache: %llu disk hits, %llu misses, %llu stores%s\n",
                Scheduler.numTickets(),
                static_cast<unsigned long long>(Scheduler.runsExecuted()),
                Scheduler.numThreads(),
-               static_cast<unsigned long long>(C.MemoryHits),
                static_cast<unsigned long long>(C.DiskHits),
                static_cast<unsigned long long>(C.Misses),
                static_cast<unsigned long long>(C.Stores),

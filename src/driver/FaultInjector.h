@@ -7,8 +7,8 @@
 /// fails a configurable fraction of operations so tests (and brave
 /// operators) can prove the driver degrades instead of crashing: a
 /// corrupt cache file is rejected and the run re-executes, a failed write
-/// leaves the memory layer intact, and a failed run produces one
-/// structured error outcome without touching its neighbours.
+/// leaves the run uncached but still returns its outcome, and a failed run
+/// produces one structured error outcome without touching its neighbours.
 ///
 /// All decisions derive from a seeded PRNG and per-seam operation
 /// counters, so a given configuration injects the same faults in the same

@@ -1,4 +1,4 @@
-//===- driver/RunCache.cpp - Memoized run outcomes ----------------------------===//
+//===- driver/RunCache.cpp - Memoized run outcomes on disk --------------------===//
 
 #include "driver/RunCache.h"
 
@@ -29,15 +29,6 @@ std::string RunCache::diskPath(const RunKey &Key) const {
 OutcomePtr RunCache::lookup(const RunKey &Key) {
   if (!Key.Cacheable)
     return nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Memory.find(Key.Fingerprint);
-    if (It != Memory.end()) {
-      ++Counts.MemoryHits;
-      obs::add(obs::Counter::CacheMemoryHits);
-      return It->second;
-    }
-  }
 
   if (!DiskDir.empty()) {
     std::string Path = diskPath(Key);
@@ -51,10 +42,7 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
         obs::add(obs::Counter::CacheDiskHits);
         std::lock_guard<std::mutex> Lock(Mu);
         ++Counts.DiskHits;
-        // Another thread may have raced the file read; first one wins so
-        // every consumer shares one object.
-        auto [It, Inserted] = Memory.emplace(Key.Fingerprint, Outcome);
-        return It->second;
+        return Outcome;
       }
       // The file is unusable whatever the reason (stale version, torn
       // write, bit rot, collision): count it, drop it so the re-executed
@@ -74,36 +62,22 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
 }
 
 void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
-  if (!Key.Cacheable || !Outcome)
+  if (DiskDir.empty() || !Key.Cacheable || !Outcome || !Outcome->Result.Ok)
     return;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (!Memory.emplace(Key.Fingerprint, Outcome).second)
-      return; // already memoized (and, if configured, already on disk)
-    ++Counts.Stores;
-    obs::add(obs::Counter::CacheStores);
-  }
-
-  // Failed runs stay memory-only: persisting them would make a transient
-  // failure (an injected fault, a scheduler-synthesised error) permanent
-  // for every later process sharing the cache directory.
-  if (DiskDir.empty() || !Outcome->Result.Ok)
-    return;
-  if (FaultInjector::instance().shouldFailCacheWrite()) {
-    obs::add(obs::Counter::CacheWriteFailures);
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Counts.WriteFailures;
-    return;
-  }
   std::string Error;
-  if (profdb::writeFileAtomic(
+  if (!FaultInjector::instance().shouldFailCacheWrite() &&
+      profdb::writeFileAtomic(
           diskPath(Key),
           profdb::encodeRunEntry(*Outcome, Key.Fingerprint, Key.Workload,
                                  Key.Scale, Key.Schema),
-          Error))
+          Error)) {
+    obs::add(obs::Counter::CacheStores);
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++Counts.Stores;
     return;
-  // Cache directory not writable or short write; the memory layer still
-  // works, so degrade to uncached-on-disk instead of failing the run.
+  }
+  // Cache directory not writable, short write or injected fault: the run
+  // still returns its outcome, so degrade to uncached instead of failing.
   obs::add(obs::Counter::CacheWriteFailures);
   std::lock_guard<std::mutex> Lock(Mu);
   ++Counts.WriteFailures;

@@ -33,8 +33,8 @@ struct RunKey {
   /// never cached or folded.
   bool Cacheable = true;
 
-  /// What a run-cache entry's artifact header records next to the
-  /// fingerprint (see profdb::encodeRunEntry).
+  /// What the run's artifact header records next to the fingerprint, in
+  /// its cache entry and its deposit alike (see profdb::encodeRunArtifact).
   std::string Workload;
   uint64_t Scale = 1;
   profdb::MetricSchema Schema;

@@ -27,8 +27,8 @@ namespace driver {
 ///
 /// An outcome restored from the on-disk cache has no instrumented module
 /// (Instr.M and every FunctionInstrInfo::F are null); everything else —
-/// totals, path/edge profiles, instrumentation metadata, and the CCT — is
-/// reconstructed in full.
+/// function names, totals, path/edge profiles, instrumentation metadata,
+/// and the CCT — is reconstructed in full.
 using OutcomePtr = std::shared_ptr<const prof::RunOutcome>;
 
 /// One declared run.

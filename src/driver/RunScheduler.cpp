@@ -5,11 +5,8 @@
 #include "driver/FaultInjector.h"
 #include "driver/RunCache.h"
 #include "obs/Obs.h"
-#include "prof/Acquisition.h"
-#include "prof/Mode.h"
 #include "profdb/Store.h"
 #include "support/Env.h"
-#include "support/Format.h"
 #include "workloads/Spec.h"
 
 #include <algorithm>
@@ -21,8 +18,6 @@ using namespace pp;
 using namespace pp::driver;
 
 unsigned RunScheduler::defaultWorkerThreads() {
-  if (envFlag("PP_DRIVER_SERIAL", "pp-driver"))
-    return 0;
   unsigned Default = WorkerPool::hardwareDefault();
   uint64_t Value;
   switch (envUint64("PP_DRIVER_THREADS", "pp-driver", Value)) {
@@ -142,55 +137,43 @@ OutcomePtr RunScheduler::failedOutcome(std::string Error) {
   return Outcome;
 }
 
-void RunScheduler::maybeEmitArtifact(const RunPlan &Plan, const RunKey &Key,
-                                     const OutcomePtr &Outcome) {
+void RunScheduler::maybeEmitArtifact(const RunKey &Key,
+                                     const prof::RunOutcome &Outcome) {
   std::string Dir;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Dir = ProfileOutDir;
   }
-  if (Dir.empty() || !Outcome || !Outcome->Result.Ok)
+  if (Dir.empty() || !Outcome.Result.Ok)
     return;
   std::string Path = Dir + "/" + profdb::artifactFileName(Key.Fingerprint);
   struct stat St;
   if (::stat(Path.c_str(), &St) == 0)
     return; // the fingerprint names the content; an existing file is it
-  // The artifact carries function names, which live in the module, not
-  // the outcome — rebuild it (cache hits skipped the build entirely).
-  std::unique_ptr<ir::Module> M =
-      Plan.Build ? Plan.Build()
-                 : workloads::buildWorkload(Plan.Workload, Plan.Scale);
-  if (!M) {
-    std::fprintf(stderr,
-                 "pp-driver: warning: cannot rebuild workload '%s' for "
-                 "artifact emission\n",
-                 Plan.Workload.c_str());
-    return;
-  }
-  obs::SpanScope Deposit("driver", "artifact_deposit",
-                         Plan.Workload + "@" + std::to_string(Plan.Scale) +
-                             "/" + prof::modeName(Plan.Options.Config.M));
-  profdb::Artifact A = profdb::artifactFromOutcome(
-      *Outcome, *M, Key.Fingerprint, Plan.Workload,
-      static_cast<uint64_t>(Plan.Scale), Plan.Options.Config,
-      prof::acquisitionName(Plan.Options.Acq.Kind));
+  obs::SpanScope Deposit("driver", "artifact_deposit", spanLabel(Key));
   std::string Error;
-  if (!profdb::writeArtifactFile(Path, A, Error))
+  if (!profdb::writeFileAtomic(
+          Path,
+          profdb::encodeRunArtifact(Outcome, Key.Fingerprint, Key.Workload,
+                                    Key.Scale, Key.Schema),
+          Error))
     std::fprintf(stderr,
                  "pp-driver: warning: profile artifact not written: %s\n",
                  Error.c_str());
 }
 
+std::string RunScheduler::spanLabel(const RunKey &Key) {
+  return Key.Workload + "@" + std::to_string(Key.Scale) + "/" +
+         Key.Schema.Mode;
+}
+
 OutcomePtr RunScheduler::executePlan(const RunPlan &Plan, const RunKey &Key) {
-  // One span label per run, shared by all of its stage spans, so the
-  // report aggregates by run identity: "workload@scale/mode".
-  std::string Label = Plan.Workload + "@" + std::to_string(Plan.Scale) +
-                      "/" + prof::modeName(Plan.Options.Config.M);
+  std::string Label = spanLabel(Key);
 
   if (Cache) {
     obs::SpanScope Probe("driver", "cache_probe", Label);
     if (OutcomePtr Hit = Cache->lookup(Key)) {
-      maybeEmitArtifact(Plan, Key, Hit);
+      maybeEmitArtifact(Key, *Hit);
       return Hit;
     }
   }
@@ -225,6 +208,6 @@ OutcomePtr RunScheduler::executePlan(const RunPlan &Plan, const RunKey &Key) {
   }
   if (Cache)
     Cache->insert(Key, Outcome);
-  maybeEmitArtifact(Plan, Key, Outcome);
+  maybeEmitArtifact(Key, *Outcome);
   return Outcome;
 }

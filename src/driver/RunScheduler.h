@@ -5,9 +5,9 @@
 /// independent — one Machine and one Vm per execution, no shared mutable
 /// state anywhere in pp_vm/pp_hw/pp_prof — so runs proceed concurrently
 /// and results are collected deterministically in submission order.
-/// Duplicate submissions of the same RunKey fold onto one execution, and a
-/// RunCache (when attached) is consulted before executing and updated
-/// after.
+/// Duplicate submissions of the same RunKey fold onto one execution —
+/// the driver's one in-memory memo — and a RunCache (when attached) is
+/// consulted before executing and updated after.
 ///
 /// Failure isolation: a run that cannot execute (unknown workload,
 /// injected fault) resolves to a structured outcome with Result.Ok ==
@@ -17,10 +17,9 @@
 ///
 /// Environment knobs: PP_DRIVER_THREADS sets the worker count (a
 /// non-numeric value warns and keeps the hardware default; 0 means
-/// serial), PP_DRIVER_SERIAL=1 forces in-order execution on the calling
-/// thread, and PP_PROFILE_OUT names a directory every successful run
-/// (fresh or cache-hit) deposits a profile artifact into (see
-/// profdb/Store.h).
+/// in-order execution on the calling thread), and PP_PROFILE_OUT names a
+/// directory every successful run (fresh or cache-hit) deposits a profile
+/// artifact into (see profdb/Store.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +70,7 @@ public:
   /// executed or synthesised (unknown workload, injected fault).
   uint64_t runsFailed() const;
 
-  /// PP_DRIVER_SERIAL / PP_DRIVER_THREADS, defaulting to
+  /// PP_DRIVER_THREADS, defaulting to
   /// WorkerPool::hardwareDefault() (the hardware concurrency clamped to
   /// [4, 16]).
   static unsigned defaultWorkerThreads();
@@ -92,10 +91,13 @@ private:
   OutcomePtr executePlan(const RunPlan &Plan, const RunKey &Key);
   /// Deposits \p Outcome as a profile artifact when a profile-out
   /// directory is configured, the run succeeded, and the artifact is not
-  /// already on disk. Emission failures warn on stderr; they never fail
-  /// the run itself.
-  void maybeEmitArtifact(const RunPlan &Plan, const RunKey &Key,
-                         const OutcomePtr &Outcome);
+  /// already on disk. The bytes are encoded straight from the outcome
+  /// (profdb::encodeRunArtifact). Emission failures warn on stderr; they
+  /// never fail the run itself.
+  void maybeEmitArtifact(const RunKey &Key, const prof::RunOutcome &Outcome);
+  /// One span label per run, shared by all of its driver spans, so the
+  /// report aggregates by run identity: "workload@scale/mode".
+  static std::string spanLabel(const RunKey &Key);
   /// A structured failure outcome (Ok = false, \p Error attached).
   static OutcomePtr failedOutcome(std::string Error);
 

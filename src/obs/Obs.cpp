@@ -24,9 +24,9 @@ using namespace pp::obs;
 namespace {
 
 const char *const CounterNames[] = {
-    "cache.memory_hits",      "cache.disk_hits",
-    "cache.misses",           "cache.stores",
-    "cache.corrupt_evictions", "cache.write_failures",
+    "cache.disk_hits",        "cache.misses",
+    "cache.stores",           "cache.corrupt_evictions",
+    "cache.write_failures",
     "scheduler.submitted",    "scheduler.folded",
     "scheduler.executed",     "scheduler.failed",
     "vm.insts",

@@ -58,12 +58,11 @@ namespace obs {
 /// byte-identical across PP_DRIVER_THREADS values. Order here is the
 /// report's field order — append only.
 enum class Counter : unsigned {
-  CacheMemoryHits,       ///< run-cache lookups served from memory
   CacheDiskHits,         ///< run-cache lookups served from disk
   CacheMisses,           ///< run-cache lookups that found nothing usable
-  CacheStores,           ///< outcomes memoized into the cache
+  CacheStores,           ///< outcomes written to the disk cache
   CacheCorruptEvictions, ///< undecodable cache files deleted on lookup
-  CacheWriteFailures,    ///< cache writes that degraded to memory-only
+  CacheWriteFailures,    ///< cache writes that failed (the run stays uncached)
   SchedulerSubmitted,    ///< tickets issued by submit()
   SchedulerFolded,       ///< submissions folded onto an earlier task
   SchedulerExecuted,     ///< runs actually executed (not cache hits)
@@ -96,7 +95,7 @@ enum class Counter : unsigned {
   NumCounters
 };
 
-/// The report key of \p C ("cache.memory_hits", ...).
+/// The report key of \p C ("cache.disk_hits", ...).
 const char *counterName(Counter C);
 
 /// True when recording is on (the default; PP_OBS=0 disables at startup).

@@ -90,6 +90,10 @@ RunOutcome RunStager::extract() {
 
   S->Engine->extract(Outcome, Machine);
 
+  Outcome.Functions.reserve(M.numFunctions());
+  for (size_t Id = 0; Id != M.numFunctions(); ++Id)
+    Outcome.Functions.push_back(M.function(Id)->name());
+
   return std::move(S->Outcome);
 }
 

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace pp {
@@ -79,6 +80,9 @@ struct EdgeProfile {
 /// Everything a run produced.
 struct RunOutcome {
   Instrumented Instr;
+  /// Function names of the profiled module, indexed by function id (the
+  /// ids path profiles and CCT ProcIds refer to).
+  std::vector<std::string> Functions;
   vm::RunResult Result;
   /// Ground-truth event totals of the whole run.
   std::array<uint64_t, hw::NumEvents> Totals{};
@@ -129,7 +133,8 @@ public:
   /// Stage 3: execute main() to completion on the simulated machine.
   void execute();
   /// Stage 4: read counters, path tables, edge counters, and the CCT back
-  /// out of the machine and runtime. Consumes the stager.
+  /// out of the machine and runtime, and name the functions after \p M.
+  /// Consumes the stager.
   RunOutcome extract();
 
   /// The instrumented module (valid after instrument()).

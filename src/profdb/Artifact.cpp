@@ -28,9 +28,9 @@ constexpr size_t MinEdgeProfileBytes = 8 + 1 + 8 + 8;
 // chord count, NumSites, and the SiteIsIndirect length: 8 u64 fields.
 constexpr size_t MinInstrInfoBytes = 3 + 8 * 8;
 
-/// The header of a single run's artifact: everything but the path tables
-/// and the tree.
-Artifact runHeader(const prof::RunOutcome &Outcome, const ir::Module *M,
+/// The header of a single run's artifact: everything but the function
+/// names, the path tables and the tree.
+Artifact runHeader(const prof::RunOutcome &Outcome,
                    const std::string &Fingerprint, const std::string &Workload,
                    uint64_t Scale, const MetricSchema &Schema) {
   Artifact A;
@@ -42,11 +42,6 @@ Artifact runHeader(const prof::RunOutcome &Outcome, const ir::Module *M,
   A.Schema = Schema;
   A.ExecutedInsts = Outcome.Result.ExecutedInsts;
   A.Totals = Outcome.Totals;
-  if (M) {
-    A.Functions.reserve(M->numFunctions());
-    for (size_t Id = 0; Id != M->numFunctions(); ++Id)
-      A.Functions.push_back(M->function(Id)->name());
-  }
   return A;
 }
 
@@ -153,11 +148,11 @@ DecodeStatus readRunSection(ByteReader &R, prof::RunOutcome &Run) {
   return DecodeStatus::Ok;
 }
 
-/// Encodes \p A, except that the path tables and tree are passed apart
-/// from it so a run-cache entry can write them straight from its outcome;
-/// \p Run, when set, adds the run section.
+/// Encodes \p A, except that the function names, path tables and tree are
+/// passed apart from it so a single run's artifact can be written straight
+/// from its outcome; \p Run, when set, adds the run section.
 std::vector<uint8_t>
-encode(const Artifact &A,
+encode(const Artifact &A, const std::vector<std::string> &Functions,
        const std::vector<prof::FunctionPathProfile> &PathProfiles,
        const cct::CallingContextTree *Tree, const prof::RunOutcome *Run) {
   ByteWriter W;
@@ -179,8 +174,8 @@ encode(const Artifact &A,
   for (uint64_t Total : A.Totals)
     W.u64(Total);
 
-  W.u64(A.Functions.size());
-  for (const std::string &Name : A.Functions)
+  W.u64(Functions.size());
+  for (const std::string &Name : Functions)
     W.str(Name);
 
   W.u64(PathProfiles.size());
@@ -372,7 +367,7 @@ uint64_t profdb::fnv1a(const std::string &Text) {
 }
 
 std::vector<uint8_t> profdb::encodeArtifact(const Artifact &A) {
-  return encode(A, A.PathProfiles, A.Tree.get(), nullptr);
+  return encode(A, A.Functions, A.PathProfiles, A.Tree.get(), nullptr);
 }
 
 DecodeStatus profdb::decodeArtifact(const std::vector<uint8_t> &Bytes,
@@ -380,14 +375,24 @@ DecodeStatus profdb::decodeArtifact(const std::vector<uint8_t> &Bytes,
   return decode(Bytes, Out, nullptr);
 }
 
+std::vector<uint8_t> profdb::encodeRunArtifact(const prof::RunOutcome &Outcome,
+                                               const std::string &Fingerprint,
+                                               const std::string &Workload,
+                                               uint64_t Scale,
+                                               const MetricSchema &Schema) {
+  return encode(runHeader(Outcome, Fingerprint, Workload, Scale, Schema),
+                Outcome.Functions, Outcome.PathProfiles, Outcome.Tree.get(),
+                nullptr);
+}
+
 std::vector<uint8_t> profdb::encodeRunEntry(const prof::RunOutcome &Outcome,
                                             const std::string &Fingerprint,
                                             const std::string &Workload,
                                             uint64_t Scale,
                                             const MetricSchema &Schema) {
-  Artifact Header = runHeader(Outcome, Outcome.Instr.M.get(), Fingerprint,
-                              Workload, Scale, Schema);
-  return encode(Header, Outcome.PathProfiles, Outcome.Tree.get(), &Outcome);
+  return encode(runHeader(Outcome, Fingerprint, Workload, Scale, Schema),
+                Outcome.Functions, Outcome.PathProfiles, Outcome.Tree.get(),
+                &Outcome);
 }
 
 DecodeStatus profdb::decodeRunEntry(const std::vector<uint8_t> &Bytes,
@@ -400,6 +405,7 @@ DecodeStatus profdb::decodeRunEntry(const std::vector<uint8_t> &Bytes,
     return DecodeStatus::FingerprintMismatch;
   Out.Result.ExecutedInsts = A.ExecutedInsts;
   Out.Totals = A.Totals;
+  Out.Functions = std::move(A.Functions);
   Out.PathProfiles = std::move(A.PathProfiles);
   Out.Tree = std::move(A.Tree);
   return DecodeStatus::Ok;
@@ -412,8 +418,11 @@ Artifact profdb::artifactFromOutcome(const prof::RunOutcome &Outcome,
                                      uint64_t Scale,
                                      const prof::ProfileConfig &Config,
                                      const std::string &Acquisition) {
-  Artifact A = runHeader(Outcome, &M, Fingerprint, Workload, Scale,
+  Artifact A = runHeader(Outcome, Fingerprint, Workload, Scale,
                          MetricSchema::of(Config, Acquisition));
+  A.Functions.reserve(M.numFunctions());
+  for (size_t Id = 0; Id != M.numFunctions(); ++Id)
+    A.Functions.push_back(M.function(Id)->name());
   A.PathProfiles = Outcome.PathProfiles;
   if (Outcome.Tree)
     A.Tree = cct::CallingContextTree::fromImage(Outcome.Tree->image());

@@ -124,10 +124,20 @@ std::vector<uint8_t> encodeArtifact(const Artifact &A);
 /// and must be discarded.
 DecodeStatus decodeArtifact(const std::vector<uint8_t> &Bytes, Artifact &Out);
 
-/// Encodes the run-cache entry of \p Outcome: its artifact (function
-/// names from Outcome.Instr.M, which keeps the original functions in
-/// their original order) plus the run section. The tree and tables are
-/// written straight from the outcome, never copied.
+/// Encodes the artifact the profile repository stores for one run,
+/// straight from \p Outcome: its function names, totals, path tables and
+/// tree, under the identity \p Fingerprint, \p Workload, \p Scale and
+/// \p Schema (a driver::RunKey carries all four). Byte for byte
+/// encodeArtifact(artifactFromOutcome(...)) of the same run, without
+/// building the module or copying the tree.
+std::vector<uint8_t> encodeRunArtifact(const prof::RunOutcome &Outcome,
+                                       const std::string &Fingerprint,
+                                       const std::string &Workload,
+                                       uint64_t Scale,
+                                       const MetricSchema &Schema);
+
+/// Encodes the run-cache entry of \p Outcome: the artifact
+/// encodeRunArtifact writes, with the run section.
 std::vector<uint8_t> encodeRunEntry(const prof::RunOutcome &Outcome,
                                     const std::string &Fingerprint,
                                     const std::string &Workload,
@@ -135,7 +145,7 @@ std::vector<uint8_t> encodeRunEntry(const prof::RunOutcome &Outcome,
                                     const MetricSchema &Schema);
 
 /// Restores the outcome encodeRunEntry wrote for \p Fingerprint, moving
-/// the decoded tree and tables into \p Out. Beyond decodeArtifact's
+/// the decoded names, tree and tables into \p Out. Beyond decodeArtifact's
 /// verdicts: an older version is BadVersion, an artifact without a run
 /// section is Malformed, and an entry for another fingerprint is
 /// FingerprintMismatch. On success \p Out has no instrumented module

@@ -30,45 +30,21 @@ void collectPaths(const Artifact &A,
   }
 }
 
-std::string contextName(const cct::CallRecord *R,
-                        const std::vector<std::string> &Functions) {
-  // Names from the root down, root's pseudo-procedure excluded.
-  std::vector<const cct::CallRecord *> Chain;
-  for (; R && R->procId() != cct::RootProcId; R = R->parent())
-    Chain.push_back(R);
-  std::string Name;
-  for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-    if (!Name.empty())
-      Name += " > ";
-    cct::ProcId Proc = (*It)->procId();
-    Name += Proc < Functions.size() ? Functions[Proc]
-                                    : "proc" + std::to_string(Proc);
-  }
-  return Name;
-}
-
 void collectContexts(const Artifact &A, std::map<std::string, Triple> &Out) {
   if (!A.Tree)
     return;
+  auto Name = [&A](cct::ProcId Proc) {
+    return Proc < A.Functions.size() ? A.Functions[Proc]
+                                     : "proc" + std::to_string(Proc);
+  };
   for (const auto &R : A.Tree->records()) {
     if (R->procId() == cct::RootProcId)
       continue;
-    Triple T;
-    if (!R->Metrics.empty())
-      T.V0 = R->Metrics[0];
-    if (R->Metrics.size() > 1)
-      T.V1 = R->Metrics[1];
-    if (R->Metrics.size() > 2)
-      T.V2 = R->Metrics[2];
-    for (const auto &[Sum, Cell] : R->PathTable) {
-      (void)Sum;
-      T.V1 += Cell.Metric0;
-      T.V2 += Cell.Metric1;
-    }
-    Triple &Into = Out[contextName(R.get(), A.Functions)];
-    Into.V0 += T.V0;
-    Into.V1 += T.V1;
-    Into.V2 += T.V2;
+    cct::RecordCounts Counts = cct::recordCounts(*R);
+    Triple &Into = Out[cct::contextName(*R, Name, " > ")];
+    Into.V0 += Counts.Calls;
+    Into.V1 += Counts.Pic0;
+    Into.V2 += Counts.Pic1;
   }
 }
 

@@ -20,8 +20,6 @@ unsigned profdb::mergeThreadsFromEnv() {
   if (envUint64("PP_PROFDB_THREADS", "pp-profdb", Value) == EnvParse::Ok)
     return static_cast<unsigned>(
         std::max<uint64_t>(1, std::min<uint64_t>(Value, 64)));
-  if (envFlag("PP_DRIVER_SERIAL", "pp-profdb"))
-    return 1;
   // The driver fallback parses just as strictly: a malformed
   // PP_DRIVER_THREADS used to be skipped silently here while the
   // scheduler warned about the same variable — now both warn.

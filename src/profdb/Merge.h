@@ -57,8 +57,7 @@ bool checkShape(const Artifact &A, bool ATree, const Artifact &B, bool BTree,
 std::string shapeKey(const Artifact &A);
 
 /// Worker threads for mergeAll: PP_PROFDB_THREADS when set (0 means
-/// serial), else the driver's PP_DRIVER_SERIAL / PP_DRIVER_THREADS
-/// convention, else WorkerPool::hardwareDefault() (the hardware
+/// serial), else the driver's PP_DRIVER_THREADS (0 means serial), else WorkerPool::hardwareDefault() (the hardware
 /// concurrency clamped to [4, 16]). Always at least 1.
 unsigned mergeThreadsFromEnv();
 

@@ -195,34 +195,16 @@ std::string profdb::collapsedStacks(const Artifact &A,
   for (const auto &R : A.Tree->records()) {
     if (R->procId() == cct::RootProcId)
       continue;
-    uint64_t Weight = 0;
-    switch (Counter) {
-    case CollapsedCounter::Calls:
-      Weight = R->Metrics.empty() ? 0 : R->Metrics[0];
-      break;
-    case CollapsedCounter::Pic0:
-      Weight = R->Metrics.size() > 1 ? R->Metrics[1] : 0;
-      for (const auto &[Sum, Cell] : R->PathTable)
-        (void)Sum, Weight += Cell.Metric0;
-      break;
-    case CollapsedCounter::Pic1:
-      Weight = R->Metrics.size() > 2 ? R->Metrics[2] : 0;
-      for (const auto &[Sum, Cell] : R->PathTable)
-        (void)Sum, Weight += Cell.Metric1;
-      break;
-    }
+    cct::RecordCounts Counts = cct::recordCounts(*R);
+    uint64_t Weight = Counter == CollapsedCounter::Calls  ? Counts.Calls
+                      : Counter == CollapsedCounter::Pic0 ? Counts.Pic0
+                                                          : Counts.Pic1;
     if (Weight == 0)
       continue;
-    std::vector<const cct::CallRecord *> Chain;
-    for (const cct::CallRecord *Walk = R.get();
-         Walk && Walk->procId() != cct::RootProcId; Walk = Walk->parent())
-      Chain.push_back(Walk);
-    std::string Line;
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      if (!Line.empty())
-        Line += ';';
-      Line += functionName(A.Functions, (*It)->procId());
-    }
+    std::string Line = cct::contextName(
+        *R,
+        [&A](cct::ProcId Proc) { return functionName(A.Functions, Proc); },
+        ";");
     Line += ' ';
     Line += std::to_string(Weight);
     Lines.push_back(std::move(Line));

@@ -43,7 +43,7 @@ bool pp::envBoolOr(const char *Name, const char *Tool, bool Default) {
     if (Text[0] == '1')
       return true;
   }
-  // PP_OBS=true once read as unset while PP_DRIVER_SERIAL=10 read as
+  // PP_OBS=true once read as unset while PP_DRIVER_STATS=10 read as
   // set — both silently. Boolean knobs are as strict as numeric ones.
   std::fprintf(stderr,
                "%s: warning: ignoring non-boolean %s='%s' (want 0 or 1)\n",

@@ -44,7 +44,7 @@ uint64_t envUint64Or(const char *Name, const char *Tool, uint64_t Default);
 bool envBoolOr(const char *Name, const char *Tool, bool Default);
 
 /// envBoolOr with a false default (the repo's flag convention:
-/// PP_DRIVER_SERIAL=1, PP_DRIVER_STATS=1).
+/// PP_DRIVER_STATS=1).
 bool envFlag(const char *Name, const char *Tool = "pp");
 
 } // namespace pp

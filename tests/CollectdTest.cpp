@@ -490,8 +490,9 @@ TEST(CollectdIngestTest, QuotaBoundsEachTenantPerWindow) {
   for (unsigned I = 0; I != 4; ++I) {
     UploadResult R = Service.ingestNow(makeUpload("loud", 0, Serial++));
     EXPECT_EQ(R.Accepted, I < 2);
-    if (!R.Accepted)
+    if (!R.Accepted) {
       EXPECT_EQ(R.Reason, RejectReason::QuotaExceeded);
+    }
   }
   // Another tenant, and the same tenant in another window, are untouched.
   EXPECT_TRUE(Service.ingestNow(makeUpload("quiet", 0, Serial++)).Accepted);

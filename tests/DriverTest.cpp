@@ -12,9 +12,12 @@
 #include "driver/Driver.h"
 #include "obs/Obs.h"
 #include "profdb/Artifact.h"
+#include "profdb/Store.h"
+#include "workloads/Spec.h"
 
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -74,6 +77,9 @@ void expectTreesEqual(const cct::CallingContextTree &A,
 /// contract — disk-restored outcomes do not carry one).
 void expectOutcomesEqual(const prof::RunOutcome &A,
                          const prof::RunOutcome &B) {
+  // Every function is named, and a restored outcome keeps the names.
+  EXPECT_EQ(A.Functions.size(), A.Instr.Functions.size());
+  EXPECT_EQ(A.Functions, B.Functions);
   EXPECT_EQ(A.Result.Ok, B.Result.Ok);
   EXPECT_EQ(A.Result.ExitValue, B.Result.ExitValue);
   EXPECT_EQ(A.Result.ExecutedInsts, B.Result.ExecutedInsts);
@@ -262,7 +268,8 @@ TEST(DriverTest, MemoizedRunEqualsFreshRun) {
   ASSERT_TRUE(First && First->Result.Ok);
   OutcomePtr Second =
       Memoized.run(makePlan("124.m88ksim", prof::Mode::ContextFlow));
-  // The repeat is a memory hit: literally the same object.
+  // The repeat folds onto the first submission: literally the same
+  // object.
   EXPECT_EQ(First.get(), Second.get());
   EXPECT_EQ(Memoized.scheduler().runsExecuted(), 1u);
 
@@ -344,6 +351,59 @@ TEST(DriverTest, DiskCacheRoundTripsAcrossDrivers) {
   expectOutcomesEqual(*Stored, *Restored);
 
   std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
+}
+
+TEST(DriverTest, DepositsAreEncodedFromTheOutcome) {
+  // A deposit is the run's artifact, written from its outcome: the fresh
+  // run builds its module once, to execute it, and a later driver's disk
+  // hit builds none. Both deposits are the bytes the repository's codec
+  // gives the same run.
+  std::string Root = makeTempDir();
+  ASSERT_FALSE(Root.empty());
+  std::atomic<unsigned> Builds{0};
+  RunPlan Plan = makePlan("130.li", prof::Mode::ContextFlowHw);
+  Plan.Build = [&Builds] {
+    ++Builds;
+    return workloads::buildWorkload("130.li", 1);
+  };
+  std::string CacheDir = Root + "/cache";
+  std::string FreshOut = Root + "/fresh", HitOut = Root + "/hit";
+
+  OutcomePtr Fresh;
+  {
+    Driver D(CacheDir, /*Threads=*/2);
+    D.scheduler().setProfileOutDir(FreshOut);
+    Fresh = D.run(Plan);
+    ASSERT_TRUE(Fresh && Fresh->Result.Ok);
+    EXPECT_EQ(D.scheduler().runsExecuted(), 1u);
+  }
+  EXPECT_EQ(Builds.load(), 1u);
+
+  {
+    Driver D(CacheDir, /*Threads=*/2);
+    D.scheduler().setProfileOutDir(HitOut);
+    OutcomePtr Hit = D.run(Plan);
+    ASSERT_TRUE(Hit && Hit->Result.Ok);
+    EXPECT_EQ(D.cache().stats().DiskHits, 1u);
+    EXPECT_EQ(D.scheduler().runsExecuted(), 0u);
+  }
+  EXPECT_EQ(Builds.load(), 1u);
+
+  RunKey Key = RunKey::of(Plan);
+  std::unique_ptr<ir::Module> M = workloads::buildWorkload("130.li", 1);
+  std::vector<uint8_t> Want = profdb::encodeArtifact(
+      profdb::artifactFromOutcome(*Fresh, *M, Key.Fingerprint, Plan.Workload,
+                                  1, Plan.Options.Config));
+  for (const std::string &Dir : {FreshOut, HitOut}) {
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(profdb::readFile(
+        Dir + "/" + profdb::artifactFileName(Key.Fingerprint), Bytes))
+        << Dir;
+    EXPECT_EQ(Bytes, Want) << Dir;
+  }
+
+  std::string Cmd = "rm -rf " + Root;
   (void)std::system(Cmd.c_str());
 }
 
@@ -430,6 +490,7 @@ TEST(RunEntryTest, RoundTripPreservesEveryOutcomeField) {
   Run.Result = Flow->Result;
   Run.Result.ExitValue = 42;
   Run.Result.Error = "kept verbatim";
+  Run.Functions = Flow->Functions;
   Run.Totals = Flow->Totals;
   Run.PathProfiles = Flow->PathProfiles;
   Run.EdgeProfiles = Edge->EdgeProfiles;
@@ -553,7 +614,7 @@ TEST(DriverTest, UnwritableCacheDirDegradesToUncached) {
     // The run still succeeds; only the persistence degraded.
     ASSERT_TRUE(Run && Run->Result.Ok);
     EXPECT_EQ(D.cache().stats().WriteFailures, 1u);
-    // The memory layer still memoizes.
+    // The scheduler's duplicate folding still memoizes.
     OutcomePtr Again = D.run(makePlan("130.li", prof::Mode::Flow));
     EXPECT_EQ(Run.get(), Again.get());
     EXPECT_EQ(D.scheduler().runsExecuted(), 1u);

@@ -173,7 +173,6 @@ TEST(Env, BlKKnobParsesStrictlyAndClampsToRange) {
 }
 
 TEST(Env, DriverThreadsKnobRejectsNonNumeric) {
-  EnvGuard Serial("PP_DRIVER_SERIAL", nullptr);
   {
     EnvGuard Guard("PP_DRIVER_THREADS", "3");
     EXPECT_EQ(driver::RunScheduler::defaultWorkerThreads(), 3u);
@@ -187,8 +186,8 @@ TEST(Env, DriverThreadsKnobRejectsNonNumeric) {
     EXPECT_LE(Threads, 16u);
   }
   {
-    EnvGuard Guard("PP_DRIVER_THREADS", nullptr);
-    EnvGuard SerialOn("PP_DRIVER_SERIAL", "1");
+    // 0 is the serial mode: runs execute on the calling thread.
+    EnvGuard Guard("PP_DRIVER_THREADS", "0");
     EXPECT_EQ(driver::RunScheduler::defaultWorkerThreads(), 0u);
   }
 }
@@ -201,15 +200,14 @@ TEST(Env, ProfDbThreadsKnobRejectsNonNumeric) {
   }
   {
     // Malformed merge-pool knob falls through to the next default, here
-    // PP_DRIVER_SERIAL=1 -> one merge thread.
+    // the serial PP_DRIVER_THREADS=0 -> one merge thread.
     EnvGuard Guard("PP_PROFDB_THREADS", "banana");
-    EnvGuard SerialOn("PP_DRIVER_SERIAL", "1");
+    EnvGuard Serial("PP_DRIVER_THREADS", "0");
     EXPECT_EQ(profdb::mergeThreadsFromEnv(), 1u);
   }
   {
     // And the driver-threads fallback is parsed just as strictly.
     EnvGuard Guard("PP_PROFDB_THREADS", nullptr);
-    EnvGuard SerialOff("PP_DRIVER_SERIAL", nullptr);
     EnvGuard Bad("PP_DRIVER_THREADS", "many");
     unsigned Threads = profdb::mergeThreadsFromEnv();
     EXPECT_GE(Threads, 4u);

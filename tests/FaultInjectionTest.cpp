@@ -513,7 +513,8 @@ TEST(FaultDiskTest, InjectedWriteFailureKeepsMemoryLayer) {
   EXPECT_EQ(D.cache().stats().WriteFailures, 1u);
   EXPECT_EQ(countCacheFiles(Dir), 0u);
 
-  // The memory layer is intact: the repeat is the same object, no rerun.
+  // The scheduler's duplicate folding is intact: the repeat is the same
+  // object, no rerun.
   OutcomePtr Second = D.run(makePlan("130.li", prof::Mode::Flow));
   EXPECT_EQ(First.get(), Second.get());
   EXPECT_EQ(D.scheduler().runsExecuted(), 1u);

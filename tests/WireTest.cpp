@@ -440,8 +440,9 @@ void pumpMutated(const std::vector<uint8_t> &Stream, Rng &R) {
       if (Status != WireStatus::Ok) {
         // A fatal status must be stable: asking again yields the same
         // verdict, not an advance past the poison.
-        if (Status != WireStatus::NeedMore)
+        if (Status != WireStatus::NeedMore) {
           EXPECT_EQ(Decoder.next(Out), Status);
+        }
         break;
       }
     }

@@ -13,7 +13,7 @@ shift
 
 # Neutralise every knob that could perturb output: disk cache reuse,
 # worker-pool stats, fault injection, artifact emission.
-unset PP_RUN_CACHE_DIR PP_DRIVER_STATS PP_DRIVER_SERIAL \
+unset PP_RUN_CACHE_DIR PP_DRIVER_STATS \
       PP_DRIVER_THREADS PP_FAULT_SEED PP_FAULT_RUN_FAIL_MATCH \
       PP_PROFILE_OUT PP_PROFDB_THREADS \
       PP_OBS PP_OBS_OUT PP_OBS_TRACE 2>/dev/null

@@ -28,7 +28,6 @@
 #include "profdb/Store.h"
 #include "support/Format.h"
 #include "support/TableWriter.h"
-#include "workloads/Spec.h"
 
 #include <arpa/inet.h>
 #include <chrono>
@@ -126,9 +125,7 @@ bool buildUploadPool(const std::vector<std::string> &Workloads,
   driver::Driver D(/*DiskDir=*/"", /*Threads=*/0);
   struct Source {
     driver::OutcomePtr Run;
-    std::unique_ptr<ir::Module> Module;
-    prof::ProfileConfig Config;
-    std::string Workload;
+    driver::RunKey Key;
   };
   std::vector<Source> Sources;
   for (const std::string &Name : Workloads) {
@@ -144,9 +141,7 @@ bool buildUploadPool(const std::vector<std::string> &Workloads,
                      S.Run ? S.Run->Result.Error.c_str() : "no outcome");
         return false;
       }
-      S.Module = workloads::buildWorkload(Name, 1);
-      S.Config = Plan.Options.Config;
-      S.Workload = Name;
+      S.Key = driver::RunKey::of(Plan);
       Sources.push_back(std::move(S));
     }
   }
@@ -154,12 +149,11 @@ bool buildUploadPool(const std::vector<std::string> &Workloads,
   uint64_t Total = Clients * UploadsPerClient;
   for (uint64_t Index = 0; Index != Total; ++Index) {
     const Source &S = Sources[Index % Sources.size()];
-    profdb::Artifact A = profdb::artifactFromOutcome(
-        *S.Run, *S.Module,
-        formatString("sim;%s;upload%llu", S.Workload.c_str(),
+    Pool.push_back(profdb::encodeRunArtifact(
+        *S.Run,
+        formatString("sim;%s;upload%llu", S.Key.Workload.c_str(),
                      static_cast<unsigned long long>(Index)),
-        S.Workload, 1, S.Config);
-    Pool.push_back(profdb::encodeArtifact(A));
+        S.Key.Workload, S.Key.Scale, S.Key.Schema));
   }
   return true;
 }

@@ -236,9 +236,15 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   return true;
 }
 
-std::unique_ptr<ir::Module> loadInput(const Options &Opts) {
-  // Built-in workload name?
-  if (auto M = workloads::buildWorkload(Opts.Input, Opts.Scale))
+/// The module Opts.Input names: a registry workload, else a .ppir file.
+/// \p IsBuiltin, when given, learns which of the two it was.
+std::unique_ptr<ir::Module> loadInput(const Options &Opts,
+                                      bool *IsBuiltin = nullptr) {
+  std::unique_ptr<ir::Module> M =
+      workloads::buildWorkload(Opts.Input, Opts.Scale);
+  if (IsBuiltin)
+    *IsBuiltin = M != nullptr;
+  if (M)
     return M;
   // Otherwise a .ppir file.
   std::ifstream File(Opts.Input);
@@ -429,27 +435,13 @@ void reportCct(const prof::RunOutcome &Run, const Options &Opts) {
   for (const cct::CallRecord *R : Sorted) {
     if (Shown++ == Opts.MaxPathsShown)
       break;
-    std::string Context;
-    std::vector<const cct::CallRecord *> Chain;
-    for (const cct::CallRecord *Cursor = R;
-         Cursor && Cursor->procId() != cct::RootProcId;
-         Cursor = Cursor->parent())
-      Chain.push_back(Cursor);
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      if (!Context.empty())
-        Context += " > ";
-      Context += Tree.procDesc((*It)->procId()).Name;
-    }
-    // Metrics live in the record for Context+HW, or summed over the
-    // per-record path cells for the combined flow modes.
-    uint64_t Pic0 = R->Metrics[1], Pic1 = R->Metrics[2];
-    for (const auto &[Sum, Cell] : R->PathTable) {
-      Pic0 += Cell.Metric0;
-      Pic1 += Cell.Metric1;
-    }
-    Table.addRow({Context, std::to_string(R->Metrics[0]),
+    std::string Context = cct::contextName(
+        *R, [&Tree](cct::ProcId Proc) { return Tree.procDesc(Proc).Name; },
+        " > ");
+    cct::RecordCounts Counts = cct::recordCounts(*R);
+    Table.addRow({Context, std::to_string(Counts.Calls),
                   std::to_string(R->PathTable.size()),
-                  std::to_string(Pic0), std::to_string(Pic1)});
+                  std::to_string(Counts.Pic0), std::to_string(Counts.Pic1)});
   }
   std::printf("%s\n", Table.render().c_str());
 
@@ -488,7 +480,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  std::unique_ptr<ir::Module> M = loadInput(Opts);
+  bool IsBuiltin = false;
+  std::unique_ptr<ir::Module> M = loadInput(Opts, &IsBuiltin);
   if (!M)
     return 1;
   if (Opts.DumpIr) {
@@ -546,7 +539,6 @@ int main(int Argc, char **Argv) {
   // ($PP_RUN_CACHE_DIR) lets repeat invocations skip the measurement.
   // File inputs bypass the cache — their contents are not named by the
   // input path, unlike registry workloads.
-  bool IsBuiltin = workloads::buildWorkload(Opts.Input, Opts.Scale) != nullptr;
   auto MakePlan = [&Opts, IsBuiltin](const prof::SessionOptions &Options) {
     driver::RunPlan Plan;
     Plan.Workload = Opts.Input;

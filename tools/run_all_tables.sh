@@ -15,8 +15,8 @@
 #   PP_RUN_CACHE_DIR   cache directory (default: a fresh temp dir)
 #   PP_PROFILE_OUT     artifact repository (default: <output-dir>/artifacts,
 #                      or a fresh temp dir)
-#   PP_DRIVER_THREADS  worker threads (default: hardware, clamped to 4-16)
-#   PP_DRIVER_SERIAL=1 force serial in-order execution
+#   PP_DRIVER_THREADS  worker threads (default: hardware, clamped to 4-16;
+#                      0 forces serial in-order execution)
 #   PP_DRIVER_STATS=1  per-binary scheduling/cache stats on stderr (set
 #                      below unless already set)
 #   PP_OBS=0           disable the observability collector entirely
