@@ -73,7 +73,7 @@ int main() {
   SuiteAverager Averager;
 
   const std::vector<workloads::WorkloadSpec> &Suite = workloads::spec95Suite();
-  const opt::PassOptions PassOpts = opt::PassOptions::fromEnv("ablation_pgo");
+  const opt::PassOptions PassOpts;
 
   // Phase 1: one profiling run and the baseline per workload. The ladder
   // rungs all consume the same profile ticket.

@@ -191,13 +191,13 @@ int main() {
   std::vector<collectd::Upload> Uploads;
   Uploads.reserve(TotalUploads);
   size_t UploadBytes = 0;
+  const profdb::MetricSchema Schema = profdb::MetricSchema::of(Options.Config);
   for (uint64_t Index = 0; Index != TotalUploads; ++Index) {
-    profdb::Artifact A = profdb::artifactFromOutcome(
-        Outcome, *Module, "fleet;upload" + std::to_string(Index), Workload,
-        1, Options.Config);
     uint64_t Client = Index / UploadsPerClient;
     collectd::Upload U{"c" + std::to_string(Client), Client % NumWindows,
-                       profdb::encodeArtifact(A)};
+                       profdb::encodeRunArtifact(
+                           Outcome, "fleet;upload" + std::to_string(Index),
+                           Workload, 1, Schema)};
     UploadBytes += U.Bytes.size();
     Uploads.push_back(std::move(U));
   }

@@ -11,8 +11,7 @@
 // The suite workloads fit the default 16 KiB simulated I-cache entirely
 // (compulsory misses only), which would hide every layout decision; all
 // runs here therefore use a small direct-mapped I-cache (256 bytes of
-// 64-byte lines by default; PP_PGO_ICACHE_BYTES/_LINE/_ASSOC override the
-// geometry), the same machine for baseline and optimized runs, so the
+// 64-byte lines), the same machine for baseline and optimized runs, so the
 // comparison stays fair while capacity and conflict misses make
 // placement visible. (ablation_pgo_layout keeps the
 // default machine and shows the fits-in-cache null result.)
@@ -28,7 +27,6 @@
 #include "driver/RunKey.h"
 #include "opt/Pass.h"
 #include "profdb/Artifact.h"
-#include "support/Env.h"
 
 #include <cstring>
 #include <fstream>
@@ -46,14 +44,9 @@ constexpr const char *LiWorkload = "130.li";
 
 /// The loop's machine: default costs, default D-cache, but a small
 /// direct-mapped I-cache so block placement has observable consequences.
-/// PP_PGO_ICACHE_BYTES / PP_PGO_ICACHE_ASSOC override the geometry for
-/// sensitivity experiments (strict warn-and-default parsing).
 hw::MachineConfig pgoMachine() {
   hw::MachineConfig Cfg;
-  Cfg.ICache = hw::CacheConfig{
-      envUint64Or("PP_PGO_ICACHE_BYTES", "pgo_loop", 256),
-      envUint64Or("PP_PGO_ICACHE_LINE", "pgo_loop", 64),
-      static_cast<unsigned>(envUint64Or("PP_PGO_ICACHE_ASSOC", "pgo_loop", 1))};
+  Cfg.ICache = hw::CacheConfig{256, 64, 1};
   return Cfg;
 }
 
@@ -120,7 +113,7 @@ int main(int Argc, char **Argv) {
   const std::vector<workloads::WorkloadSpec> &Suite = workloads::spec95Suite();
   const std::vector<opt::PassKind> Passes = {
       opt::PassKind::Layout, opt::PassKind::Superblock, opt::PassKind::Inline};
-  const opt::PassOptions PassOpts = opt::PassOptions::fromEnv("pgo_loop");
+  const opt::PassOptions PassOpts;
   const std::string Variant = "layout+superblock+inline";
 
   // Phase 1: one profiling run and two baseline engine runs per workload.

@@ -7,7 +7,6 @@
 #include "profdb/Merge.h"
 #include "profdb/Report.h"
 #include "profdb/Store.h"
-#include "support/Env.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -38,17 +37,10 @@ const char *collectd::rejectReasonName(RejectReason R) {
   return "?";
 }
 
-size_t collectd::retainWindowsFromEnv() {
-  return static_cast<size_t>(
-      envUint64Or("PP_COLLECTD_RETAIN_WINDOWS", "pp-collectd", 0));
-}
-
 IngestService::IngestService(IngestConfig C)
     : Cfg(std::move(C)), Pool(Cfg.Threads, Cfg.QueueCapacity) {
   // The pool's workers read Cfg only inside jobs, which are posted after
   // the constructor returns.
-  if (Cfg.RetainWindows == 0)
-    Cfg.RetainWindows = retainWindowsFromEnv();
   if (Cfg.TenantRatePerSec > 0 && Cfg.TenantRateBurst <= 0)
     Cfg.TenantRateBurst = std::max(1.0, Cfg.TenantRatePerSec);
   if (!Cfg.RateClockNs)
@@ -62,15 +54,6 @@ IngestService::IngestService(IngestConfig C)
 
 void IngestService::submit(Upload U) {
   Pool.post([this, U = std::move(U)]() mutable { ingestNow(std::move(U)); });
-}
-
-bool IngestService::trySubmit(Upload U) {
-  if (Pool.tryPost(
-          [this, U = std::move(U)]() mutable { ingestNow(std::move(U)); }))
-    return true;
-  std::lock_guard<std::mutex> Lock(StateMu);
-  ++Stats.Backpressured;
-  return false;
 }
 
 void IngestService::drain() { Pool.drain(); }

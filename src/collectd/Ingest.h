@@ -28,10 +28,9 @@
 ///      one, and never the group's accepted contents.
 ///
 /// Ingest runs on a support/WorkerPool behind a bounded queue: submit()
-/// blocks for space (backpressure), trySubmit() refuses instead.
-/// Threads == 0 selects the pool's manual-pump mode — submissions only
-/// enqueue, drain() processes them on the calling thread — which is what
-/// the deterministic tests use.
+/// blocks for space (backpressure). Threads == 0 selects the pool's
+/// manual-pump mode — submissions only enqueue, drain() processes them
+/// on the calling thread — which is what the deterministic tests use.
 ///
 /// Every fold is deterministic: the window's merged bytes are identical
 /// for any arrival order or ingest thread count, and equal a flat
@@ -103,7 +102,7 @@ struct IngestConfig {
   /// queue on the calling thread — deterministic, used by tests).
   unsigned Threads = 4;
   /// Bounded queue depth (0 is treated as 1); submit() blocks at
-  /// capacity, trySubmit() refuses.
+  /// capacity.
   size_t QueueCapacity = 1024;
   /// Accepted uploads allowed per (tenant, window); 0 = unlimited.
   uint64_t TenantWindowQuota = 0;
@@ -126,7 +125,7 @@ struct IngestConfig {
   /// oldest are persisted to StoreDir and dropped from memory (then
   /// closed to late uploads — WindowExpired). 0 = unlimited. A window
   /// that cannot be persisted (no StoreDir, write failure) is never
-  /// dropped. Constructor default: $PP_COLLECTD_RETAIN_WINDOWS.
+  /// dropped. pp-collectd sets it from --retain.
   size_t RetainWindows = 0;
 };
 
@@ -141,8 +140,6 @@ struct IngestStats {
   uint64_t Accepted = 0;
   uint64_t Rejected = 0;
   uint64_t RejectedBy[static_cast<size_t>(RejectReason::NumReasons)] = {};
-  /// trySubmit() refusals — backpressure, not upload verdicts.
-  uint64_t Backpressured = 0;
   /// Always 0: window groups fold incrementally and never compact. Kept
   /// only because perfbench's fleet-ingest still reports it; it goes with
   /// that collectd.compactions metric at the next benchmark change.
@@ -156,10 +153,6 @@ struct IngestStats {
   uint64_t RetentionHeld = 0;
 };
 
-/// $PP_COLLECTD_RETAIN_WINDOWS via the strict env path (support/Env.h);
-/// 0 (and unset, and junk-with-a-warning) = unlimited.
-size_t retainWindowsFromEnv();
-
 class IngestService {
 public:
   explicit IngestService(IngestConfig C);
@@ -172,9 +165,6 @@ public:
   /// pumps queued uploads inline on the calling thread instead of
   /// deadlocking.
   void submit(Upload U);
-  /// Enqueues \p U unless the queue is at capacity; false = backpressure,
-  /// the caller should retry later.
-  bool trySubmit(Upload U);
   /// Blocks until every enqueued upload has been ingested. In
   /// manual-pump mode this processes the queue on the calling thread.
   void drain();

@@ -10,11 +10,6 @@
 /// after every pass so a transform bug surfaces as a typed error, never
 /// as a miscomputing program.
 ///
-/// Knobs follow the repo's strict env convention (warn-and-default):
-/// PP_OPT_PASSES (comma-separated pass list), PP_OPT_INLINE_BUDGET
-/// (instructions a caller may grow by), PP_OPT_DUP_BUDGET (instructions
-/// a function may duplicate).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_OPT_PASS_H
@@ -61,10 +56,6 @@ struct PassOptions {
   /// line is a measured pessimization on this machine, whatever its
   /// hotness, and is refused (counted in CostRefusals).
   uint64_t InlineMaxOverhead = 1;
-
-  /// Reads PP_OPT_INLINE_BUDGET / PP_OPT_DUP_BUDGET through the strict
-  /// env path (warn-and-default, support/Env.h).
-  static PassOptions fromEnv(const char *Tool);
 };
 
 /// What one pass did — and what it declined to do, with the reason
@@ -103,11 +94,6 @@ struct PipelineResult {
 /// (running a pass twice is allowed and idempotent for layout).
 bool parsePasses(const std::string &Text, std::vector<PassKind> &Out,
                  std::string &Error);
-
-/// PP_OPT_PASSES via the warn-and-default convention: unset returns
-/// \p Default, a malformed list warns on stderr and returns \p Default.
-std::vector<PassKind> passesFromEnv(const char *Tool,
-                                    std::vector<PassKind> Default);
 
 /// The individual passes (exposed for targeted tests; runPipeline is the
 /// production entry). Each returns its stats and mutates \p M in place.

@@ -6,10 +6,8 @@
 #include "ir/Verifier.h"
 #include "obs/Obs.h"
 #include "opt/Layout.h"
-#include "support/Env.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <cassert>
 
 using namespace pp;
 using namespace pp::opt;
@@ -24,14 +22,6 @@ const char *opt::passName(PassKind Kind) {
     return "inline";
   }
   return "unknown";
-}
-
-PassOptions PassOptions::fromEnv(const char *Tool) {
-  PassOptions Opts;
-  Opts.InlineBudget =
-      envUint64Or("PP_OPT_INLINE_BUDGET", Tool, Opts.InlineBudget);
-  Opts.DupBudget = envUint64Or("PP_OPT_DUP_BUDGET", Tool, Opts.DupBudget);
-  return Opts;
 }
 
 bool opt::parsePasses(const std::string &Text, std::vector<PassKind> &Out,
@@ -61,21 +51,6 @@ bool opt::parsePasses(const std::string &Text, std::vector<PassKind> &Out,
     Pos = Comma + 1;
   }
   return true;
-}
-
-std::vector<PassKind> opt::passesFromEnv(const char *Tool,
-                                         std::vector<PassKind> Default) {
-  const char *Value = std::getenv("PP_OPT_PASSES");
-  if (!Value || !*Value)
-    return Default;
-  std::vector<PassKind> Parsed;
-  std::string Error;
-  if (!parsePasses(Value, Parsed, Error)) {
-    std::fprintf(stderr, "%s: warning: ignoring malformed PP_OPT_PASSES='%s' (%s)\n",
-                 Tool, Value, Error.c_str());
-    return Default;
-  }
-  return Parsed;
 }
 
 PassStats opt::runLayoutPass(ir::Module &M, const ProfileView &View) {

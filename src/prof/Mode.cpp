@@ -2,10 +2,7 @@
 
 #include "prof/Mode.h"
 
-#include "support/Env.h"
-
 #include <cassert>
-#include <cstdio>
 
 using namespace pp;
 using namespace pp::prof;
@@ -31,13 +28,4 @@ const char *prof::modeName(Mode M) {
   }
   assert(false && "invalid mode");
   return "<invalid>";
-}
-
-unsigned prof::defaultKFromEnv(const char *Tool) {
-  uint64_t K = envUint64Or("PP_BL_K", Tool, 1);
-  if (K >= 1 && K <= 16)
-    return static_cast<unsigned>(K);
-  std::fprintf(stderr, "%s: ignoring PP_BL_K=%llu (want 1..16)\n", Tool,
-               static_cast<unsigned long long>(K));
-  return 1;
 }

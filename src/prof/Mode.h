@@ -50,12 +50,6 @@ enum class Mode {
 /// Short mode label for reports.
 const char *modeName(Mode M);
 
-/// The tools' default ProfileConfig::K: $PP_BL_K, strictly parsed.
-/// Malformed or out-of-range values (want 1..16) warn under \p Tool's
-/// name and fall back to classic k = 1; an explicit --k= flag wins over
-/// the environment.
-unsigned defaultKFromEnv(const char *Tool);
-
 inline bool modeUsesPaths(Mode M) {
   return M == Mode::Flow || M == Mode::FlowHw || M == Mode::ContextFlow ||
          M == Mode::ContextFlowHw;

@@ -2,7 +2,6 @@
 
 #include "profdb/Store.h"
 
-#include "support/Env.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -86,9 +85,9 @@ bool isStaleTemp(const std::string &Path, pid_t Pid) {
   if (::stat(Path.c_str(), &St) != 0)
     return false;
   time_t Age = ::time(nullptr) - St.st_mtime;
-  if (Age < staleTempGraceSeconds())
+  if (Age < StaleTempGraceSeconds)
     return false;
-  if (Age >= staleTempHardSeconds())
+  if (Age >= StaleTempHardSeconds)
     return true;
   return ::kill(Pid, 0) != 0 && errno == ESRCH;
 }
@@ -153,22 +152,6 @@ DecodeStatus profdb::readArtifactFile(const std::string &Path,
   if (!readFile(Path, Bytes))
     return DecodeStatus::Unreadable;
   return decodeArtifact(Bytes, Out);
-}
-
-time_t profdb::staleTempGraceSeconds() {
-  return static_cast<time_t>(envUint64Or(
-      "PP_COLLECTD_TEMP_GRACE_SECS", "pp-collectd",
-      static_cast<uint64_t>(StaleTempGraceSeconds)));
-}
-
-time_t profdb::staleTempHardSeconds() {
-  time_t Grace = staleTempGraceSeconds();
-  time_t Hard = static_cast<time_t>(envUint64Or(
-      "PP_COLLECTD_TEMP_HARD_SECS", "pp-collectd",
-      static_cast<uint64_t>(StaleTempHardSeconds)));
-  // An inverted pair would sweep live-writer temps the grace period
-  // promised to keep; clamp rather than guess which knob was meant.
-  return std::max(Hard, Grace);
 }
 
 size_t profdb::sweepStaleTemps(const std::string &Dir) {

@@ -52,19 +52,6 @@ constexpr time_t StaleTempGraceSeconds = 15 * 60;
 /// dead writers' debris forever).
 constexpr time_t StaleTempHardSeconds = 24 * 60 * 60;
 
-/// The grace threshold actually used by the sweep:
-/// $PP_COLLECTD_TEMP_GRACE_SECS via the strict env path (junk warns and
-/// keeps the default), StaleTempGraceSeconds when unset. It governs
-/// artifact repositories and run-cache directories alike. A fleet
-/// collector whose uploaders crash often can shorten it; a shared
-/// filesystem with slow writers can lengthen it.
-time_t staleTempGraceSeconds();
-/// The hard-age threshold actually used by the sweep:
-/// $PP_COLLECTD_TEMP_HARD_SECS, StaleTempHardSeconds when unset. Never
-/// reads below the grace threshold — an inverted pair would sweep temps
-/// the grace period promised to keep.
-time_t staleTempHardSeconds();
-
 /// Deletes writeFileAtomic's "*.tmp.<pid>" temps in \p Dir whose writer
 /// can no longer finish the rename — the debris a writer that crashed between open and
 /// rename leaves behind. Staleness is age-first: temps younger than

@@ -54,15 +54,6 @@ void WorkerPool::post(Job J) {
   NotEmpty.notify_one();
 }
 
-bool WorkerPool::tryPost(Job J) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Queue.size() >= Capacity)
-    return false;
-  Queue.push_back(std::move(J));
-  NotEmpty.notify_one();
-  return true;
-}
-
 void WorkerPool::drain() {
   std::unique_lock<std::mutex> Lock(Mu);
   if (Workers.empty())

@@ -44,8 +44,6 @@ public:
   /// Enqueues \p J, blocking while the queue is full (with 0 threads:
   /// running queued jobs inline until there is room).
   void post(Job J);
-  /// Enqueues \p J unless the queue is full; false = refused.
-  bool tryPost(Job J);
   /// Returns once the queue is empty and no job is running (with 0
   /// threads: after running the backlog on the calling thread).
   void drain();

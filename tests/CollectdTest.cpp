@@ -505,24 +505,6 @@ TEST(CollectdIngestTest, QuotaBoundsEachTenantPerWindow) {
       2u);
 }
 
-TEST(CollectdIngestTest, TrySubmitBackpressuresAtQueueCapacity) {
-  IngestConfig C = manualConfig();
-  C.QueueCapacity = 2;
-  IngestService Service(C);
-
-  EXPECT_TRUE(Service.trySubmit(makeUpload("t0", 0, 0)));
-  EXPECT_TRUE(Service.trySubmit(makeUpload("t0", 0, 1)));
-  // Queue full and no workers: the caller gets backpressure, not a hang.
-  EXPECT_FALSE(Service.trySubmit(makeUpload("t0", 0, 2)));
-  EXPECT_EQ(Service.stats().Backpressured, 1u);
-
-  Service.drain();
-  EXPECT_EQ(Service.stats().Accepted, 2u);
-  EXPECT_TRUE(Service.trySubmit(makeUpload("t0", 0, 2)));
-  Service.drain();
-  EXPECT_EQ(Service.stats().Accepted, 3u);
-}
-
 TEST(CollectdIngestTest, ManualModeSubmitPastCapacityPumpsInline) {
   // submit() in manual-pump mode used to block on QueueNotFull with no
   // consumer to ever wake it: any caller submitting more than

@@ -4,16 +4,17 @@
 // like PP_DRIVER_THREADS=max must warn and fall back to the knob's
 // default, never silently parse as 0 (which would mean "serial" for
 // thread counts and "disarmed" for fault seams). These tests drive the
-// shared helpers and then each knob's consumer.
+// shared helpers and then each knob's consumer, and check that variables
+// retired in favour of a flag or a constant stay inert.
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/FaultInjector.h"
-#include "obs/Obs.h"
-#include "driver/RunScheduler.h"
 #include "collectd/Ingest.h"
-#include "opt/Pass.h"
-#include "prof/Mode.h"
+#include "driver/Driver.h"
+#include "driver/FaultInjector.h"
+#include "driver/RunScheduler.h"
+#include "obs/Obs.h"
+#include "profdb/Artifact.h"
 #include "profdb/Merge.h"
 #include "profdb/Store.h"
 #include "support/Env.h"
@@ -21,7 +22,12 @@
 #include "RandomProgram.h"
 
 #include <cstdlib>
+#include <ctime>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sys/time.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace pp;
 
@@ -148,30 +154,6 @@ TEST(Env, BoolOrKeepsTheDefaultOnBadInput) {
   }
 }
 
-TEST(Env, BlKKnobParsesStrictlyAndClampsToRange) {
-  struct Case {
-    const char *Text; // nullptr = unset
-    unsigned Want;
-  };
-  const Case Cases[] = {
-      {nullptr, 1}, // unset: classic Ball-Larus
-      {"1", 1},
-      {"2", 2},
-      {"16", 16},
-      {"0", 1},      // k = 0 is meaningless: warn, stay classic
-      {"17", 1},     // out of range
-      {"banana", 1}, // malformed must not parse as 0 (or anything)
-      {"2x", 1},
-      {"-1", 1},
-      {" 2", 1},
-  };
-  for (const Case &C : Cases) {
-    EnvGuard Guard("PP_BL_K", C.Text);
-    EXPECT_EQ(prof::defaultKFromEnv("pp-tests"), C.Want)
-        << (C.Text ? C.Text : "<unset>");
-  }
-}
-
 TEST(Env, DriverThreadsKnobRejectsNonNumeric) {
   {
     EnvGuard Guard("PP_DRIVER_THREADS", "3");
@@ -281,104 +263,62 @@ TEST(Env, ObsRingCapacityKnobIsStrictAndClamped) {
   }
 }
 
-TEST(Env, StaleTempSweepKnobsAreStrictAndOrdered) {
+TEST(Env, RetiredKnobsAreInert) {
+  // Each of these once shadowed a config field or a constant. The
+  // setting now has one spelling (pp-collectd --retain, the profdb
+  // sweep constants), so the old variables must change nothing.
+  char Template[] = "/tmp/pp-env-test-XXXXXX";
+  ASSERT_NE(mkdtemp(Template), nullptr);
+  const std::string Dir = Template;
+
   {
-    EnvGuard Grace("PP_COLLECTD_TEMP_GRACE_SECS", nullptr);
-    EnvGuard Hard("PP_COLLECTD_TEMP_HARD_SECS", nullptr);
-    EXPECT_EQ(profdb::staleTempGraceSeconds(), profdb::StaleTempGraceSeconds);
-    EXPECT_EQ(profdb::staleTempHardSeconds(), profdb::StaleTempHardSeconds);
+    // RetainWindows = 0 is unlimited, whatever the environment says.
+    EnvGuard Retain("PP_COLLECTD_RETAIN_WINDOWS", "1");
+    driver::Driver D(/*DiskDir=*/"", /*Threads=*/0);
+    driver::RunPlan Plan;
+    Plan.Workload = "130.li";
+    Plan.Options.Config.M = prof::Mode::Flow;
+    driver::OutcomePtr Run = D.run(Plan);
+    ASSERT_TRUE(Run && Run->Result.Ok);
+    const profdb::MetricSchema Schema =
+        profdb::MetricSchema::of(Plan.Options.Config);
+
+    collectd::IngestConfig C;
+    C.Threads = 0;
+    C.StoreDir = Dir + "/store";
+    collectd::IngestService Service(C);
+    for (uint64_t Window = 0; Window != 3; ++Window)
+      ASSERT_TRUE(Service
+                      .ingestNow({"t0", Window,
+                                  profdb::encodeRunArtifact(
+                                      *Run, "env;u" + std::to_string(Window),
+                                      "130.li", 1, Schema)})
+                      .Accepted);
+    EXPECT_EQ(Service.windows(), (std::vector<uint64_t>{0, 1, 2}));
+    EXPECT_EQ(Service.stats().WindowsExpired, 0u);
   }
+
   {
+    // A dead writer's temp inside the constant grace period survives the
+    // sweep, however short the variables would make the grace.
     EnvGuard Grace("PP_COLLECTD_TEMP_GRACE_SECS", "60");
-    EnvGuard Hard("PP_COLLECTD_TEMP_HARD_SECS", "3600");
-    EXPECT_EQ(profdb::staleTempGraceSeconds(), 60);
-    EXPECT_EQ(profdb::staleTempHardSeconds(), 3600);
+    EnvGuard Hard("PP_COLLECTD_TEMP_HARD_SECS", "120");
+    pid_t Dead = fork();
+    ASSERT_GE(Dead, 0);
+    if (Dead == 0)
+      _exit(0);
+    ASSERT_EQ(waitpid(Dead, nullptr, 0), Dead);
+    const std::string Temp =
+        Dir + "/ppa-00000000deadbeef.ppa.tmp." + std::to_string(Dead);
+    { std::ofstream(Temp, std::ios::binary) << "partial"; }
+    struct timeval Times[2];
+    Times[0].tv_sec = Times[1].tv_sec = ::time(nullptr) - 90;
+    Times[0].tv_usec = Times[1].tv_usec = 0;
+    ASSERT_EQ(::utimes(Temp.c_str(), Times), 0);
+    EXPECT_EQ(profdb::sweepStaleTemps(Dir), 0u);
+    EXPECT_EQ(::access(Temp.c_str(), F_OK), 0);
   }
-  {
-    // Typos warn and keep the defaults: "soon" must not parse as 0,
-    // which would let the sweeper delete a temp file mid-write.
-    EnvGuard Grace("PP_COLLECTD_TEMP_GRACE_SECS", "soon");
-    EnvGuard Hard("PP_COLLECTD_TEMP_HARD_SECS", "later");
-    EXPECT_EQ(profdb::staleTempGraceSeconds(), profdb::StaleTempGraceSeconds);
-    EXPECT_EQ(profdb::staleTempHardSeconds(), profdb::StaleTempHardSeconds);
-  }
-  {
-    // The hard deadline clamps to at least the grace period, so an
-    // operator raising only the grace can never make the hard sweep
-    // delete files the grace pass still protects.
-    EnvGuard Grace("PP_COLLECTD_TEMP_GRACE_SECS", "7200");
-    EnvGuard Hard("PP_COLLECTD_TEMP_HARD_SECS", "60");
-    EXPECT_EQ(profdb::staleTempGraceSeconds(), 7200);
-    EXPECT_EQ(profdb::staleTempHardSeconds(), 7200);
-  }
-}
 
-TEST(Env, OptBudgetKnobsAreStrict) {
-  {
-    EnvGuard Inline("PP_OPT_INLINE_BUDGET", "64");
-    EnvGuard Dup("PP_OPT_DUP_BUDGET", "32");
-    opt::PassOptions Opts = opt::PassOptions::fromEnv("pp-tests");
-    EXPECT_EQ(Opts.InlineBudget, 64u);
-    EXPECT_EQ(Opts.DupBudget, 32u);
-  }
-  {
-    // Typos keep the defaults: "big" must not parse as 0, which would
-    // silently disable inlining and tail duplication everywhere.
-    EnvGuard Inline("PP_OPT_INLINE_BUDGET", "big");
-    EnvGuard Dup("PP_OPT_DUP_BUDGET", "lots");
-    opt::PassOptions Opts = opt::PassOptions::fromEnv("pp-tests");
-    EXPECT_EQ(Opts.InlineBudget, opt::PassOptions().InlineBudget);
-    EXPECT_EQ(Opts.DupBudget, opt::PassOptions().DupBudget);
-  }
-  {
-    EnvGuard Inline("PP_OPT_INLINE_BUDGET", nullptr);
-    EnvGuard Dup("PP_OPT_DUP_BUDGET", nullptr);
-    opt::PassOptions Opts = opt::PassOptions::fromEnv("pp-tests");
-    EXPECT_EQ(Opts.InlineBudget, opt::PassOptions().InlineBudget);
-    EXPECT_EQ(Opts.DupBudget, opt::PassOptions().DupBudget);
-  }
-}
-
-TEST(Env, OptPassListKnobIsStrict) {
-  const std::vector<opt::PassKind> Default = {opt::PassKind::Layout,
-                                              opt::PassKind::Superblock};
-  {
-    EnvGuard Guard("PP_OPT_PASSES", "inline,layout");
-    std::vector<opt::PassKind> Passes =
-        opt::passesFromEnv("pp-tests", Default);
-    ASSERT_EQ(Passes.size(), 2u);
-    EXPECT_EQ(Passes[0], opt::PassKind::Inline);
-    EXPECT_EQ(Passes[1], opt::PassKind::Layout);
-  }
-  {
-    // An unknown pass name warns and keeps the caller's default order —
-    // a typo must not silently run an empty (or partial) pipeline.
-    EnvGuard Guard("PP_OPT_PASSES", "layout,unroll");
-    EXPECT_EQ(opt::passesFromEnv("pp-tests", Default), Default);
-  }
-  {
-    EnvGuard Guard("PP_OPT_PASSES", nullptr);
-    EXPECT_EQ(opt::passesFromEnv("pp-tests", Default), Default);
-  }
-  {
-    EnvGuard Guard("PP_OPT_PASSES", "");
-    EXPECT_EQ(opt::passesFromEnv("pp-tests", Default), Default);
-  }
-}
-
-TEST(Env, RetainWindowsKnobIsStrict) {
-  {
-    EnvGuard Guard("PP_COLLECTD_RETAIN_WINDOWS", nullptr);
-    EXPECT_EQ(collectd::retainWindowsFromEnv(), 0u);
-  }
-  {
-    EnvGuard Guard("PP_COLLECTD_RETAIN_WINDOWS", "8");
-    EXPECT_EQ(collectd::retainWindowsFromEnv(), 8u);
-  }
-  {
-    // "lots" keeps the default 0 (retention disabled), never a random
-    // cap that would start expiring live windows.
-    EnvGuard Guard("PP_COLLECTD_RETAIN_WINDOWS", "lots");
-    EXPECT_EQ(collectd::retainWindowsFromEnv(), 0u);
-  }
+  std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
 }

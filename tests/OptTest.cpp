@@ -198,6 +198,19 @@ TEST(OptLayout, SingleBlockFunctionNeverChurns) {
   EXPECT_FALSE(opt::reorderTraceFirst(*F, {F->entry()}));
 }
 
+TEST(OptPipeline, ParsesPassListsStrictly) {
+  std::vector<opt::PassKind> Passes;
+  std::string Error;
+  ASSERT_TRUE(opt::parsePasses("inline,layout", Passes, Error)) << Error;
+  EXPECT_EQ(Passes, (std::vector<opt::PassKind>{opt::PassKind::Inline,
+                                                 opt::PassKind::Layout}));
+  // An unknown name fails and names the culprit: a typo must not run a
+  // partial pipeline.
+  EXPECT_FALSE(opt::parsePasses("layout,unroll", Passes, Error));
+  EXPECT_NE(Error.find("unroll"), std::string::npos) << Error;
+  EXPECT_FALSE(opt::parsePasses("", Passes, Error));
+}
+
 TEST(OptPipeline, SuitePreservesBehaviourAndDoesVisibleWork) {
   unsigned TotalDuplicated = 0, TotalInlined = 0, TotalReordered = 0;
   for (const workloads::WorkloadSpec &Spec : workloads::spec95Suite()) {

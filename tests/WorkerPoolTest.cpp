@@ -1,9 +1,9 @@
 //===- tests/WorkerPoolTest.cpp - bounded FIFO worker pool tests ---------------===//
 //
-// The pool's contract: tryPost refuses at capacity, a blocked post
-// resumes once a job leaves the queue, the 0-thread pool runs its jobs
-// on the caller in FIFO order without deadlocking past capacity, drain
-// waits for jobs in flight, and the destructor finishes every queued job.
+// The pool's contract: a blocked post resumes once a job leaves the
+// queue, the 0-thread pool runs its jobs on the caller in FIFO order
+// without deadlocking past capacity, drain waits for jobs in flight, and
+// the destructor finishes every queued job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,30 +48,6 @@ struct Log {
 };
 
 } // namespace
-
-TEST(WorkerPoolTest, TryPostRefusesAtCapacity) {
-  Gate Release, Started;
-  WorkerPool Pool(1, /*Capacity=*/1);
-  Pool.post([&] {
-    Started.open();
-    Release.wait();
-  });
-  Started.wait(); // the worker holds the first job; the queue is empty
-  std::atomic<int> Ran{0};
-  EXPECT_TRUE(Pool.tryPost([&] { ++Ran; }));
-  EXPECT_FALSE(Pool.tryPost([&] { ++Ran; }));
-  Release.open();
-  Pool.drain();
-  EXPECT_EQ(Ran.load(), 1);
-
-  WorkerPool Inline(0, /*Capacity=*/2);
-  EXPECT_TRUE(Inline.tryPost([&] { ++Ran; }));
-  EXPECT_TRUE(Inline.tryPost([&] { ++Ran; }));
-  EXPECT_FALSE(Inline.tryPost([&] { ++Ran; }));
-  EXPECT_EQ(Ran.load(), 1); // tryPost never runs anything inline
-  Inline.drain();
-  EXPECT_EQ(Ran.load(), 3);
-}
 
 TEST(WorkerPoolTest, BlockedPostResumesAfterAJobFinishes) {
   Gate Release, Started;

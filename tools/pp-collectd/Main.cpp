@@ -34,7 +34,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <netinet/in.h>
 #include <string>
 #include <sys/socket.h>
@@ -170,7 +169,6 @@ void printStats(const collectd::IngestService &Service) {
     Table.addRow({formatString("  %s", collectd::rejectReasonName(
                                            collectd::RejectReason(R))),
                   std::to_string(Stats.RejectedBy[R])});
-  Table.addRow({"backpressured", std::to_string(Stats.Backpressured)});
   Table.addRow({"windows", std::to_string(Stats.Windows)});
   Table.addRow({"queries", std::to_string(Stats.Queries)});
   Table.addRow({"windows expired", std::to_string(Stats.WindowsExpired)});
@@ -614,9 +612,12 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     for (const std::string &Path : Files) {
-      std::ifstream In(Path, std::ios::binary);
-      std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                                 std::istreambuf_iterator<char>());
+      std::vector<uint8_t> Bytes;
+      if (!profdb::readFile(Path, Bytes)) {
+        std::fprintf(stderr, "pp-collectd: skipping %s: unreadable\n",
+                     Path.c_str());
+        continue;
+      }
       Service.submit({Path, Window, std::move(Bytes)});
     }
   } else {

@@ -53,15 +53,10 @@ void printUsage() {
       "                    workload name)\n"
       "  --profile <file>  the .ppa artifact to optimize from\n"
       "  --passes <list>   comma-separated pass order: layout, superblock,\n"
-      "                    inline (default $PP_OPT_PASSES, else all three)\n"
+      "                    inline (default all three)\n"
       "  --out <file>      write the optimized module here (.ppir text)\n"
       "  --report <fmt>    print a per-pass report: text or json\n"
-      "  --scale <n>       workload scale factor (default 1)\n"
-      "\n"
-      "environment:\n"
-      "  PP_OPT_PASSES         default pass list\n"
-      "  PP_OPT_INLINE_BUDGET  max instructions a caller may grow by\n"
-      "  PP_OPT_DUP_BUDGET     max instructions a function may duplicate\n");
+      "  --scale <n>       workload scale factor (default 1)\n");
 }
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
@@ -197,19 +192,17 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  std::vector<opt::PassKind> Passes;
+  std::vector<opt::PassKind> Passes = {opt::PassKind::Layout,
+                                       opt::PassKind::Superblock,
+                                       opt::PassKind::Inline};
   if (!Opts.PassText.empty()) {
     std::string Error;
     if (!opt::parsePasses(Opts.PassText, Passes, Error)) {
       std::fprintf(stderr, "pp-opt: bad --passes: %s\n", Error.c_str());
       return 1;
     }
-  } else {
-    Passes = opt::passesFromEnv(
-        "pp-opt", {opt::PassKind::Layout, opt::PassKind::Superblock,
-                   opt::PassKind::Inline});
   }
-  const opt::PassOptions PassOpts = opt::PassOptions::fromEnv("pp-opt");
+  const opt::PassOptions PassOpts;
 
   const size_t InstsBefore = M->numInsts();
   opt::PipelineResult Result = opt::runPipeline(*M, View, Passes, PassOpts);

@@ -18,7 +18,6 @@
 #include "obs/Obs.h"
 #include "ir/Printer.h"
 #include "prof/Session.h"
-#include "support/Env.h"
 #include "support/Format.h"
 #include "support/TableWriter.h"
 #include "workloads/Spec.h"
@@ -71,8 +70,7 @@ void printUsage() {
       "  --scale=<n>       workload scale factor (default 1)\n"
       "  --k=<n>           count paths spanning up to n-1 back edges\n"
       "                    (k-iteration Ball-Larus; default 1 = classic;\n"
-      "                    needs flow/flowhw mode and exact acquisition;\n"
-      "                    $PP_BL_K sets the default)\n"
+      "                    needs flow/flowhw mode and exact acquisition)\n"
       "  --hot=<frac>      hot-path threshold as a miss fraction "
       "(default 0.01)\n"
       "  --paths=<n>       hot paths to list (default 10)\n"
@@ -464,9 +462,6 @@ void reportCct(const prof::RunOutcome &Run, const Options &Opts) {
 
 int main(int Argc, char **Argv) {
   Options Opts;
-  // $PP_BL_K supplies the default k (strictly parsed — a malformed value
-  // warns and falls back to classic); an explicit --k= wins.
-  Opts.K = prof::defaultKFromEnv("pp");
   if (!parseArgs(Argc, Argv, Opts))
     return 1;
   if (Opts.ListWorkloads) {
