@@ -41,8 +41,8 @@ RunScheduler::RunScheduler(RunCache *Cache, unsigned Threads)
       // function-local statics are destroyed in reverse construction
       // order, so this guarantees the collector outlives a static Driver
       // — the pool's destructor (which joins the workers) runs before the
-      // collector flushes the report, and no worker can append to a
-      // destroyed ring buffer.
+      // collector flushes the report, and no worker can record into a
+      // destroyed collector.
       Pool(((void)obs::enabled(), Threads)) {}
 
 size_t RunScheduler::submit(RunPlan Plan) {

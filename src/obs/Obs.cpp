@@ -13,8 +13,8 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -54,7 +54,8 @@ uint64_t hostNowNs() {
           .count());
 }
 
-/// One ring-buffer entry: a closed span or a gauge sample.
+/// One trace entry: a closed span or a gauge sample, with the lane of the
+/// thread that recorded it.
 struct Record {
   const char *Cat = "";
   const char *Name = "";
@@ -64,38 +65,20 @@ struct Record {
   uint64_t T0Ns = 0;
   uint64_t T1Ns = 0;
   int64_t GaugeValue = 0;
+  unsigned Lane = 0;
   bool IsGauge = false;
 };
 
-/// The env-configured ring capacity, read once at first buffer
-/// allocation (every buffer in a process has the same capacity).
-size_t cachedRingCapacity() {
-  static const size_t Cap = configuredRingCapacity();
-  return Cap;
-}
-
-/// A fixed-capacity single-writer ring. The owning thread appends with a
-/// release store of Count; any reader that loads Count with acquire sees
-/// every record below it fully written. Appends never lock and never
-/// block: a full ring counts the drop and moves on.
-struct ThreadBuffer {
-  const size_t Capacity = cachedRingCapacity();
-  std::vector<Record> Ring{Capacity};
-  std::atomic<size_t> Count{0};
-  std::atomic<uint64_t> Dropped{0};
-  unsigned Lane = 0;
-
-  void append(const Record &R) {
-    size_t Index = Count.load(std::memory_order_relaxed);
-    if (Index == Capacity) {
-      Dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Ring[Index] = R;
-    Count.store(Index + 1, std::memory_order_release);
-  }
+struct SpanSum {
+  uint64_t Count = 0;
+  uint64_t Items = 0;
+  uint64_t Work = 0;
 };
 
+/// The process-wide recorder: counters, the span table the JSON report
+/// reads and the capped trace buffer the Chrome trace reads (Obs.h's file
+/// comment gives the bounds). Recording sites are stage boundaries, so one
+/// short critical section per record is cheap.
 class Collector {
 public:
   static Collector &instance() {
@@ -103,7 +86,8 @@ public:
     return C;
   }
 
-  Collector() : StartNs(hostNowNs()) {
+  Collector()
+      : StartNs(hostNowNs()), TraceCapacity(configuredRingCapacity()) {
     // Recording defaults on; only a strict PP_OBS=0 disables it. A value
     // like PP_OBS=true warns and keeps the default instead of silently
     // reading as anything.
@@ -118,8 +102,8 @@ public:
   ~Collector() {
     // Process exit: the scheduler (a function-local static constructed
     // after this collector, because its construction records counters)
-    // has already been destroyed and its workers joined, so the rings
-    // are quiescent.
+    // has already been destroyed and its workers joined, so nothing
+    // records any more.
     std::string Report, Trace;
     {
       std::lock_guard<std::mutex> Lock(PathMu);
@@ -130,18 +114,6 @@ public:
       writeFile(Report, renderJson(), "report");
     if (!Trace.empty())
       writeFile(Trace, renderTrace(), "trace");
-  }
-
-  ThreadBuffer &threadBuffer() {
-    thread_local ThreadBuffer *Buffer = nullptr;
-    if (!Buffer) {
-      auto Owned = std::make_unique<ThreadBuffer>();
-      Buffer = Owned.get();
-      std::lock_guard<std::mutex> Lock(RegistryMu);
-      Buffer->Lane = static_cast<unsigned>(Buffers.size());
-      Buffers.push_back(std::move(Owned));
-    }
-    return *Buffer;
   }
 
   std::atomic<bool> Enabled{true};
@@ -159,14 +131,42 @@ public:
     TracePath = Path;
   }
 
+  /// Adds a closed span to the span table (a gauge skips it) and appends
+  /// \p R to the trace buffer, which grows on demand up to TraceCapacity
+  /// and counts what it refuses past that.
+  void record(Record R) {
+    static std::atomic<unsigned> NextLane{0};
+    thread_local const unsigned Lane =
+        NextLane.fetch_add(1, std::memory_order_relaxed);
+    R.Lane = Lane;
+    std::lock_guard<std::mutex> Lock(RecordMu);
+    if (!R.IsGauge) {
+      // Looked up through views: a key already present allocates nothing.
+      std::tuple<std::string_view, std::string_view, std::string_view> Key(
+          R.Cat, R.Name, R.Label);
+      auto It = Spans.lower_bound(Key);
+      if (It == Spans.end() || Key < It->first)
+        It = Spans.emplace_hint(It, Key, SpanSum{});
+      ++It->second.Count;
+      It->second.Items += R.Items;
+      It->second.Work += R.Work;
+    }
+    if (Trace.size() == TraceCapacity) {
+      ++Dropped;
+      return;
+    }
+    if (Trace.size() == Trace.capacity())
+      Trace.reserve(std::min(TraceCapacity, 2 * Trace.size() + 64));
+    Trace.push_back(R);
+  }
+
   void reset() {
     for (auto &C : Counters)
       C.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(RegistryMu);
-    for (auto &Buffer : Buffers) {
-      Buffer->Count.store(0, std::memory_order_relaxed);
-      Buffer->Dropped.store(0, std::memory_order_relaxed);
-    }
+    std::lock_guard<std::mutex> Lock(RecordMu);
+    Spans.clear();
+    std::vector<Record>().swap(Trace);
+    Dropped = 0;
   }
 
   std::string renderJson();
@@ -184,8 +184,15 @@ private:
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   }
 
-  std::mutex RegistryMu;
-  std::vector<std::unique_ptr<ThreadBuffer>> Buffers;
+  const size_t TraceCapacity;
+  std::mutex RecordMu;
+  /// Span sums by (category, name, label); iteration order is the
+  /// report's sort.
+  std::map<std::tuple<std::string, std::string, std::string>, SpanSum,
+           std::less<>>
+      Spans;
+  std::vector<Record> Trace;
+  uint64_t Dropped = 0;
   std::mutex PathMu;
   std::string ReportPath;
   std::string TracePath;
@@ -215,34 +222,7 @@ void appendUint(std::string &Out, uint64_t Value) {
 }
 
 std::string Collector::renderJson() {
-  // Aggregate spans by (category, name, label). The map iteration order
-  // is the sort; drops of per-thread interleaving happen here — the
-  // aggregate depends only on the set of records, not on which thread
-  // recorded them or when.
-  struct Agg {
-    uint64_t Count = 0;
-    uint64_t Items = 0;
-    uint64_t Work = 0;
-  };
-  std::map<std::tuple<std::string, std::string, std::string>, Agg> Spans;
-  uint64_t Dropped = 0;
-  {
-    std::lock_guard<std::mutex> Lock(RegistryMu);
-    for (const auto &Buffer : Buffers) {
-      size_t N = Buffer->Count.load(std::memory_order_acquire);
-      Dropped += Buffer->Dropped.load(std::memory_order_relaxed);
-      for (size_t Index = 0; Index != N; ++Index) {
-        const Record &R = Buffer->Ring[Index];
-        if (R.IsGauge)
-          continue; // host-time samples: trace-only (nondeterministic)
-        Agg &A = Spans[{R.Cat, R.Name, R.Label}];
-        ++A.Count;
-        A.Items += R.Items;
-        A.Work += R.Work;
-      }
-    }
-  }
-
+  std::lock_guard<std::mutex> Lock(RecordMu);
   std::string Out;
   Out += "{\n  \"pp_obs_version\": 1,\n  \"dropped_records\": ";
   appendUint(Out, Dropped);
@@ -257,7 +237,7 @@ std::string Collector::renderJson() {
                                                                   : ",\n";
   }
   Out += "  },\n  \"spans\": [\n";
-  // Virtual time: aggregated spans laid end to end in sorted order, each
+  // Virtual time: span sums laid end to end in sorted order, each
   // occupying exactly its work measure. No host clock anywhere.
   uint64_t Cursor = 0;
   size_t Emitted = 0;
@@ -287,49 +267,43 @@ std::string Collector::renderJson() {
 
 std::string Collector::renderTrace() {
   std::string Out = "{\"traceEvents\": [\n";
-  bool First = true;
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  for (const auto &Buffer : Buffers) {
-    size_t N = Buffer->Count.load(std::memory_order_acquire);
-    for (size_t Index = 0; Index != N; ++Index) {
-      const Record &R = Buffer->Ring[Index];
-      if (!First)
-        Out += ",\n";
-      First = false;
-      char Head[160];
-      if (R.IsGauge) {
-        std::snprintf(Head, sizeof(Head),
-                      "{\"ph\": \"C\", \"pid\": 1, \"tid\": %u, "
-                      "\"ts\": %.3f, \"name\": \"",
-                      Buffer->Lane,
-                      double(R.T0Ns - StartNs) / 1e3);
-        Out += Head;
-        jsonEscapeInto(Out, R.Name);
-        Out += "\", \"args\": {\"value\": ";
-        char Val[32];
-        std::snprintf(Val, sizeof(Val), "%lld",
-                      static_cast<long long>(R.GaugeValue));
-        Out += Val;
-        Out += "}}";
-        continue;
-      }
+  std::lock_guard<std::mutex> Lock(RecordMu);
+  for (size_t Index = 0; Index != Trace.size(); ++Index) {
+    const Record &R = Trace[Index];
+    if (Index)
+      Out += ",\n";
+    char Head[160];
+    if (R.IsGauge) {
       std::snprintf(Head, sizeof(Head),
-                    "{\"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
-                    "\"ts\": %.3f, \"dur\": %.3f, \"cat\": \"",
-                    Buffer->Lane, double(R.T0Ns - StartNs) / 1e3,
-                    double(R.T1Ns - R.T0Ns) / 1e3);
+                    "{\"ph\": \"C\", \"pid\": 1, \"tid\": %u, "
+                    "\"ts\": %.3f, \"name\": \"",
+                    R.Lane, double(R.T0Ns - StartNs) / 1e3);
       Out += Head;
-      jsonEscapeInto(Out, R.Cat);
-      Out += "\", \"name\": \"";
       jsonEscapeInto(Out, R.Name);
-      Out += "\", \"args\": {\"label\": \"";
-      jsonEscapeInto(Out, R.Label);
-      Out += "\", \"work\": ";
-      appendUint(Out, R.Work);
-      Out += ", \"items\": ";
-      appendUint(Out, R.Items);
+      Out += "\", \"args\": {\"value\": ";
+      char Val[32];
+      std::snprintf(Val, sizeof(Val), "%lld",
+                    static_cast<long long>(R.GaugeValue));
+      Out += Val;
       Out += "}}";
+      continue;
     }
+    std::snprintf(Head, sizeof(Head),
+                  "{\"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
+                  "\"ts\": %.3f, \"dur\": %.3f, \"cat\": \"",
+                  R.Lane, double(R.T0Ns - StartNs) / 1e3,
+                  double(R.T1Ns - R.T0Ns) / 1e3);
+    Out += Head;
+    jsonEscapeInto(Out, R.Cat);
+    Out += "\", \"name\": \"";
+    jsonEscapeInto(Out, R.Name);
+    Out += "\", \"args\": {\"label\": \"";
+    jsonEscapeInto(Out, R.Label);
+    Out += "\", \"work\": ";
+    appendUint(Out, R.Work);
+    Out += ", \"items\": ";
+    appendUint(Out, R.Items);
+    Out += "}}";
   }
   Out += "\n]}\n";
   return Out;
@@ -344,8 +318,8 @@ const char *obs::counterName(Counter C) {
 size_t obs::configuredRingCapacity() {
   uint64_t Cap =
       envUint64Or("PP_OBS_RING_CAPACITY", "pp-obs", uint64_t(1) << 14);
-  // Below 64 records a ring cannot hold even one run's spans; above 2^20
-  // the report pass would allocate gigabytes across a wide worker pool.
+  // Below 64 records the trace cannot hold even one run's spans; above
+  // 2^20 (128 MiB of records) it would dwarf the work it traces.
   if (Cap < 64)
     Cap = 64;
   if (Cap > (uint64_t(1) << 20))
@@ -384,7 +358,7 @@ void obs::gauge(const char *Name, int64_t Value) {
   R.IsGauge = true;
   R.GaugeValue = Value;
   R.T0Ns = R.T1Ns = hostNowNs();
-  Coll.threadBuffer().append(R);
+  Coll.record(R);
 }
 
 SpanScope::SpanScope(const char *Cat, const char *Name,
@@ -410,7 +384,7 @@ SpanScope::~SpanScope() {
   R.Items = Items;
   R.T0Ns = T0Ns;
   R.T1Ns = hostNowNs();
-  Collector::instance().threadBuffer().append(R);
+  Collector::instance().record(R);
 }
 
 std::string obs::renderJsonReport() {

@@ -15,12 +15,14 @@
 ///    A process-global enabled flag (obs::setEnabled, PP_OBS=0) turns the
 ///    record sites into one relaxed atomic load.
 ///
-///  * Per-thread lock-free ring buffers. Each thread appends span records
-///    to its own fixed-capacity buffer with release stores; no locks, no
-///    sharing on the hot path. Buffers are owned by the process-global
-///    Collector and outlive their threads, so a drained report sees every
-///    record of every (joined) worker. Overflow drops the record and
-///    counts the drop — it never blocks.
+///  * One bounded, process-wide recorder behind one mutex. A closing span
+///    adds its count, items and work into a span table keyed by
+///    (category, name, label), and appends its raw record to a trace
+///    buffer of at most PP_OBS_RING_CAPACITY records shared by every
+///    thread. Memory depends on the number of distinct spans and on that
+///    capacity, never on how many threads have recorded. A full trace
+///    buffer refuses the record and counts the refusal; the span table
+///    never drops, so report sums are always complete.
 ///
 ///  * Two exports with different determinism contracts:
 ///
@@ -33,7 +35,9 @@
 ///      for execution stages, bytes for codec stages), never from the
 ///      host clock. Identical RunPlans therefore produce byte-identical
 ///      reports under any PP_DRIVER_THREADS value, which is what makes
-///      reports diffable artifacts (pp-report obs).
+///      reports diffable artifacts (pp-report obs). dropped_records (the
+///      trace buffer's refusals) depends only on how many records were
+///      made, so it is deterministic too.
 ///
 ///    - A Chrome trace_event stream (PP_OBS_TRACE, renderChromeTrace) for
 ///      flame-style inspection in a trace viewer. This one *is* host-time
@@ -114,7 +118,8 @@ uint64_t counterValue(Counter C);
 void gauge(const char *Name, int64_t Value);
 
 /// RAII span over one pipeline stage. Construction stamps the host
-/// clock; destruction appends one record to the calling thread's ring.
+/// clock; destruction adds the span to the process-wide span table and
+/// appends its record to the trace buffer.
 /// \p Cat and \p Name must be string literals (stored by pointer);
 /// \p Label is copied (truncated to the record's inline capacity).
 /// \p Work is the span's deterministic work measure — simulated cycles,
@@ -144,7 +149,7 @@ private:
 };
 
 /// The deterministic JSON run report (field order fixed, timestamps
-/// virtual; see the file comment). Safe to call only when no recording
+/// virtual; see the file comment). Complete only when no recording
 /// thread is running (workers joined).
 std::string renderJsonReport();
 
@@ -159,10 +164,10 @@ void setReportPath(const std::string &Path);
 /// Initialised from $PP_OBS_TRACE.
 void setTracePath(const std::string &Path);
 
-/// Per-thread ring capacity in records: $PP_OBS_RING_CAPACITY via the
-/// strict env path (support/Env.h), default 2^14, clamped to [64, 2^20].
+/// Trace records kept per process: $PP_OBS_RING_CAPACITY via the strict
+/// env path (support/Env.h), default 2^14, clamped to [64, 2^20].
 /// Re-reads the environment on every call so tests can exercise the
-/// parsing; the collector reads it once, at the first buffer allocation.
+/// parsing; the collector reads it once, when it is constructed.
 size_t configuredRingCapacity();
 
 /// Drops every recorded span, gauge, and counter (tests only; callers

@@ -184,8 +184,20 @@ std::vector<std::string> profdb::listArtifactFiles(const std::string &Dir) {
     return Paths;
   while (dirent *Entry = readdir(D)) {
     std::string Name = Entry->d_name;
-    if (Name.size() > 4 && Name.compare(Name.size() - 4, 4, ".ppa") == 0)
-      Paths.push_back(Dir + "/" + Name);
+    if (Name.size() <= 4 || Name.compare(Name.size() - 4, 4, ".ppa") != 0)
+      continue;
+    // A link to an artifact is listed; a directory or a dangling link
+    // named *.ppa is not. d_type settles most entries without a syscall
+    // (a repository holds thousands); links, and filesystems that leave
+    // d_type unknown, are stat'ed, which follows the link.
+    std::string Path = Dir + "/" + Name;
+    bool Regular = Entry->d_type == DT_REG;
+    if (Entry->d_type == DT_LNK || Entry->d_type == DT_UNKNOWN) {
+      struct stat St;
+      Regular = ::stat(Path.c_str(), &St) == 0 && S_ISREG(St.st_mode);
+    }
+    if (Regular)
+      Paths.push_back(std::move(Path));
   }
   closedir(D);
   std::sort(Paths.begin(), Paths.end());

@@ -70,8 +70,9 @@ bool readFile(const std::string &Path, std::vector<uint8_t> &Bytes);
 /// else is the decoder's verdict.
 DecodeStatus readArtifactFile(const std::string &Path, Artifact &Out);
 
-/// All "*.ppa" files directly inside \p Dir, as full paths, sorted — the
-/// listing order never depends on directory enumeration order.
+/// All "*.ppa" regular files (or links to one) directly inside \p Dir, as
+/// full paths, sorted — the listing order never depends on directory
+/// enumeration order.
 std::vector<std::string> listArtifactFiles(const std::string &Dir);
 
 } // namespace profdb

@@ -17,6 +17,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 
 using namespace pp;
 
@@ -50,6 +51,25 @@ std::string runSuiteReport(unsigned Threads) {
     }
   }
   return obs::renderJsonReport();
+}
+
+/// The number of non-overlapping occurrences of \p Needle in \p Text.
+size_t countOf(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Text.find(Needle); At != std::string::npos;
+       At = Text.find(Needle, At + Needle.size()))
+    ++N;
+  return N;
+}
+
+/// The report's span entry for (\p Cat, \p Name, \p Label).
+const obs::ObsReport::Span *findSpan(const obs::ObsReport &R,
+                                     const char *Cat, const char *Name,
+                                     const char *Label) {
+  for (const obs::ObsReport::Span &S : R.Spans)
+    if (S.Cat == Cat && S.Name == Name && S.Label == Label)
+      return &S;
+  return nullptr;
 }
 
 } // namespace
@@ -324,4 +344,48 @@ TEST(Obs, ChromeTraceCarriesGaugesAndSpans) {
   EXPECT_NE(Trace.find("scheduler.queue_depth"), std::string::npos);
   EXPECT_NE(Trace.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(Trace.find("driver"), std::string::npos);
+}
+
+TEST(Obs, ReportCountsEverySpanPastTheTraceCapacity) {
+  // The report sums every closed span; only the trace is capped, and what
+  // it refuses is counted, not subtracted from the sums.
+  obs::resetForTesting();
+  const size_t C = obs::configuredRingCapacity();
+  for (size_t Index = 0; Index != C + 100; ++Index)
+    obs::SpanScope Span("test", "overflow", "one-thread", /*Work=*/2);
+
+  obs::ObsReport R;
+  std::string Error;
+  ASSERT_TRUE(obs::parseObsReport(obs::renderJsonReport(), R, Error))
+      << Error;
+  EXPECT_EQ(R.DroppedRecords, 100u);
+  const obs::ObsReport::Span *S =
+      findSpan(R, "test", "overflow", "one-thread");
+  ASSERT_NE(S, nullptr);
+  EXPECT_EQ(S->Count, C + 100);
+  EXPECT_EQ(S->Items, C + 100);
+  EXPECT_EQ(S->Work, 2 * (C + 100));
+  EXPECT_EQ(countOf(obs::renderChromeTrace(), "\"ph\": \"X\""), C);
+}
+
+TEST(Obs, TraceStaysBoundedAcrossThreadChurn) {
+  // Threads that record and exit leave nothing behind: the trace holds at
+  // most the configured capacity however many threads have recorded.
+  obs::resetForTesting();
+  const size_t C = obs::configuredRingCapacity();
+  for (size_t Index = 0; Index != C; ++Index)
+    obs::SpanScope Span("test", "fill", "main");
+  for (int Thread = 0; Thread != 8; ++Thread)
+    std::thread([] { obs::SpanScope Span("test", "churn", "worker"); })
+        .join();
+
+  EXPECT_EQ(countOf(obs::renderChromeTrace(), "\"ph\": \"X\""), C);
+  obs::ObsReport R;
+  std::string Error;
+  ASSERT_TRUE(obs::parseObsReport(obs::renderJsonReport(), R, Error))
+      << Error;
+  EXPECT_EQ(R.DroppedRecords, 8u);
+  const obs::ObsReport::Span *S = findSpan(R, "test", "churn", "worker");
+  ASSERT_NE(S, nullptr);
+  EXPECT_EQ(S->Count, 8u);
 }

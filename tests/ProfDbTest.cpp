@@ -41,6 +41,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace pp;
@@ -786,9 +787,18 @@ TEST(ProfDbStoreTest, WriteReadListRoundTrip) {
   ASSERT_TRUE(profdb::writeArtifactFile(PathA, A, Error)) << Error;
   ASSERT_TRUE(profdb::writeArtifactFile(PathB, B, Error)) << Error;
 
-  std::vector<std::string> Files = profdb::listArtifactFiles(Dir);
-  ASSERT_EQ(Files.size(), 2u);
-  EXPECT_TRUE(std::is_sorted(Files.begin(), Files.end()));
+  // Entries named *.ppa that are not artifacts: a directory and a dangling
+  // link are not listed; a link to a real artifact is.
+  std::string Link = std::string(Dir) + "/link.ppa";
+  ASSERT_EQ(::mkdir((std::string(Dir) + "/dir.ppa").c_str(), 0755), 0);
+  ASSERT_EQ(::symlink((std::string(Dir) + "/absent").c_str(),
+                      (std::string(Dir) + "/dangling.ppa").c_str()),
+            0);
+  ASSERT_EQ(::symlink(PathA.c_str(), Link.c_str()), 0);
+
+  std::vector<std::string> Expected = {PathA, PathB, Link};
+  std::sort(Expected.begin(), Expected.end());
+  EXPECT_EQ(profdb::listArtifactFiles(Dir), Expected);
 
   profdb::Artifact Back;
   ASSERT_EQ(profdb::readArtifactFile(PathA, Back), profdb::DecodeStatus::Ok);

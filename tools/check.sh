@@ -12,8 +12,8 @@
 # fault-injection, profile-repository, observability, optimizer, and
 # worker-pool tests, which exercise every concurrent component (the one
 # support::WorkerPool and its three users — run scheduler, ingest
-# service, parallel artifact merge — plus the run cache, per-thread obs
-# ring buffers, and the benches' Build closures optimizing modules on
+# service, parallel artifact merge — plus the run cache, the shared obs
+# recorder, and the benches' Build closures optimizing modules on
 # worker threads).
 
 set -e

@@ -55,7 +55,7 @@ void printUsage() {
       "\n"
       "commands:\n"
       "  merge -o <out.ppa> <a.ppa...>   merge artifacts (structural CCT\n"
-      "                    merge; PP_PROFDB_THREADS sets the pool size)\n"
+      "                    merge)\n"
       "  diff <a.ppa> <b.ppa>  per-path and per-context deltas (B - A)\n"
       "  top-paths         hottest Ball-Larus paths by PIC1\n"
       "  top-procs         hottest procedures by PIC1\n"
@@ -108,8 +108,7 @@ bool loadMerged(const std::vector<std::string> &Paths,
     Shards.push_back(std::move(A));
   }
   std::string Error;
-  if (!profdb::mergeAll(std::move(Shards), Out, Error,
-                        profdb::mergeThreadsFromEnv())) {
+  if (!profdb::mergeAll(std::move(Shards), Out, Error)) {
     std::fprintf(stderr, "pp-report: merge failed: %s\n", Error.c_str());
     return false;
   }
