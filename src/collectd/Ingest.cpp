@@ -2,7 +2,6 @@
 
 #include "collectd/Ingest.h"
 
-#include "driver/FaultInjector.h"
 #include "obs/Obs.h"
 #include "profdb/Merge.h"
 #include "profdb/Report.h"
@@ -73,11 +72,8 @@ UploadResult IngestService::ingestNow(Upload U) {
     }
   }
 
-  // The read seam stands in for corruption in flight; whatever it does
-  // to the bytes, the decoder's CRC + bounds checks turn it into a typed
-  // rejection of this one upload.
-  driver::FaultInjector::instance().mutateCacheRead(U.Bytes);
-
+  // Whatever happened to the bytes in flight, the decoder's CRC and
+  // bounds checks turn it into a typed rejection of this one upload.
   profdb::Artifact A;
   profdb::DecodeStatus Decode = profdb::decodeArtifact(U.Bytes, A);
   if (Decode != profdb::DecodeStatus::Ok ||

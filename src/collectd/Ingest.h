@@ -10,15 +10,14 @@
 ///
 /// Admission pipeline, per upload:
 ///
-///   1. The bytes pass through the FaultInjector read seam, standing in
-///      for network/disk corruption in flight.
-///   2. decodeArtifact — every upload is untrusted; a typed DecodeStatus
-///      rejects the upload, never the window.
-///   3. Acquisition check — exact counts and sampled estimates must not
+///   1. decodeArtifact — every upload is untrusted (bytes corrupted in
+///      flight or on the client's disk); a typed DecodeStatus rejects
+///      the upload, never the window.
+///   2. Acquisition check — exact counts and sampled estimates must not
 ///      fold together, so an upload whose schema acquisition differs
 ///      from the service's is rejected (CrossAcquisition).
-///   4. Per-(tenant, window) quota (charged to accepted uploads only).
-///   5. Fold into the window's shape group, keyed by profdb::shapeKey:
+///   3. Per-(tenant, window) quota (charged to accepted uploads only).
+///   4. Fold into the window's shape group, keyed by profdb::shapeKey:
 ///      uploads share a group exactly when profdb::checkShape lets them
 ///      merge (schema and k, workload, scale, function table, CCT
 ///      presence, path-profile geometry). The group's fold checks the

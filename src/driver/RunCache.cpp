@@ -2,7 +2,6 @@
 
 #include "driver/RunCache.h"
 
-#include "driver/FaultInjector.h"
 #include "obs/Obs.h"
 #include "profdb/Store.h"
 
@@ -34,7 +33,6 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
     std::string Path = diskPath(Key);
     std::vector<uint8_t> Bytes;
     if (profdb::readFile(Path, Bytes)) {
-      FaultInjector::instance().mutateCacheRead(Bytes);
       auto Outcome = std::make_shared<prof::RunOutcome>();
       DecodeStatus Status =
           profdb::decodeRunEntry(Bytes, Key.Fingerprint, *Outcome);
@@ -65,8 +63,7 @@ void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
   if (DiskDir.empty() || !Key.Cacheable || !Outcome || !Outcome->Result.Ok)
     return;
   std::string Error;
-  if (!FaultInjector::instance().shouldFailCacheWrite() &&
-      profdb::writeFileAtomic(
+  if (profdb::writeFileAtomic(
           diskPath(Key),
           profdb::encodeRunEntry(*Outcome, Key.Fingerprint, Key.Workload,
                                  Key.Scale, Key.Schema),
@@ -76,8 +73,8 @@ void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
     ++Counts.Stores;
     return;
   }
-  // Cache directory not writable, short write or injected fault: the run
-  // still returns its outcome, so degrade to uncached instead of failing.
+  // Cache directory not writable or short write: the run still returns
+  // its outcome, so degrade to uncached instead of failing.
   obs::add(obs::Counter::CacheWriteFailures);
   std::lock_guard<std::mutex> Lock(Mu);
   ++Counts.WriteFailures;

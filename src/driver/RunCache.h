@@ -17,8 +17,8 @@
 /// decode for any reason (a stale PPRO file from before entries were
 /// artifacts reads as bad-magic) is counted, deleted, and treated as a
 /// miss — the run simply re-executes and the next store rewrites the
-/// file. Failed writes (permissions, disk full, injected faults) are
-/// counted and leave the run uncached instead of erroring.
+/// file. Failed writes (permissions, disk full) are counted and leave
+/// the run uncached instead of erroring.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,9 +53,8 @@ public:
 
   /// Writes \p Outcome to disk under \p Key. No-op without a directory,
   /// for uncacheable keys, and for null or failed outcomes (Result.Ok ==
-  /// false): persisting a failure would make a transient one (an injected
-  /// fault, a scheduler-synthesised error) permanent for every later
-  /// process sharing the directory.
+  /// false): a failure is never persisted, so a later process sharing
+  /// the directory re-executes the run instead of inheriting the error.
   void insert(const RunKey &Key, const OutcomePtr &Outcome);
 
   bool hasDiskLayer() const { return !DiskDir.empty(); }
@@ -70,7 +69,7 @@ public:
     uint64_t DecodeFailures = 0;
     std::array<uint64_t, NumDecodeStatuses> DecodeFailuresBy{};
     /// Disk writes that could not complete (unwritable directory, short
-    /// write, injected fault); the run's outcome is still returned.
+    /// write); the run's outcome is still returned.
     uint64_t WriteFailures = 0;
   };
   Stats stats() const;

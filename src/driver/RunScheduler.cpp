@@ -2,7 +2,6 @@
 
 #include "driver/RunScheduler.h"
 
-#include "driver/FaultInjector.h"
 #include "driver/RunCache.h"
 #include "obs/Obs.h"
 #include "profdb/Store.h"
@@ -181,11 +180,6 @@ OutcomePtr RunScheduler::executePlan(const RunPlan &Plan, const RunKey &Key) {
   // One bad run degrades one result, never the suite: failures come back
   // as structured outcomes (Ok = false, Error set) that are not cached,
   // while every other submitted run proceeds untouched.
-  std::string InjectedError;
-  if (FaultInjector::instance().shouldFailRun(Key.Fingerprint,
-                                              InjectedError))
-    return failedOutcome(std::move(InjectedError));
-
   std::unique_ptr<ir::Module> M;
   {
     obs::SpanScope Build("driver", "build", Label);

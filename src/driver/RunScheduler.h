@@ -9,11 +9,11 @@
 /// the driver's one in-memory memo — and a RunCache (when attached) is
 /// consulted before executing and updated after.
 ///
-/// Failure isolation: a run that cannot execute (unknown workload,
-/// injected fault) resolves to a structured outcome with Result.Ok ==
-/// false and Result.Error set, is never cached to disk, and leaves every
-/// other submitted run untouched — one bad run degrades one table cell
-/// instead of aborting the suite.
+/// Failure isolation: a run that cannot complete (unknown workload,
+/// exhausted instruction budget) resolves to a structured outcome with
+/// Result.Ok == false and Result.Error set, is never cached to disk, and
+/// leaves every other submitted run untouched — one bad run degrades one
+/// table cell instead of aborting the suite.
 ///
 /// Environment knobs: PP_DRIVER_THREADS sets the worker count (a
 /// non-numeric value warns and keeps the hardware default; 0 means
@@ -67,7 +67,7 @@ public:
   /// Runs actually executed (cache hits and folded duplicates excluded).
   uint64_t runsExecuted() const;
   /// Runs that resolved to a failed outcome (Result.Ok == false), whether
-  /// executed or synthesised (unknown workload, injected fault).
+  /// executed (exhausted budget) or synthesised (unknown workload).
   uint64_t runsFailed() const;
 
   /// PP_DRIVER_THREADS, defaulting to

@@ -31,8 +31,7 @@ const char *const CounterNames[] = {
     "scheduler.executed",     "scheduler.failed",
     "vm.insts",
     "profdb.bytes_encoded",   "profdb.bytes_decoded",
-    "profdb.merges",          "fault.reads_corrupted",
-    "fault.writes_failed",    "fault.runs_failed",
+    "profdb.merges",
     "acq.traps_delivered",    "acq.samples_recorded",
     "collectd.accepted",      "collectd.rejected",
     "collectd.queries",       "collectd.rate_limited",

@@ -75,9 +75,6 @@ enum class Counter : unsigned {
   ProfDbBytesEncoded,    ///< artifact bytes encoded (run-cache entries too)
   ProfDbBytesDecoded,    ///< artifact bytes decoded (run-cache entries too)
   ProfDbMerges,          ///< pairwise artifact merges performed
-  FaultReadsCorrupted,   ///< fault-injector cache-read corruptions
-  FaultWritesFailed,     ///< fault-injector cache-write failures
-  FaultRunsFailed,       ///< fault-injector run failures
   AcqTrapsDelivered,     ///< counter-overflow traps delivered to samplers
   AcqSamplesRecorded,    ///< stack samples recorded by overflow sampling
   CollectdAccepted,      ///< fleet uploads folded into a window tree

@@ -3,10 +3,9 @@
 /// \file
 /// The one place numeric environment knobs are read. Every knob goes
 /// through the strict parseUint64 (whole string must be digits), so a
-/// typo like PP_DRIVER_THREADS=max or PP_FAULT_READ_FLIP=banana warns on
-/// stderr and falls back to the caller's default instead of silently
-/// parsing as 0 — which for thread counts means "serial" and for fault
-/// seams means "disarmed", both wrong things to do quietly.
+/// typo like PP_DRIVER_THREADS=max warns on stderr and falls back to the
+/// caller's default instead of silently parsing as 0 — which for thread
+/// counts means "serial", the wrong thing to do quietly.
 ///
 //===----------------------------------------------------------------------===//
 

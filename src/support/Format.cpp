@@ -63,3 +63,15 @@ bool pp::parseUint64(const char *Text, uint64_t &Out) {
   Out = Value;
   return true;
 }
+
+bool pp::parseFlagUint64(const char *Tool, const char *Flag, const char *Text,
+                         uint64_t Min, uint64_t Max, uint64_t &Out) {
+  uint64_t Value = 0;
+  if (parseUint64(Text, Value) && Value >= Min && Value <= Max) {
+    Out = Value;
+    return true;
+  }
+  std::fprintf(stderr, "%s: bad %s '%s' (want %llu..%llu)\n", Tool, Flag,
+               Text, (unsigned long long)Min, (unsigned long long)Max);
+  return false;
+}

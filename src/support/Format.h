@@ -35,6 +35,13 @@ std::string formatRatio(double Value, double Base);
 /// with a warning instead of silently parsing as 0.
 bool parseUint64(const char *Text, uint64_t &Out);
 
+/// Parses \p Text, the value of \p Tool's command-line flag \p Flag, as
+/// a parseUint64 decimal in [Min, Max]. Anything else prints
+/// "<Tool>: bad <Flag> '<Text>' (want <Min>..<Max>)" on stderr and
+/// returns false, leaving \p Out untouched.
+bool parseFlagUint64(const char *Tool, const char *Flag, const char *Text,
+                     uint64_t Min, uint64_t Max, uint64_t &Out);
+
 } // namespace pp
 
 #endif // PP_SUPPORT_FORMAT_H

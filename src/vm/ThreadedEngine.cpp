@@ -1,10 +1,9 @@
 //===- vm/ThreadedEngine.cpp - Predecoded threaded-dispatch engine -----------===//
 //
 // The threaded execution engine: runs the Predecoder's flat DecodedInst
-// streams with computed-goto dispatch on GCC/Clang (each handler ends in
-// its own indirect branch, so the host branch predictor learns per-opcode
-// successor patterns) and a portable switch loop elsewhere (or when
-// PP_VM_NO_COMPUTED_GOTO is defined).
+// streams with computed-goto dispatch, a GCC/Clang extension every
+// supported build has (each handler ends in its own indirect branch, so
+// the host branch predictor learns per-opcode successor patterns).
 //
 // Semantics are intentionally a line-for-line mirror of Vm::runReference:
 // the same Machine events in the same order, the same error strings on the
@@ -18,7 +17,6 @@
 #include "vm/Predecoder.h"
 #include "vm/Vm.h"
 
-#include "support/Error.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -28,13 +26,6 @@
 
 using namespace pp;
 using namespace pp::vm;
-
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(PP_VM_NO_COMPUTED_GOTO)
-#define PP_CGOTO 1
-#else
-#define PP_CGOTO 0
-#endif
 
 // Refreshes the cached current-frame pointers after any push/pop. The
 // program counter is the roaming stream pointer D itself; any handler
@@ -83,16 +74,14 @@ using namespace pp::vm;
       goto budget_exhausted;                                                   \
   } while (0)
 
-// The computed-goto flavour is direct threading proper: every handler
-// ends by running the fetch prologue and dispatching through the
-// label-address table itself, so each of the ~64 indirect-branch sites
-// keys the host's predictor to the opcode that precedes it (per-opcode
-// successor patterns — the classic threaded-dispatch win over a single
-// shared switch site). Replication is affordable because the prologue's
+// Dispatch is direct threading proper: every handler ends by running
+// the fetch prologue and dispatching through the label-address table
+// itself, so each of the ~64 indirect-branch sites keys the host's
+// predictor to the opcode that precedes it (per-opcode successor
+// patterns — the classic threaded-dispatch win over a single shared
+// switch site). Replication is affordable because the prologue's
 // cold paths (the cache tag/LRU walk behind Machine::beginInst) live out
 // of line; only a compare and two counter adds are copied per handler.
-// The portable flavour keeps one shared switch at the fetch label.
-#if PP_CGOTO
 #define PP_CASE(Name) H_##Name
 #define PP_DISPATCH()                                                          \
   goto *const_cast<void *>(Handlers[static_cast<size_t>(D->Op)])
@@ -101,10 +90,6 @@ using namespace pp::vm;
     PP_PROLOGUE();                                                             \
     PP_DISPATCH();                                                             \
   } while (0)
-#else
-#define PP_FETCH() goto fetch
-#define PP_CASE(Name) case DOp::Name
-#endif
 
 // Advance past a straight-line instruction and dispatch the next one.
 #define PP_NEXT()                                                              \
@@ -241,7 +226,6 @@ RunResult Vm::runThreaded() {
   ProfRuntime *const RT = Runtime;
   hw::Machine &MC = Machine;
 
-#if PP_CGOTO
   // Direct threading: one indirect jump through the label-address table,
   // indexed by the instruction's decoded opcode.
   static const void *const Handlers[] = {
@@ -263,16 +247,9 @@ RunResult Vm::runThreaded() {
   static_assert(sizeof(Handlers) / sizeof(Handlers[0]) ==
                     static_cast<size_t>(DOp::NumDOps),
                 "handler table must cover every decoded op, in enum order");
-#endif
 
   PP_SET_FRAME();
-#if PP_CGOTO
   PP_FETCH();
-#else
-fetch:
-  PP_PROLOGUE();
-  switch (D->Op) {
-#endif
 
   PP_CASE(MovR) : {
     R[D->Dst] = R[D->B];
@@ -570,13 +547,6 @@ fetch:
                                         static_cast<int64_t>(Bv)))
   PP_CMPBR(CmpLe, static_cast<uint64_t>(static_cast<int64_t>(Av) <=
                                         static_cast<int64_t>(Bv)))
-
-#if !PP_CGOTO
-  case DOp::NumDOps:
-    break;
-  }
-  unreachable("invalid decoded opcode");
-#endif
 
 fused_br : {
   // Second half of a fused compare+branch: D advances onto the CondBr's

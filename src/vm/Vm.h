@@ -42,8 +42,7 @@ class Predecoder;
 enum class Engine : uint8_t {
   /// The original switch-dispatch interpreter; kept as the semantic oracle.
   Reference,
-  /// The predecoded threaded-dispatch engine (computed goto on GCC/Clang,
-  /// portable switch fallback elsewhere).
+  /// The predecoded threaded-dispatch engine (computed-goto dispatch).
   Threaded,
 };
 

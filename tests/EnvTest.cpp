@@ -3,15 +3,13 @@
 // Every numeric knob goes through support/Env.h's strict parser: a typo
 // like PP_DRIVER_THREADS=max must warn and fall back to the knob's
 // default, never silently parse as 0 (which would mean "serial" for
-// thread counts and "disarmed" for fault seams). These tests drive the
-// shared helpers and then each knob's consumer, and check that variables
-// retired in favour of a flag or a constant stay inert.
+// thread counts). These tests drive the shared helpers and then each
+// knob's consumer, and check that retired variables stay inert.
 //
 //===----------------------------------------------------------------------===//
 
 #include "collectd/Ingest.h"
 #include "driver/Driver.h"
-#include "driver/FaultInjector.h"
 #include "driver/RunScheduler.h"
 #include "obs/Obs.h"
 #include "profdb/Artifact.h"
@@ -197,29 +195,6 @@ TEST(Env, ProfDbThreadsKnobRejectsNonNumeric) {
   }
 }
 
-TEST(Env, FaultKnobsRejectNonNumeric) {
-  EnvGuard Seed("PP_FAULT_SEED", nullptr);
-  {
-    EnvGuard Guard("PP_FAULT_READ_FLIP", "7");
-    EXPECT_EQ(driver::FaultInjector::configFromEnv().FlipEveryNthRead, 7u);
-  }
-  {
-    // A typo'd seam must stay disarmed (0 = never), with a warning,
-    // instead of arming at some accidental period.
-    EnvGuard Guard("PP_FAULT_READ_FLIP", "banana");
-    EXPECT_EQ(driver::FaultInjector::configFromEnv().FlipEveryNthRead, 0u);
-  }
-  {
-    EnvGuard Guard("PP_FAULT_SEED", "42");
-    EXPECT_EQ(driver::FaultInjector::configFromEnv().Seed, 42u);
-  }
-  {
-    EnvGuard Guard("PP_FAULT_SEED", "banana");
-    EXPECT_EQ(driver::FaultInjector::configFromEnv().Seed,
-              driver::FaultInjector::Config().Seed);
-  }
-}
-
 TEST(Env, CrossModeSeedsKnobRejectsNonNumeric) {
   {
     EnvGuard Guard("PP_CROSSMODE_SEEDS", "4");
@@ -318,6 +293,35 @@ TEST(Env, RetiredKnobsAreInert) {
     EXPECT_EQ(profdb::sweepStaleTemps(Dir), 0u);
     EXPECT_EQ(::access(Temp.c_str(), F_OK), 0);
   }
+
+  std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
+}
+
+TEST(Env, StrayFaultVariablesAreInert) {
+  // Faults are produced for real (a corrupt file, a starved budget), so
+  // no variable can fail a run, corrupt a cache read or drop a write.
+  EnvGuard RunFail("PP_FAULT_RUN_FAIL", "1");
+  EnvGuard ReadFlip("PP_FAULT_READ_FLIP", "1");
+  EnvGuard WriteFail("PP_FAULT_WRITE_FAIL", "1");
+  char Template[] = "/tmp/pp-env-test-XXXXXX";
+  ASSERT_NE(mkdtemp(Template), nullptr);
+  const std::string Dir = Template;
+
+  driver::RunPlan Plan;
+  Plan.Workload = "130.li";
+  Plan.Options.Config.M = prof::Mode::Flow;
+  {
+    driver::Driver Writer(Dir, /*Threads=*/1);
+    driver::OutcomePtr Run = Writer.run(Plan);
+    ASSERT_TRUE(Run && Run->Result.Ok);
+    EXPECT_EQ(Writer.cache().stats().Stores, 1u);
+  }
+  driver::Driver Reader(Dir, /*Threads=*/1);
+  driver::OutcomePtr Run = Reader.run(Plan);
+  ASSERT_TRUE(Run && Run->Result.Ok);
+  EXPECT_EQ(Reader.cache().stats().DiskHits, 1u);
+  EXPECT_EQ(Reader.scheduler().runsExecuted(), 0u);
 
   std::string Cmd = "rm -rf " + Dir;
   (void)std::system(Cmd.c_str());

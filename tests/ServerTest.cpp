@@ -2,8 +2,8 @@
 //
 // The socket front end's contract: artifacts uploaded by real client
 // *processes* over loopback TCP land byte-identical to the same uploads
-// fed straight into an IngestService — including when the FaultInjector
-// read seam corrupts some in flight; every protocol violation (no hello,
+// fed straight into an IngestService — including when some of them carry
+// a corrupt artifact inside a valid frame; every protocol violation (no hello,
 // bad magic, wrong version, giant frames) is a typed REJECT then a
 // close; per-request failures (corrupt artifact, absent window) reject
 // typed and leave the connection usable; idle connections are closed;
@@ -18,7 +18,6 @@
 #include "collectd/Server.h"
 #include "collectd/Wire.h"
 #include "driver/Driver.h"
-#include "driver/FaultInjector.h"
 #include "profdb/Store.h"
 #include "workloads/Spec.h"
 
@@ -55,10 +54,6 @@ void removeDir(const std::string &Dir) {
   std::string Cmd = "rm -rf " + Dir;
   (void)std::system(Cmd.c_str());
 }
-
-struct InjectorGuard {
-  ~InjectorGuard() { driver::FaultInjector::instance().configure({}); }
-};
 
 /// One encoded 130.li artifact per fingerprint (run executed once,
 /// re-stamped per upload) — the same corpus CollectdTest uses.
@@ -273,32 +268,32 @@ IngestConfig manualConfig() {
 //===----------------------------------------------------------------------===//
 
 TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
-  InjectorGuard Guard;
   std::string WireDir = makeTempDir();
   std::string RefDir = makeTempDir();
 
   // Fleet: 4 client processes, 3 uploads each, over 2 windows. Built
-  // (and framed) before any fork or server start.
+  // (and framed) before any fork or server start. Every 5th upload has
+  // one artifact byte flipped before framing: the frame CRC covers the
+  // corrupt bytes and passes, so only the artifact's own CRC can catch
+  // it, on the wire side and the reference side alike.
   const unsigned Clients = 4, PerClient = 3;
   std::vector<std::vector<Upload>> Fleet(Clients);
   std::vector<std::vector<uint8_t>> Streams(Clients);
+  uint64_t Corrupted = 0;
   for (unsigned Client = 0; Client != Clients; ++Client) {
-    for (unsigned U = 0; U != PerClient; ++U)
-      Fleet[Client].push_back(
-          Upload{"c" + std::to_string(Client), Client % 2,
-                 encodedArtifact("fleet;c" + std::to_string(Client) + ";u" +
-                                 std::to_string(U))});
+    for (unsigned U = 0; U != PerClient; ++U) {
+      Upload Up{"c" + std::to_string(Client), Client % 2,
+                encodedArtifact("fleet;c" + std::to_string(Client) + ";u" +
+                                std::to_string(U))};
+      if ((Client * PerClient + U + 1) % 5 == 0) {
+        Up.Bytes[Up.Bytes.size() / 2] ^= 0x10;
+        ++Corrupted;
+      }
+      Fleet[Client].push_back(std::move(Up));
+    }
     Streams[Client] =
         sessionStream("c" + std::to_string(Client), Fleet[Client]);
   }
-
-  // The read seam corrupts every 5th ingest — server-side, after the
-  // wire CRC has passed, standing in for corruption between the socket
-  // and the store.
-  driver::FaultInjector::Config Faults;
-  Faults.Seed = 42;
-  Faults.FlipEveryNthRead = 5;
-  driver::FaultInjector::instance().configure(Faults);
 
   uint64_t WireRejected;
   {
@@ -309,8 +304,7 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
     std::string Error;
     ASSERT_TRUE(Front.start(Error)) << Error;
 
-    // Sequential client processes: deterministic arrival order, so the
-    // injector's every-Nth cadence hits the same uploads as the
+    // Sequential client processes: the same arrival order as the
     // reference ingest below.
     for (unsigned Client = 0; Client != Clients; ++Client)
       ASSERT_EQ(waitFor(spawnSender(Front.port(), Streams[Client])), 0)
@@ -326,8 +320,7 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
     WireRejected = Service.stats().Rejected;
   }
 
-  // Reference: identical uploads, identical injector schedule, no wire.
-  driver::FaultInjector::instance().configure(Faults);
+  // Reference: identical uploads, no wire.
   std::vector<uint64_t> WindowIds;
   {
     IngestConfig Config = manualConfig();
@@ -339,7 +332,8 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
     std::string Error;
     ASSERT_TRUE(Reference.persist(Error)) << Error;
     EXPECT_EQ(Reference.stats().Rejected, WireRejected);
-    EXPECT_GT(WireRejected, 0u); // the seam really fired
+    EXPECT_EQ(WireRejected, Corrupted);
+    EXPECT_GT(Corrupted, 0u);
     WindowIds = Reference.windows();
   }
 
@@ -353,9 +347,9 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
 }
 
 TEST(ServerLoopbackTest, ConcurrentClientProcessesFoldIdentically) {
-  // No injector here: with concurrent clients the arrival order is
-  // nondeterministic, and the window fold must not care (the profdb::Fold
-  // order-independence guarantee, now exercised through real sockets).
+  // Concurrent clients: the arrival order is nondeterministic, and the
+  // window fold must not care (the profdb::Fold order-independence
+  // guarantee, now exercised through real sockets).
   const unsigned Clients = 6, PerClient = 2;
   std::vector<std::vector<Upload>> Fleet(Clients);
   std::vector<std::vector<uint8_t>> Streams(Clients);

@@ -1,0 +1,66 @@
+#!/usr/bin/env sh
+# Strict numeric flags: every malformed or out-of-range numeric flag of
+# pp, pp-report and pp-opt must exit nonzero and name the flag on
+# stderr, instead of reading as 0 (or as its numeric prefix) and running
+# on with a value nobody asked for.
+#
+#   bad_flags.sh <pp> <pp-report> <pp-opt>
+set -u
+
+PP="$1"
+PPREPORT="$2"
+PPOPT="$3"
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/pp-bad-flags.XXXXXX")
+trap 'rm -rf "$tmp"' EXIT
+
+# One real artifact, so each pp-report and pp-opt command line is valid
+# apart from the flag under test.
+if ! "$PP" --mode=flowhw 130.li --profile-out="$tmp/repo" >/dev/null; then
+    echo "bad_flags.sh: pp could not produce an artifact" >&2
+    exit 1
+fi
+set -- "$tmp"/repo/*.ppa
+art="$1"
+
+failures=0
+
+# expect_bad <flag> <command...>: the command must fail and say <flag>.
+expect_bad() {
+    flag="$1"
+    shift
+    if "$@" >/dev/null 2>"$tmp/err"; then
+        echo "FAIL (exit 0): $*" >&2
+        failures=$((failures + 1))
+    elif ! grep -q -e "$flag" "$tmp/err"; then
+        echo "FAIL (stderr does not name $flag): $*" >&2
+        cat "$tmp/err" >&2
+        failures=$((failures + 1))
+    fi
+}
+
+expect_bad --paths "$PP" --paths=ten 130.li
+expect_bad --paths "$PP" --paths=-1 130.li
+expect_bad --hot "$PP" --hot=abc 130.li
+expect_bad --hot "$PP" --hot=0 130.li
+expect_bad --hot "$PP" --hot=1.5 130.li
+expect_bad --hot "$PP" --hot=0.5x 130.li
+expect_bad --sample-pic "$PP" --sample-pic=banana 130.li
+expect_bad --sample-pic "$PP" --sample-pic=2 130.li
+expect_bad --sample-seed "$PP" --sample-seed=12x 130.li
+expect_bad --scale "$PP" --scale=2x 130.li
+expect_bad --k "$PP" --k=1x 130.li
+expect_bad --period "$PP" --period=abc 130.li
+
+expect_bad --paths "$PPREPORT" top-paths --paths=ten "$art"
+expect_bad --procs "$PPREPORT" top-procs --procs=5x "$art"
+expect_bad --limit "$PPREPORT" diff --limit=ten "$art" "$art"
+expect_bad --k "$PPREPORT" top-paths --k=1x "$art"
+
+expect_bad --scale "$PPOPT" --in 130.li --profile "$art" --scale=2x
+
+if [ "$failures" -ne 0 ]; then
+    echo "bad_flags.sh: $failures bad spelling(s) accepted" >&2
+    exit 1
+fi
+echo "bad_flags.sh: every bad spelling rejected"

@@ -11,12 +11,12 @@ set -u
 golden="$1"
 shift
 
-# Neutralise every knob that could perturb output: disk cache reuse,
-# worker-pool stats, fault injection, artifact emission.
-unset PP_RUN_CACHE_DIR PP_DRIVER_STATS \
-      PP_DRIVER_THREADS PP_FAULT_SEED PP_FAULT_RUN_FAIL_MATCH \
-      PP_PROFILE_OUT PP_PROFDB_THREADS \
-      PP_OBS PP_OBS_OUT PP_OBS_TRACE 2>/dev/null
+# Drop every PP_* variable in the environment (disk cache reuse, worker
+# counts, stats, artifact emission, observability, and any knob added
+# later), so only the recorded command line decides the output.
+for name in $(env | sed -n 's/^\(PP_[A-Za-z0-9_]*\)=.*/\1/p'); do
+    unset "$name"
+done
 
 tmp="${TMPDIR:-/tmp}/golden.$$"
 "$@" > "$tmp"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # The repo's sanitizer gate: builds and runs the test suite under the
-# address sanitizer (the hardening proof obligation — the fault-injection
-# sweep's out-of-bounds claims are only mechanically checked here) and,
+# address sanitizer (the hardening proof obligation — the corruption
+# sweeps' out-of-bounds claims are only mechanically checked here) and,
 # optionally, the thread sanitizer (the parallel driver's race-freedom
 # proof). Separate build trees keep the sanitized objects out of the
 # normal build.

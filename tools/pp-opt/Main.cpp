@@ -17,8 +17,10 @@
 #include "ir/Printer.h"
 #include "opt/Pass.h"
 #include "profdb/Store.h"
+#include "support/Format.h"
 #include "workloads/Spec.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -91,11 +93,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (const char *V = Value("--scale")) {
-      Opts.Scale = std::atoi(V);
-      if (Opts.Scale < 1) {
-        std::fprintf(stderr, "pp-opt: bad scale\n");
+      uint64_t Scale = 0;
+      if (!parseFlagUint64("pp-opt", "--scale", V, 1, INT32_MAX, Scale))
         return false;
-      }
+      Opts.Scale = static_cast<int>(Scale);
     } else {
       std::fprintf(stderr, "pp-opt: unknown option '%s'\n", Arg.c_str());
       return false;

@@ -34,10 +34,11 @@
 #include "profdb/Merge.h"
 #include "profdb/Report.h"
 #include "profdb/Store.h"
+#include "support/Format.h"
 #include "workloads/Spec.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -347,7 +348,7 @@ int main(int Argc, char **Argv) {
 
   std::string Repo, OutPath, Collapsed;
   std::string Acq = "exact";
-  size_t Paths = 20, Procs = 20, Limit = 20;
+  uint64_t Paths = 20, Procs = 20, Limit = 20;
   unsigned K = 1;
   bool KGiven = false;
   std::vector<std::string> Inputs;
@@ -372,19 +373,20 @@ int main(int Argc, char **Argv) {
       }
       Repo = Argv[Index];
     } else if (const char *V = Value("--paths=")) {
-      Paths = static_cast<size_t>(std::atoi(V));
+      if (!parseFlagUint64("pp-report", "--paths", V, 0, UINT64_MAX, Paths))
+        return 1;
     } else if (const char *V = Value("--procs=")) {
-      Procs = static_cast<size_t>(std::atoi(V));
+      if (!parseFlagUint64("pp-report", "--procs", V, 0, UINT64_MAX, Procs))
+        return 1;
     } else if (const char *V = Value("--limit=")) {
-      Limit = static_cast<size_t>(std::atoi(V));
+      if (!parseFlagUint64("pp-report", "--limit", V, 0, UINT64_MAX, Limit))
+        return 1;
     } else if (const char *V = Value("--collapsed=")) {
       Collapsed = V;
     } else if (const char *V = Value("--k=")) {
-      int Parsed = std::atoi(V);
-      if (Parsed < 1 || Parsed > 16) {
-        std::fprintf(stderr, "pp-report: bad --k '%s' (want 1..16)\n", V);
+      uint64_t Parsed = 0;
+      if (!parseFlagUint64("pp-report", "--k", V, 1, 16, Parsed))
         return 1;
-      }
       K = static_cast<unsigned>(Parsed);
       KGiven = true;
     } else if (const char *V = Value("--acquisition=")) {

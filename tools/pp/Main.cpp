@@ -22,7 +22,9 @@
 #include "support/TableWriter.h"
 #include "workloads/Spec.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -167,22 +169,29 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (const char *V = Value("--scale=")) {
-      Opts.Scale = std::atoi(V);
-      if (Opts.Scale < 1) {
-        std::fprintf(stderr, "pp: bad scale\n");
+      uint64_t Scale = 0;
+      if (!parseFlagUint64("pp", "--scale", V, 1, INT32_MAX, Scale))
         return false;
-      }
+      Opts.Scale = static_cast<int>(Scale);
     } else if (const char *V = Value("--k=")) {
       uint64_t K = 0;
-      if (!parseUint64(V, K) || K == 0 || K > 16) {
-        std::fprintf(stderr, "pp: bad --k '%s' (want 1..16)\n", V);
+      if (!parseFlagUint64("pp", "--k", V, 1, 16, K))
         return false;
-      }
       Opts.K = static_cast<unsigned>(K);
     } else if (const char *V = Value("--hot=")) {
-      Opts.HotThreshold = std::atof(V);
+      char *End = nullptr;
+      double Hot = std::strtod(V, &End);
+      if (End == V || *End || !(Hot > 0 && Hot <= 1)) {
+        std::fprintf(stderr,
+                     "pp: bad --hot '%s' (want a fraction in (0, 1])\n", V);
+        return false;
+      }
+      Opts.HotThreshold = Hot;
     } else if (const char *V = Value("--paths=")) {
-      Opts.MaxPathsShown = static_cast<unsigned>(std::atoi(V));
+      uint64_t Paths = 0;
+      if (!parseFlagUint64("pp", "--paths", V, 0, UINT32_MAX, Paths))
+        return false;
+      Opts.MaxPathsShown = static_cast<unsigned>(Paths);
     } else if (Arg == "--coverage") {
       Opts.Coverage = true;
     } else if (const char *V = Value("--acquisition=")) {
@@ -195,22 +204,18 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       // register wraps all the way around) and > 2^32-1 cannot be
       // programmed, so both are user errors, not values to clamp quietly.
       uint64_t Period = 0;
-      if (!parseUint64(V, Period) || Period == 0 ||
-          Period > 0xffffffffULL) {
-        std::fprintf(stderr,
-                     "pp: bad --period '%s' (want 1..4294967295)\n", V);
+      if (!parseFlagUint64("pp", "--period", V, 1, UINT32_MAX, Period))
         return false;
-      }
       Opts.Acq.Period = Period;
     } else if (const char *V = Value("--sample-pic=")) {
-      unsigned Pic = static_cast<unsigned>(std::atoi(V));
-      if (Pic > 1) {
-        std::fprintf(stderr, "pp: --sample-pic wants 0 or 1\n");
+      uint64_t Pic = 0;
+      if (!parseFlagUint64("pp", "--sample-pic", V, 0, 1, Pic))
         return false;
-      }
-      Opts.Acq.Pic = Pic;
+      Opts.Acq.Pic = static_cast<unsigned>(Pic);
     } else if (const char *V = Value("--sample-seed=")) {
-      Opts.Acq.Seed = std::strtoull(V, nullptr, 10);
+      if (!parseFlagUint64("pp", "--sample-seed", V, 0, UINT64_MAX,
+                           Opts.Acq.Seed))
+        return false;
     } else if (const char *V = Value("--signal=")) {
       Opts.SignalSpec = V;
     } else if (const char *V = Value("--dot=")) {
@@ -514,9 +519,9 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Session.SignalHandler = Opts.SignalSpec.substr(0, Colon);
-    Session.SignalInterval =
-        std::strtoull(Opts.SignalSpec.c_str() + Colon + 1, nullptr, 10);
-    if (Session.SignalInterval == 0 ||
+    if (!parseUint64(Opts.SignalSpec.c_str() + Colon + 1,
+                     Session.SignalInterval) ||
+        Session.SignalInterval == 0 ||
         !M->findFunction(Session.SignalHandler)) {
       std::fprintf(stderr, "pp: bad --signal '%s'\n",
                    Opts.SignalSpec.c_str());
