@@ -27,6 +27,7 @@
 #define PP_CCT_CALLINGCONTEXTTREE_H
 
 #include "support/AddressLayout.h"
+#include "support/BinaryIO.h"
 
 #include <cstdint>
 #include <functional>
@@ -117,6 +118,9 @@ public:
 
 private:
   friend class CallingContextTree;
+  /// The artifact decoder (cct/ImageIO.h) fills records in place.
+  friend DecodeStatus readTree(ByteReader &,
+                               std::unique_ptr<CallingContextTree> &);
 
   ProcId Proc = RootProcId;
   CallRecord *Parent = nullptr;
@@ -162,11 +166,13 @@ struct CctStats {
   uint64_t BackedgeSlots = 0;
 };
 
-/// A full-fidelity, pointer-free copy of a tree, suitable for persistence
-/// (the driver layer's on-disk run cache). Unlike the compact profile-file
-/// encoding in cct/Export.h, an image preserves slots, simulated
-/// addresses, and heap usage, so CallingContextTree::fromImage rebuilds a
-/// tree whose statistics are identical to the original's.
+/// A full-fidelity, pointer-free copy of a tree: the form the artifact
+/// encoder writes (cct/ImageIO.h) and deep copies go through. Unlike the
+/// compact profile-file encoding in cct/Export.h, an image preserves
+/// slots, simulated addresses, and heap usage, so
+/// CallingContextTree::fromImage rebuilds a tree whose statistics are
+/// identical to the original's. Decoding reads the same fields straight
+/// into a tree (cct::readTree) and never builds an image.
 struct TreeImage {
   struct Slot {
     /// Mirrors CallRecord::Slot::Kind.
@@ -265,6 +271,10 @@ public:
   static constexpr uint64_t ListCellBytes = 16;
 
 private:
+  /// The artifact decoder (cct/ImageIO.h) fills a tree in place.
+  friend DecodeStatus readTree(ByteReader &,
+                               std::unique_ptr<CallingContextTree> &);
+
   uint64_t heapAlloc(uint64_t Size);
   CallRecord *makeRecord(ProcId Proc, CallRecord *Parent);
   /// Ancestor search for recursion: \p From and its ancestors, nearest

@@ -58,13 +58,14 @@ void cct::writeTreeImage(ByteWriter &W, const TreeImage &Image) {
   }
 }
 
-DecodeStatus cct::readTreeImage(ByteReader &R, TreeImage &Out) {
-  uint64_t NumProcs;
+DecodeStatus cct::readTree(ByteReader &R,
+                           std::unique_ptr<CallingContextTree> &Out) {
+  uint64_t NumProcs = 0;
   if (!R.count(NumProcs, MinProcBytes))
     return DecodeStatus::Truncated;
-  Out.Procs.resize(NumProcs);
-  for (ProcDesc &Proc : Out.Procs) {
-    uint64_t Sites, Paths;
+  std::vector<ProcDesc> Procs(NumProcs);
+  for (ProcDesc &Proc : Procs) {
+    uint64_t Sites = 0, Paths = 0;
     if (!R.str(Proc.Name) || !R.u64(Sites) || !R.bytes(Proc.SiteIsIndirect) ||
         !R.u64(Paths))
       return DecodeStatus::Truncated;
@@ -73,55 +74,100 @@ DecodeStatus cct::readTreeImage(ByteReader &R, TreeImage &Out) {
     Proc.NumSites = static_cast<unsigned>(Sites);
     Proc.NumPaths = Paths;
   }
-  uint64_t NumMetrics, CellBytes, NumRecords;
-  if (!R.u64(NumMetrics) || !R.u64(CellBytes) || !R.u64(Out.HashThreshold) ||
-      !R.u64(Out.HeapBytes) || !R.u64(Out.ListCells))
+  uint64_t NumMetrics = 0, CellBytes = 0, HashThreshold = 0, HeapBytes = 0,
+           ListCells = 0, NumRecords = 0;
+  if (!R.u64(NumMetrics) || !R.u64(CellBytes) || !R.u64(HashThreshold) ||
+      !R.u64(HeapBytes) || !R.u64(ListCells))
     return DecodeStatus::Truncated;
   // The tree constructor allocates per-record metric arrays and simulated
   // heap space up front; insane geometry would abort inside it, so reject
   // it here.
   if (NumMetrics > MaxTreeMetrics || CellBytes > MaxPathCellBytes ||
-      Out.HeapBytes > MaxCctHeapBytes)
+      HeapBytes > MaxCctHeapBytes)
     return DecodeStatus::Malformed;
   if (!R.count(NumRecords, MinRecordBytes))
     return DecodeStatus::Truncated;
-  Out.NumMetrics = static_cast<unsigned>(NumMetrics);
-  Out.PathCellBytes = static_cast<unsigned>(CellBytes);
-  Out.Records.resize(NumRecords);
-  for (TreeImage::Record &Rec : Out.Records) {
-    uint64_t Proc, Parent, NumRecMetrics, NumCells, NumSlots;
+
+  auto Tree = std::make_unique<CallingContextTree>(
+      std::move(Procs), static_cast<unsigned>(NumMetrics), nullptr,
+      static_cast<unsigned>(CellBytes), HashThreshold);
+  // Discard the constructor's root; every record is read verbatim. All
+  // records exist before the first is read, so a slot resolves its
+  // targets as it is read (the count above bounds them by the bytes).
+  std::vector<std::unique_ptr<CallRecord>> &Records = Tree->Records;
+  Records.clear();
+  Records.reserve(NumRecords);
+  for (uint64_t Index = 0; Index != NumRecords; ++Index)
+    Records.push_back(std::make_unique<CallRecord>());
+  Tree->ListCellCount = ListCells;
+  Tree->HeapNext = layout::CctHeapBase + HeapBytes;
+
+  // A parent listed after its child or a slot target out of range is
+  // noted here and reported once the whole tree is read, so a tree that
+  // is also cut short still reads as Truncated.
+  bool Misshapen = NumRecords == 0;
+  for (uint64_t Index = 0; Index != NumRecords; ++Index) {
+    CallRecord &Rec = *Records[Index];
+    uint64_t Proc = 0, Parent = 0, NumRecMetrics = 0, NumCells = 0,
+             NumSlots = 0;
     if (!R.u64(Proc) || !R.u64(Parent) || !R.u64(Rec.Addr) ||
         !R.u64(Rec.PathTableAddr) || !R.count(NumRecMetrics, 8))
       return DecodeStatus::Truncated;
     Rec.Proc = static_cast<ProcId>(Proc);
-    Rec.Parent = static_cast<int64_t>(Parent);
-    if (Rec.Proc != RootProcId && Rec.Proc >= Out.Procs.size())
+    if (Rec.Proc != RootProcId && Rec.Proc >= Tree->Procs.size())
       return DecodeStatus::Malformed;
+    // Any negative index marks a root (the encoder writes -1).
+    if (static_cast<int64_t>(Parent) >= 0) {
+      if (Parent < Index) {
+        Rec.Parent = Records[Parent].get();
+        Rec.Depth = Rec.Parent->Depth + 1;
+      } else {
+        Misshapen = true;
+      }
+    }
     Rec.Metrics.resize(NumRecMetrics);
     for (uint64_t &Metric : Rec.Metrics)
       if (!R.u64(Metric))
         return DecodeStatus::Truncated;
     if (!R.count(NumCells, MinPathCellBytes))
       return DecodeStatus::Truncated;
-    Rec.PathCells.resize(NumCells);
-    for (auto &[Sum, Cell] : Rec.PathCells)
-      if (!R.u64(Sum) || !R.u64(Cell.Freq) || !R.u64(Cell.Metric0) ||
-          !R.u64(Cell.Metric1))
+    for (uint64_t Cell = 0; Cell != NumCells; ++Cell) {
+      uint64_t Sum = 0;
+      PathCell Counts;
+      if (!R.u64(Sum) || !R.u64(Counts.Freq) || !R.u64(Counts.Metric0) ||
+          !R.u64(Counts.Metric1))
         return DecodeStatus::Truncated;
+      Rec.PathTable.emplace(Sum, Counts);
+    }
     if (!R.count(NumSlots, MinSlotBytes))
       return DecodeStatus::Truncated;
     Rec.Slots.resize(NumSlots);
-    for (TreeImage::Slot &Slot : Rec.Slots) {
-      uint64_t NumTargets;
-      if (!R.u8(Slot.Kind) || !R.count(NumTargets, MinTargetBytes))
+    for (CallRecord::Slot &Slot : Rec.Slots) {
+      uint8_t Kind = 0;
+      uint64_t NumTargets = 0;
+      if (!R.u8(Kind) || !R.count(NumTargets, MinTargetBytes))
         return DecodeStatus::Truncated;
-      if (Slot.Kind > static_cast<uint8_t>(CallRecord::Slot::Kind::List))
+      if (Kind > static_cast<uint8_t>(CallRecord::Slot::Kind::List))
         return DecodeStatus::Malformed;
-      Slot.Targets.resize(NumTargets);
-      for (auto &[Target, CellAddr] : Slot.Targets)
-        if (!R.u64(Target) || !R.u64(CellAddr))
+      Slot.K = static_cast<CallRecord::Slot::Kind>(Kind);
+      for (uint64_t Target = 0; Target != NumTargets; ++Target) {
+        uint64_t To = 0, CellAddr = 0;
+        if (!R.u64(To) || !R.u64(CellAddr))
           return DecodeStatus::Truncated;
+        if (To >= NumRecords) {
+          Misshapen = true;
+          continue;
+        }
+        if (Slot.K == CallRecord::Slot::Kind::Record)
+          Slot.Direct = Records[To].get();
+        else
+          Slot.List.push_back({Records[To].get(), CellAddr});
+      }
     }
   }
+  if (Misshapen)
+    return DecodeStatus::Malformed;
+  Tree->Root = Records.front().get();
+  Out = std::move(Tree);
   return DecodeStatus::Ok;
 }

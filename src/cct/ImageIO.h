@@ -1,9 +1,11 @@
 //===- cct/ImageIO.h - TreeImage binary codec ------------------*- C++ -*-===//
 ///
 /// \file
-/// The binary encoding of a full-fidelity cct::TreeImage, embedded in
-/// every profdb artifact that carries a tree (run-cache entries are
-/// artifacts too, see profdb/Artifact.h).
+/// The binary encoding of a full-fidelity CCT, embedded in every profdb
+/// artifact that carries a tree (run-cache entries are artifacts too, see
+/// profdb/Artifact.h). The writer encodes a cct::TreeImage; the reader
+/// builds the CallingContextTree itself, so decoding never materialises
+/// the image.
 ///
 /// The reader is bounds-checked: every count is validated against the
 /// bytes remaining, and decoded geometry is held under sanity ceilings
@@ -34,11 +36,14 @@ inline constexpr uint64_t MaxCctHeapBytes =
 /// Appends the encoding of \p Image to \p W.
 void writeTreeImage(ByteWriter &W, const TreeImage &Image);
 
-/// Decodes an image written by writeTreeImage: Truncated when a count
-/// exceeds the bytes remaining, Malformed for a structurally impossible
-/// value (bad slot kind, geometry above a ceiling, out-of-range procedure
-/// id). On failure \p Out is unspecified and must be discarded.
-DecodeStatus readTreeImage(ByteReader &R, TreeImage &Out);
+/// Decodes the bytes writeTreeImage wrote straight into a tree, in one
+/// pass with no image between: Truncated when a count exceeds the bytes
+/// remaining, Malformed for a structurally impossible value (bad slot
+/// kind, geometry above a ceiling, out-of-range procedure id) and, once
+/// the whole tree is read, for a tree fromImage would refuse (no record,
+/// a parent listed after its child, a slot target out of range). \p Out
+/// is set only on Ok; the tree carries no MemCharger.
+DecodeStatus readTree(ByteReader &R, std::unique_ptr<CallingContextTree> &Out);
 
 } // namespace cct
 } // namespace pp

@@ -305,11 +305,13 @@ private:
     // loadN / storeN carry their width in the mnemonic.
     if (Op.rfind("load", 0) == 0 || Op.rfind("store", 0) == 0) {
       bool IsLoad = Op[0] == 'l';
+      // Exactly one of the digits 1, 2, 4 or 8: "load8zz" or "load08" is
+      // a typo, not a load8.
       std::string WidthText = Op.substr(IsLoad ? 4 : 5);
-      int Width = std::atoi(WidthText.c_str());
-      if (Width != 1 && Width != 2 && Width != 4 && Width != 8)
+      if (WidthText.size() != 1 ||
+          std::string("1248").find(WidthText[0]) == std::string::npos)
         return fail(LineNo, "bad access width in '" + Op + "'");
-      I.Size = static_cast<uint8_t>(Width);
+      I.Size = static_cast<uint8_t>(WidthText[0] - '0');
       if (IsLoad) {
         I.Op = Opcode::Load;
         if (!parseReg(C, LineNo, I.Dst) || !C.eat(','))

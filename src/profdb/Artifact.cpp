@@ -223,7 +223,7 @@ DecodeStatus decode(const std::vector<uint8_t> &Bytes, Artifact &Out,
   // Identify the format before checksumming, so a foreign, stale or
   // future-versioned file reports its real problem, not a CRC error.
   ByteReader Header(Bytes.data(), Bytes.size());
-  uint64_t FileMagic, FileVersion;
+  uint64_t FileMagic = 0, FileVersion = 0;
   (void)Header.u64(FileMagic);
   (void)Header.u64(FileVersion);
   if (FileMagic != Magic)
@@ -320,15 +320,10 @@ DecodeStatus decode(const std::vector<uint8_t> &Bytes, Artifact &Out,
   if (!R.u8(HasTree))
     return DecodeStatus::Truncated;
   Out.Tree = nullptr;
-  if (HasTree) {
-    cct::TreeImage Image;
-    if (DecodeStatus Status = cct::readTreeImage(R, Image);
+  if (HasTree)
+    if (DecodeStatus Status = cct::readTree(R, Out.Tree);
         Status != DecodeStatus::Ok)
       return Status;
-    Out.Tree = cct::CallingContextTree::fromImage(Image);
-    if (!Out.Tree)
-      return DecodeStatus::Malformed;
-  }
 
   uint8_t HasRun = 0;
   if (FileVersion >= 4 && !R.u8(HasRun))

@@ -362,8 +362,6 @@ bool Fold::lift(const Artifact &A, std::string &Error) {
   Header.Schema = A.Schema;
   Header.ExecutedInsts = A.ExecutedInsts;
   Header.Totals = A.Totals;
-  Header.Functions = A.Functions;
-  Header.PathProfiles = A.PathProfiles;
   Inputs = 1;
   return true;
 }
@@ -492,17 +490,34 @@ bool Fold::compatible(const Fold &In, std::string &Error) const {
 
 bool Fold::add(const Artifact &A, std::string &Error) {
   Fold In;
-  return In.lift(A, Error) && add(std::move(In), Error);
+  if (!In.lift(A, Error))
+    return false;
+  In.Header.Functions = A.Functions;
+  In.Header.PathProfiles = A.PathProfiles;
+  return add(std::move(In), Error);
 }
 
 bool Fold::add(Artifact &&A, std::string &Error) {
-  bool First = Inputs == 0;
-  if (!add(static_cast<const Artifact &>(A), Error))
-    return false;
-  if (First)
+  if (Inputs == 0) {
+    if (!add(static_cast<const Artifact &>(A), Error))
+      return false;
     Result = std::make_unique<Artifact>(std::move(A));
-  else
-    A = Artifact(); // folded in; its memory goes now, not with the caller
+    return true;
+  }
+  // A later input's function table and path profiles move into the fold
+  // instead of being copied; a rejection hands them back, so a refused
+  // input is still whole.
+  Fold In;
+  if (!In.lift(A, Error))
+    return false;
+  In.Header.Functions = std::move(A.Functions);
+  In.Header.PathProfiles = std::move(A.PathProfiles);
+  if (!add(std::move(In), Error)) {
+    A.Functions = std::move(In.Header.Functions);
+    A.PathProfiles = std::move(In.Header.PathProfiles);
+    return false;
+  }
+  A = Artifact(); // folded in; its memory goes now, not with the caller
   return true;
 }
 

@@ -81,8 +81,10 @@ public:
   /// Folds \p A in. False (and \p Error set) rejects \p A with the fold
   /// exactly as it was.
   bool add(const Artifact &A, std::string &Error);
-  /// As above, consuming \p A on success. The fold's first input is kept,
-  /// so a fold of one input returns that input itself.
+  /// As above, consuming \p A on success: a later input's function
+  /// table and path profiles move into the fold, and a rejected \p A is
+  /// left whole. The fold's first input is kept, so a fold of one input
+  /// returns that input itself.
   bool add(Artifact &&A, std::string &Error);
   /// Absorbs another fold, with the same all-or-nothing contract.
   bool add(Fold &&Other, std::string &Error);
@@ -100,7 +102,9 @@ public:
   struct Node;
 
 private:
-  /// Makes this empty fold the checked merge form of \p A alone.
+  /// Makes this empty fold the checked merge form of \p A alone, all but
+  /// the function table and path profiles, which each add copies or
+  /// moves in.
   bool lift(const Artifact &A, std::string &Error);
   bool compatible(const Fold &In, std::string &Error) const;
   Artifact emit() const;

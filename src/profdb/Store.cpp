@@ -5,12 +5,15 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <dirent.h>
+#include <fcntl.h>
 #include <fstream>
+#include <memory>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -135,15 +138,32 @@ bool profdb::writeArtifactFile(const std::string &Path, const Artifact &A,
 }
 
 bool profdb::readFile(const std::string &Path, std::vector<uint8_t> &Bytes) {
-  struct stat St;
-  if (::stat(Path.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
+  // O_NONBLOCK makes the open itself unable to wait: a FIFO named *.ppa
+  // opens at once instead of blocking for a writer, and fstat refuses it
+  // with every other non-regular file. Reads of a regular file ignore it.
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK | O_NOCTTY);
+  if (Fd < 0)
     return false;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  auto Close = [](int *F) { ::close(*F); };
+  std::unique_ptr<int, decltype(Close)> Closer(&Fd, Close);
+  struct stat St {};
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode))
     return false;
-  Bytes.assign(std::istreambuf_iterator<char>(In),
-               std::istreambuf_iterator<char>());
-  return !In.bad();
+  // One sized read; a file that shrank since fstat ends early at EOF.
+  Bytes.resize(static_cast<size_t>(St.st_size));
+  size_t Got = 0;
+  while (Got != Bytes.size()) {
+    ssize_t N = ::read(Fd, Bytes.data() + Got, Bytes.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      return false;
+    if (N == 0)
+      break;
+    Got += static_cast<size_t>(N);
+  }
+  Bytes.resize(Got);
+  return true;
 }
 
 DecodeStatus profdb::readArtifactFile(const std::string &Path,

@@ -63,7 +63,11 @@ constexpr time_t StaleTempHardSeconds = 24 * 60 * 60;
 /// run cache.
 size_t sweepStaleTemps(const std::string &Dir);
 
-/// Reads the regular file \p Path whole; false when it cannot be read.
+/// Reads the regular file \p Path whole into \p Bytes, which ends up
+/// exactly the file's size (its old content and length are replaced, so
+/// a loop may reuse one buffer). One open, one fstat and a read sized by
+/// it. False on any I/O error, and for anything but a regular file,
+/// which is refused without waiting on it: a FIFO returns at once.
 bool readFile(const std::string &Path, std::vector<uint8_t> &Bytes);
 
 /// Reads and decodes \p Path. I/O failures report Unreadable; everything

@@ -3,7 +3,8 @@
 // Edits of a tree image that decode cleanly but break what the canonical
 // CCT emission relies on, for the merge tests of profdb and collectd. A
 // tree rebuilt from an edited image is exactly what decodeArtifact hands
-// over for a re-encoded file with a valid CRC.
+// over for a re-encoded file with a valid CRC. encodeWithEditedImage
+// writes an edited image no tree can hold, for the decoder's own tests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,10 +12,13 @@
 #define PP_TESTS_CRAFTED_TREES_H
 
 #include "cct/CallingContextTree.h"
+#include "cct/ImageIO.h"
 #include "profdb/Artifact.h"
+#include "support/Checksum.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -30,6 +34,34 @@ withEditedTree(const profdb::Artifact &A,
   Edit(Image);
   Out.Tree = cct::CallingContextTree::fromImage(Image);
   EXPECT_NE(Out.Tree, nullptr);
+  return Out;
+}
+
+/// The bytes of \p A (which must have a tree and no run section) with its
+/// tree replaced by the image after \p Edit, cut \p Cut bytes short of
+/// the tree's end (0 keeps it whole), under a valid CRC trailer: what a
+/// writer that encodes an impossible image would leave on disk.
+inline std::vector<uint8_t>
+encodeWithEditedImage(const profdb::Artifact &A,
+                      const std::function<void(cct::TreeImage &)> &Edit,
+                      size_t Cut = 0) {
+  std::vector<uint8_t> Bytes = profdb::encodeArtifact(A);
+  cct::TreeImage Image = A.Tree->image();
+  ByteWriter Original, Edited;
+  cct::writeTreeImage(Original, Image);
+  Edit(Image);
+  cct::writeTreeImage(Edited, Image);
+  // Such an artifact ends with its tree, the has-run byte and the trailer.
+  size_t TreeStart = Bytes.size() - 4 - 1 - Original.Bytes.size();
+  EXPECT_TRUE(std::equal(Original.Bytes.begin(), Original.Bytes.end(),
+                         Bytes.begin() + TreeStart));
+  std::vector<uint8_t> Out(Bytes.begin(), Bytes.begin() + TreeStart);
+  Out.insert(Out.end(), Edited.Bytes.begin(), Edited.Bytes.end() - Cut);
+  if (Cut == 0)
+    Out.push_back(0); // no run section
+  uint32_t Crc = crc32(Out.data(), Out.size());
+  for (unsigned Index = 0; Index != 4; ++Index)
+    Out.push_back(static_cast<uint8_t>(Crc >> (8 * Index)));
   return Out;
 }
 

@@ -16,12 +16,15 @@
 #include "support/Checksum.h"
 #include "workloads/Spec.h"
 
+#include "CraftedTrees.h"
+
 #include "gtest/gtest.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <functional>
 #include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/wait.h>
@@ -192,19 +195,25 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
   EXPECT_GE(Corruptions, 200u);
 }
 
-// The same three-sweep harness, pointed at the profile repository's
-// artifact decoder: artifacts are durable, travel between machines, and
-// are therefore just as untrusted as cache files.
-TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
+/// 130.li's Context+Flow+HW artifact (with a tree, no run section).
+void makeLiArtifact(profdb::Artifact &A) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
   RunPlan Plan = makePlan("130.li", prof::Mode::ContextFlowHw);
   OutcomePtr Run = D.run(Plan);
   ASSERT_TRUE(Run && Run->Result.Ok);
-
   auto Module = workloads::buildWorkload("130.li", 1);
   ASSERT_NE(Module, nullptr);
-  profdb::Artifact A = profdb::artifactFromOutcome(
-      *Run, *Module, "fault-fp", "130.li", 1, Plan.Options.Config);
+  A = profdb::artifactFromOutcome(*Run, *Module, "fault-fp", "130.li", 1,
+                                  Plan.Options.Config);
+  ASSERT_NE(A.Tree, nullptr);
+}
+
+// The same three-sweep harness, pointed at the profile repository's
+// artifact decoder: artifacts are durable, travel between machines, and
+// are therefore just as untrusted as cache files.
+TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
+  profdb::Artifact A;
+  ASSERT_NO_FATAL_FAILURE(makeLiArtifact(A));
   const std::vector<uint8_t> Bytes = profdb::encodeArtifact(A);
   ASSERT_GT(Bytes.size(), 16u);
   {
@@ -240,7 +249,28 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
   // the interior bounds checks face worst-case field values. Typed
   // rejection or a clean decode of stomped metric payload — never a
   // crash, never BadChecksum (the trailer is valid by construction).
+  // Each stomp's verdict is pinned, one letter per stomp, as the decoder
+  // that built the tree through a TreeImage gave them: O ok, M bad-magic,
+  // V bad-version, T truncated, X malformed.
   constexpr unsigned NumStomps = 100;
+  const std::string Pinned = "MVOTOTOTTTOXOOOOTTTTTXTTTOTTXXXTOOTOTTXTOTOOTOO"
+                             "OOOOOOOOTXTXXOTOTOOOOOOTTTXXOTOTOOOOOOOOOOTTXTT"
+                             "XTXTTX";
+  ASSERT_EQ(Pinned.size(), NumStomps);
+  auto PinnedStatus = [](char Letter) {
+    switch (Letter) {
+    case 'O':
+      return profdb::DecodeStatus::Ok;
+    case 'M':
+      return profdb::DecodeStatus::BadMagic;
+    case 'V':
+      return profdb::DecodeStatus::BadVersion;
+    case 'T':
+      return profdb::DecodeStatus::Truncated;
+    default:
+      return profdb::DecodeStatus::Malformed;
+    }
+  };
   for (unsigned I = 0; I != NumStomps; ++I) {
     std::vector<uint8_t> Stomped = Bytes;
     size_t Limit = Stomped.size() - 4;
@@ -251,9 +281,11 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
     for (unsigned B = 0; B != 4; ++B)
       Stomped[Stomped.size() - 4 + B] = uint8_t(Crc >> (8 * B));
     profdb::Artifact Out;
-    EXPECT_NE(profdb::decodeArtifact(Stomped, Out),
-              profdb::DecodeStatus::BadChecksum)
-        << "trailer fixup failed at offset " << Offset;
+    profdb::DecodeStatus Status = profdb::decodeArtifact(Stomped, Out);
+    EXPECT_EQ(Status, PinnedStatus(Pinned[I]))
+        << "stomp " << I << " at offset " << Offset << ": "
+        << profdb::decodeStatusName(Status) << ", pinned "
+        << profdb::decodeStatusName(PinnedStatus(Pinned[I]));
   }
 
   // Trailing garbage after a valid payload is its own typed status.
@@ -269,6 +301,54 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
     EXPECT_EQ(profdb::decodeArtifact(Extended, Out),
               profdb::DecodeStatus::TrailingBytes);
   }
+}
+
+// Trees no CallingContextTree can hold, written under a valid CRC. The
+// decoder reads the whole tree before it judges its structure, so a
+// misshapen tree that is also cut short reads as Truncated, as it did
+// when the decoder built a TreeImage first.
+TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
+  profdb::Artifact A;
+  ASSERT_NO_FATAL_FAILURE(makeLiArtifact(A));
+  ASSERT_GT(A.Tree->numRecords(), 2u);
+
+  auto ParentAfterChild = [](cct::TreeImage &Image) {
+    Image.Records[1].Parent = static_cast<int64_t>(Image.Records.size() - 1);
+    EXPECT_EQ(cct::CallingContextTree::fromImage(Image), nullptr);
+  };
+  auto TargetOutOfRange = [](cct::TreeImage &Image) {
+    testutil::DirectChild E;
+    ASSERT_TRUE(testutil::findDirectChild(Image, E));
+    Image.Records[E.Parent].Slots[E.Slot].Targets[0].first =
+        Image.Records.size();
+    EXPECT_EQ(cct::CallingContextTree::fromImage(Image), nullptr);
+  };
+  struct Case {
+    const char *Name;
+    std::function<void(cct::TreeImage &)> Edit;
+    size_t Cut;
+    profdb::DecodeStatus Want;
+  };
+  const Case Cases[] = {
+      {"parent listed after its child", ParentAfterChild, 0,
+       profdb::DecodeStatus::Malformed},
+      {"slot target out of range", TargetOutOfRange, 0,
+       profdb::DecodeStatus::Malformed},
+      {"bad parent, then cut short", ParentAfterChild, 8,
+       profdb::DecodeStatus::Truncated},
+  };
+  for (const Case &C : Cases) {
+    std::vector<uint8_t> Bytes =
+        testutil::encodeWithEditedImage(A, C.Edit, C.Cut);
+    profdb::Artifact Out;
+    EXPECT_EQ(profdb::decodeArtifact(Bytes, Out), C.Want) << C.Name;
+  }
+  // The unedited image goes through the same splice and decodes.
+  profdb::Artifact Out;
+  EXPECT_EQ(profdb::decodeArtifact(
+                testutil::encodeWithEditedImage(A, [](cct::TreeImage &) {}),
+                Out),
+            profdb::DecodeStatus::Ok);
 }
 
 TEST(FaultSweepTest, ArtifactFileReadFoldsIoIntoStatus) {

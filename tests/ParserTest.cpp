@@ -141,3 +141,21 @@ TEST(Parser, AbsoluteMemoryOperands) {
   ASSERT_TRUE(Run.Result.Ok);
   EXPECT_EQ(Run.Result.ExitValue, 7u);
 }
+
+TEST(Parser, AccessWidthIsExactlyOneOfTheFourWidths) {
+  auto Parse = [](const std::string &Access) {
+    return parseModule("func @main(0) regs=2 {\nentry:\n  mov r0, 7\n  " +
+                       Access + "\n  ret 0\n}\nmain @main\n");
+  };
+  for (const char *Good :
+       {"load1 r1, [_ + 268435456]", "load2 r1, [_ + 268435456]",
+        "load4 r1, [_ + 268435456]", "store8 [_ + 268435456], r0"})
+    EXPECT_TRUE(Parse(Good).ok()) << Good << ": " << Parse(Good).Error;
+  for (const char *Bad :
+       {"load8zz r1, [_ + 268435456]", "load+8 r1, [_ + 268435456]",
+        "load08 r1, [_ + 268435456]", "store4x [_ + 268435456], r0"}) {
+    ParseResult Parsed = Parse(Bad);
+    EXPECT_FALSE(Parsed.ok()) << Bad;
+    EXPECT_NE(Parsed.Error.find("line 4"), std::string::npos) << Bad;
+  }
+}

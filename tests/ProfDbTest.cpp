@@ -593,13 +593,16 @@ TEST(ProfDbFoldTest, RejectedAddLeavesTheFoldAsItWas) {
       ASSERT_TRUE(F.add(A, Error)) << Error;
       ASSERT_TRUE(F.add(B, Error)) << Error;
       Error.clear();
+      std::vector<uint8_t> BadBytes = profdb::encodeArtifact(Case.Bad);
       EXPECT_FALSE(F.add(std::move(Case.Bad), Error));
       EXPECT_NE(Error.find(Case.Expect), std::string::npos) << Error;
       // Nothing moved: the input count, the run count and the emitted
-      // bytes are exactly those of the fold that never saw the input.
+      // bytes are exactly those of the fold that never saw the input,
+      // and the refused input is whole.
       EXPECT_EQ(F.inputs(), 2u);
       EXPECT_EQ(F.result().RunCount, 2u);
       EXPECT_EQ(profdb::encodeArtifact(F.result()), BeforeBytes);
+      EXPECT_EQ(profdb::encodeArtifact(Case.Bad), BadBytes);
     }
   }
   EXPECT_EQ(Covered.size(), 21u);
@@ -843,4 +846,89 @@ TEST(ProfDbStoreTest, WriteCreatesNestedParentDirectories) {
 
   std::string Cmd = std::string("rm -rf ") + Dir;
   (void)std::system(Cmd.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// File reads (profdb::readFile)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A fresh directory under /tmp, removed with everything in it.
+class ProfDbReadTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    char Template[] = "/tmp/pp-profdb-read-XXXXXX";
+    const char *Made = mkdtemp(Template);
+    ASSERT_NE(Made, nullptr);
+    Dir = Made;
+  }
+  void TearDown() override {
+    std::string Cmd = "rm -rf " + Dir;
+    (void)std::system(Cmd.c_str());
+  }
+
+  std::string write(const std::string &Name,
+                    const std::vector<uint8_t> &Bytes) {
+    std::string Path = Dir + "/" + Name;
+    std::string Error;
+    EXPECT_TRUE(profdb::writeFileAtomic(Path, Bytes, Error)) << Error;
+    return Path;
+  }
+
+  std::string Dir;
+};
+
+} // namespace
+
+// Opening a FIFO for reading waits for a writer unless the reader refuses
+// it first; ctest's TIMEOUT on this binary turns such a wait into a
+// failure instead of a hung suite.
+TEST_F(ProfDbReadTest, FifoIsUnreadableAndReturnsAtOnce) {
+  std::string Path = Dir + "/x.ppa";
+  ASSERT_EQ(::mkfifo(Path.c_str(), 0644), 0);
+  std::vector<uint8_t> Bytes;
+  EXPECT_FALSE(profdb::readFile(Path, Bytes));
+  profdb::Artifact A;
+  EXPECT_EQ(profdb::readArtifactFile(Path, A), profdb::DecodeStatus::Unreadable);
+  EXPECT_TRUE(profdb::listArtifactFiles(Dir).empty());
+}
+
+TEST_F(ProfDbReadTest, EmptyFileDecodesAsTooShort) {
+  std::string Path = write("empty.ppa", {});
+  std::vector<uint8_t> Bytes = {1, 2, 3};
+  ASSERT_TRUE(profdb::readFile(Path, Bytes));
+  EXPECT_TRUE(Bytes.empty());
+  profdb::Artifact A;
+  EXPECT_EQ(profdb::readArtifactFile(Path, A), profdb::DecodeStatus::TooShort);
+}
+
+TEST_F(ProfDbReadTest, OneMebibyteFileRoundTripsByteForByte) {
+  std::vector<uint8_t> Content(1 << 20);
+  std::mt19937_64 Rng(7);
+  for (uint8_t &Byte : Content)
+    Byte = static_cast<uint8_t>(Rng());
+  std::string Path = write("big.bin", Content);
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(profdb::readFile(Path, Bytes));
+  EXPECT_EQ(Bytes, Content);
+}
+
+TEST_F(ProfDbReadTest, LongerBufferComesBackExactlyTheFileSize) {
+  std::vector<uint8_t> Content = {'P', 'P', 'D', 'B', 0, 1, 2};
+  std::string Path = write("short.bin", Content);
+  std::vector<uint8_t> Bytes(4096, 0xee);
+  ASSERT_TRUE(profdb::readFile(Path, Bytes));
+  EXPECT_EQ(Bytes, Content);
+
+  // One buffer reused across files of both sizes.
+  std::string Big = write("big.bin", std::vector<uint8_t>(10000, 0x5a));
+  ASSERT_TRUE(profdb::readFile(Big, Bytes));
+  EXPECT_EQ(Bytes.size(), 10000u);
+  ASSERT_TRUE(profdb::readFile(Path, Bytes));
+  EXPECT_EQ(Bytes, Content);
+
+  // A directory is not a file; a failed read reports false.
+  EXPECT_FALSE(profdb::readFile(Dir, Bytes));
+  EXPECT_FALSE(profdb::readFile(Dir + "/absent.bin", Bytes));
 }
