@@ -21,10 +21,12 @@
 //
 // Fork discipline: the parent is threaded (ingest pool, epoll event
 // thread), so forked senders touch no heap — every frame stream is
-// serialized before the first fork and children only issue syscalls.
+// serialized before the first fork and children only call
+// collectd::replay, which makes system calls only.
 //
 //===----------------------------------------------------------------------===//
 
+#include "collectd/Client.h"
 #include "collectd/Ingest.h"
 #include "collectd/Server.h"
 #include "collectd/Wire.h"
@@ -35,15 +37,11 @@
 #include "workloads/Spec.h"
 
 #include <algorithm>
-#include <arpa/inet.h>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <span>
 #include <string>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -72,92 +70,11 @@ double clockResolution() {
   return Best;
 }
 
-/// Runs one pre-framed client session from a forked child: connect,
-/// stream the bytes, half-close, drain replies to EOF. Syscalls only —
-/// the parent is threaded, so the child must never malloc.
-int replaySession(const sockaddr_in &Addr, const uint8_t *Bytes,
-                  size_t Size) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (Fd < 0)
-    return 10;
-  if (::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
-                sizeof(Addr)) != 0) {
-    ::close(Fd);
-    return 11;
-  }
-  size_t Off = 0;
-  while (Off < Size) {
-    ssize_t N = ::send(Fd, Bytes + Off, Size - Off, MSG_NOSIGNAL);
-    if (N <= 0) {
-      ::close(Fd);
-      return 12;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  ::shutdown(Fd, SHUT_WR);
-  char Sink[4096];
-  for (;;) {
-    ssize_t N = ::recv(Fd, Sink, sizeof(Sink), 0);
-    if (N == 0)
-      break;
-    if (N < 0) {
-      ::close(Fd);
-      return 13;
-    }
-  }
-  ::close(Fd);
-  return 0;
+/// The \p P quantile of \p Latencies (sorted in place).
+double percentile(std::vector<double> &Latencies, double P) {
+  std::sort(Latencies.begin(), Latencies.end());
+  return Latencies[static_cast<size_t>(P * (Latencies.size() - 1))];
 }
-
-/// Blocking framed client for the parent's in-flight wire queries.
-class QueryClient {
-public:
-  bool connectTo(const sockaddr_in &Addr) {
-    Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (Fd < 0)
-      return false;
-    timeval Timeout{30, 0};
-    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    return ::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
-                     sizeof(Addr)) == 0;
-  }
-  bool sendFrame(const collectd::Frame &F) {
-    std::vector<uint8_t> Bytes = collectd::encodeFrame(F);
-    size_t Off = 0;
-    while (Off < Bytes.size()) {
-      ssize_t N =
-          ::send(Fd, Bytes.data() + Off, Bytes.size() - Off, MSG_NOSIGNAL);
-      if (N <= 0)
-        return false;
-      Off += static_cast<size_t>(N);
-    }
-    return true;
-  }
-  bool readFrame(collectd::Frame &F) {
-    for (;;) {
-      collectd::WireStatus Status = Decoder.next(F);
-      if (Status == collectd::WireStatus::Ok)
-        return true;
-      if (Status != collectd::WireStatus::NeedMore)
-        return false;
-      uint8_t Buf[4096];
-      ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-      if (N <= 0)
-        return false;
-      Decoder.feed(Buf, static_cast<size_t>(N));
-    }
-  }
-  ~QueryClient() {
-    if (Fd >= 0)
-      ::close(Fd);
-  }
-
-private:
-  int Fd = -1;
-  collectd::FrameDecoder Decoder;
-};
 
 } // namespace
 
@@ -206,22 +123,9 @@ int main() {
   // HELLO then the client's uploads, one byte stream per client.
   std::vector<std::vector<uint8_t>> Sessions(NumClients);
   for (uint64_t Client = 0; Client != NumClients; ++Client) {
-    collectd::Frame Hello;
-    Hello.Type = collectd::FrameType::Hello;
-    Hello.Tenant = Uploads[Client * UploadsPerClient].Tenant;
-    Hello.Acquisition = "exact";
-    std::vector<uint8_t> Stream = collectd::encodeFrame(Hello);
-    for (uint64_t U = 0; U != UploadsPerClient; ++U) {
-      const collectd::Upload &Up = Uploads[Client * UploadsPerClient + U];
-      collectd::Frame Frame;
-      Frame.Type = collectd::FrameType::Upload;
-      Frame.Serial = U + 1;
-      Frame.Window = Up.Window;
-      Frame.Artifact = Up.Bytes;
-      std::vector<uint8_t> Encoded = collectd::encodeFrame(Frame);
-      Stream.insert(Stream.end(), Encoded.begin(), Encoded.end());
-    }
-    Sessions[Client] = std::move(Stream);
+    std::span<const collectd::Upload> Own(
+        Uploads.data() + Client * UploadsPerClient, UploadsPerClient);
+    Sessions[Client] = collectd::encodeSession(Own[0].Tenant, "exact", Own);
   }
 
   // Serial reference fold for both determinism checks.
@@ -297,13 +201,8 @@ int main() {
       return 1;
     }
 
-    std::sort(QueryLatencies.begin(), QueryLatencies.end());
-    auto Percentile = [&QueryLatencies](double P) {
-      size_t Index = static_cast<size_t>(P * (QueryLatencies.size() - 1));
-      return QueryLatencies[Index];
-    };
-    P50 = Percentile(0.50);
-    P99 = Percentile(0.99);
+    P50 = percentile(QueryLatencies, 0.50);
+    P99 = percentile(QueryLatencies, 0.99);
   }
 
   // --- Wire phase: the same 10k sessions through real sockets. -------
@@ -318,11 +217,6 @@ int main() {
     std::fprintf(stderr, "collectd_ingest: server: %s\n", Error.c_str());
     return 1;
   }
-
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(Server.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
 
   // Each forked sender replays a contiguous slice of sessions, one
   // connection at a time — NumSenders concurrent connections against
@@ -339,8 +233,9 @@ int main() {
     }
     if (Pid == 0) {
       for (uint64_t Client = Begin; Client != End; ++Client) {
-        int Rc = replaySession(Addr, Sessions[Client].data(),
-                               Sessions[Client].size());
+        int Rc = collectd::replay("127.0.0.1", Server.port(),
+                                  Sessions[Client].data(),
+                                  Sessions[Client].size());
         if (Rc != 0)
           ::_exit(Rc);
       }
@@ -354,17 +249,14 @@ int main() {
   std::vector<double> WireLatencies;
   WireLatencies.reserve(NumWireQueries);
   {
-    QueryClient Client;
-    collectd::Frame Hello;
-    Hello.Type = collectd::FrameType::Hello;
-    Hello.Tenant = "bench-query";
-    Hello.Acquisition = "exact";
-    collectd::Frame Reply;
-    if (!Client.connectTo(Addr) || !Client.sendFrame(Hello) ||
-        !Client.readFrame(Reply)) {
-      std::fprintf(stderr, "collectd_ingest: query client hello failed\n");
+    collectd::Client Client;
+    if (!Client.connect("127.0.0.1", Server.port()) ||
+        !Client.hello("bench-query", "exact")) {
+      std::fprintf(stderr, "collectd_ingest: query client hello failed: %s\n",
+                   Client.error().c_str());
       return 1;
     }
+    collectd::Frame Reply;
     for (unsigned Q = 0; Q != NumWireQueries; ++Q) {
       collectd::Frame Query;
       Query.Type = collectd::FrameType::Query;
@@ -373,8 +265,10 @@ int main() {
       Query.Window = Q % NumWindows;
       Query.Limit = 10;
       auto Tq0 = std::chrono::steady_clock::now();
-      if (!Client.sendFrame(Query) || !Client.readFrame(Reply)) {
-        std::fprintf(stderr, "collectd_ingest: wire query %u failed\n", Q);
+      if (!Client.send(Query) ||
+          Client.receive(Reply) != collectd::WireStatus::Ok) {
+        std::fprintf(stderr, "collectd_ingest: wire query %u failed: %s\n", Q,
+                     Client.error().c_str());
         return 1;
       }
       auto Tq1 = std::chrono::steady_clock::now();
@@ -413,12 +307,8 @@ int main() {
     }
   }
 
-  std::sort(WireLatencies.begin(), WireLatencies.end());
-  auto WirePercentile = [&WireLatencies](double P) {
-    size_t Index = static_cast<size_t>(P * (WireLatencies.size() - 1));
-    return WireLatencies[Index];
-  };
-  double WireP50 = WirePercentile(0.50), WireP99 = WirePercentile(0.99);
+  double WireP50 = percentile(WireLatencies, 0.50);
+  double WireP99 = percentile(WireLatencies, 0.99);
   double PerSec = TotalUploads / IngestSeconds;
   double WirePerSec = TotalUploads / WireSeconds;
 

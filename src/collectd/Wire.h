@@ -36,6 +36,9 @@
 /// the framing itself cannot be trusted, so the server replies with a
 /// typed REJECT and closes.
 ///
+/// The server side is collectd/Server.h; collectd/Client.h is the one
+/// client that speaks this protocol to it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_COLLECTD_WIRE_H

@@ -17,7 +17,6 @@
 #include "prof/Session.h"
 #include "profdb/Merge.h"
 #include "profdb/Store.h"
-#include "workloads/Spec.h"
 
 #include "CraftedTrees.h"
 
@@ -46,15 +45,13 @@ void removeDir(const std::string &Dir) {
   (void)std::system(Cmd.c_str());
 }
 
-/// A decoded artifact for 130.li (built once; cloned per upload via its
-/// encoded bytes). \p Acquisition tags the schema only — the measurement
-/// is the same exact run either way, which is exactly what the
+/// An encoded 130.li artifact under \p Fingerprint (the run executes
+/// once). \p Acquisition tags the schema only — the measurement is the
+/// same exact run either way, which is exactly what the
 /// cross-acquisition gate must catch.
-const std::vector<uint8_t> &encodedArtifact(const std::string &Fingerprint,
-                                            const std::string &Acquisition) {
-  static std::vector<uint8_t> *Cache = nullptr;
+std::vector<uint8_t> encodedArtifact(const std::string &Fingerprint,
+                                     const std::string &Acquisition) {
   static driver::OutcomePtr Run;
-  static std::unique_ptr<ir::Module> Module;
   static prof::ProfileConfig Config;
   if (!Run) {
     driver::Driver D(/*DiskDir=*/"", /*Threads=*/0);
@@ -63,15 +60,11 @@ const std::vector<uint8_t> &encodedArtifact(const std::string &Fingerprint,
     Plan.Options.Config.M = prof::Mode::ContextFlowHw;
     Run = D.run(Plan);
     EXPECT_TRUE(Run && Run->Result.Ok);
-    Module = workloads::buildWorkload("130.li", 1);
     Config = Plan.Options.Config;
   }
-  profdb::Artifact A = profdb::artifactFromOutcome(
-      *Run, *Module, Fingerprint, "130.li", 1, Config, Acquisition);
-  static thread_local std::vector<uint8_t> Bytes;
-  Bytes = profdb::encodeArtifact(A);
-  (void)Cache;
-  return Bytes;
+  return profdb::encodeRunArtifact(
+      *Run, Fingerprint, "130.li", 1,
+      profdb::MetricSchema::of(Config, Acquisition));
 }
 
 Upload makeUpload(const std::string &Tenant, uint64_t Window,

@@ -13,26 +13,22 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cct/CallingContextTree.h"
+#include "collectd/Client.h"
 #include "collectd/Ingest.h"
 #include "collectd/Server.h"
 #include "collectd/Wire.h"
 #include "driver/Driver.h"
+#include "profdb/Artifact.h"
 #include "profdb/Store.h"
-#include "workloads/Spec.h"
 
 #include "gtest/gtest.h"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
-#include <netinet/in.h>
+#include <memory>
 #include <string>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -59,8 +55,7 @@ void removeDir(const std::string &Dir) {
 /// re-stamped per upload) — the same corpus CollectdTest uses.
 std::vector<uint8_t> encodedArtifact(const std::string &Fingerprint) {
   static driver::OutcomePtr Run;
-  static std::unique_ptr<ir::Module> Module;
-  static prof::ProfileConfig Config;
+  static driver::RunKey Key;
   if (!Run) {
     driver::Driver D(/*DiskDir=*/"", /*Threads=*/0);
     driver::RunPlan Plan;
@@ -68,144 +63,29 @@ std::vector<uint8_t> encodedArtifact(const std::string &Fingerprint) {
     Plan.Options.Config.M = prof::Mode::ContextFlowHw;
     Run = D.run(Plan);
     EXPECT_TRUE(Run && Run->Result.Ok);
-    Module = workloads::buildWorkload("130.li", 1);
-    Config = Plan.Options.Config;
+    Key = driver::RunKey::of(Plan);
   }
-  profdb::Artifact A = profdb::artifactFromOutcome(*Run, *Module, Fingerprint,
-                                                   "130.li", 1, Config);
-  return profdb::encodeArtifact(A);
+  return profdb::encodeRunArtifact(*Run, Fingerprint, Key.Workload, Key.Scale,
+                                   Key.Schema);
 }
 
-/// A blocking loopback client for the framed protocol, with a receive
-/// timeout so a server bug fails the test instead of hanging it.
-class TestClient {
-public:
-  ~TestClient() { disconnect(); }
+/// True when the server has closed \p Conn: the next receive meets a
+/// clean EOF, not a frame or a timeout.
+bool readEof(Client &Conn) {
+  Frame Unexpected;
+  return Conn.receive(Unexpected) == WireStatus::NeedMore &&
+         Conn.peerClosed();
+}
 
-  bool connectTo(uint16_t Port, int RcvBufBytes = 0) {
-    Fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (Fd < 0)
-      return false;
-    if (RcvBufBytes)
-      setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &RcvBufBytes,
-                 sizeof(RcvBufBytes));
-    timeval Timeout{30, 0};
-    setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_port = htons(Port);
-    inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-    return connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                   sizeof(Addr)) == 0;
-  }
-
-  bool sendBytes(const std::vector<uint8_t> &Bytes) {
-    size_t Sent = 0;
-    while (Sent != Bytes.size()) {
-      ssize_t Got = send(Fd, Bytes.data() + Sent, Bytes.size() - Sent,
-                         MSG_NOSIGNAL);
-      if (Got < 0) {
-        if (errno == EINTR)
-          continue;
-        return false;
-      }
-      Sent += static_cast<size_t>(Got);
-    }
-    return true;
-  }
-
-  bool sendFrame(const Frame &F) { return sendBytes(encodeFrame(F)); }
-
-  /// Ok = frame read; NeedMore here means the peer closed (EOF).
-  WireStatus readFrame(Frame &Out) {
-    for (;;) {
-      WireStatus Status = Decoder.next(Out);
-      if (Status != WireStatus::NeedMore)
-        return Status;
-      uint8_t Chunk[64 * 1024];
-      ssize_t Got = recv(Fd, Chunk, sizeof(Chunk), 0);
-      if (Got < 0 && errno == EINTR)
-        continue;
-      if (Got <= 0)
-        return WireStatus::NeedMore; // EOF or timeout
-      Decoder.feed(Chunk, static_cast<size_t>(Got));
-    }
-  }
-
-  /// True when the peer has closed: the next read yields EOF.
-  bool readEof() {
-    uint8_t Byte;
-    for (;;) {
-      ssize_t Got = recv(Fd, &Byte, 1, 0);
-      if (Got < 0 && errno == EINTR)
-        continue;
-      return Got == 0;
-    }
-  }
-
-  bool hello(const std::string &Tenant) {
-    Frame F;
-    F.Type = FrameType::Hello;
-    F.Tenant = Tenant;
-    F.Acquisition = "exact";
-    if (!sendFrame(F))
-      return false;
-    Frame Reply;
-    return readFrame(Reply) == WireStatus::Ok &&
-           Reply.Type == FrameType::Ack;
-  }
-
-  void disconnect() {
-    if (Fd >= 0)
-      close(Fd);
-    Fd = -1;
-  }
-
-private:
-  int Fd = -1;
-  FrameDecoder Decoder;
-};
-
-/// Runs \p Stream against the server from a forked child process: the
-/// child connects, writes the pre-serialised bytes, half-closes, drains
-/// replies to EOF, and exits. Everything the child touches is allocated
-/// before the fork — the parent is threaded, so the child must not
-/// malloc.
+/// Runs \p Stream against the server from a forked child process, which
+/// replays it and exits with replay()'s status. Everything the child
+/// touches is allocated before the fork — the parent is threaded, so the
+/// child must not malloc.
 pid_t spawnSender(uint16_t Port, const std::vector<uint8_t> &Stream) {
   pid_t Pid = fork();
-  if (Pid != 0)
-    return Pid;
-
-  int Fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    _exit(10);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(Port);
-  inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-  if (connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0)
-    _exit(11);
-  size_t Sent = 0;
-  while (Sent != Stream.size()) {
-    ssize_t Got =
-        send(Fd, Stream.data() + Sent, Stream.size() - Sent, MSG_NOSIGNAL);
-    if (Got < 0) {
-      if (errno == EINTR)
-        continue;
-      _exit(12);
-    }
-    Sent += static_cast<size_t>(Got);
-  }
-  shutdown(Fd, SHUT_WR);
-  uint8_t Sink[4096];
-  for (;;) {
-    ssize_t Got = recv(Fd, Sink, sizeof(Sink), 0);
-    if (Got < 0 && errno == EINTR)
-      continue;
-    if (Got <= 0)
-      break;
-  }
-  _exit(0);
+  if (Pid == 0)
+    _exit(replay("127.0.0.1", Port, Stream.data(), Stream.size()));
+  return Pid;
 }
 
 int waitFor(pid_t Pid) {
@@ -213,27 +93,6 @@ int waitFor(pid_t Pid) {
   while (waitpid(Pid, &Status, 0) < 0 && errno == EINTR)
     ;
   return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-}
-
-/// A client session as bytes: hello + every upload, framed.
-std::vector<uint8_t> sessionStream(const std::string &Tenant,
-                                   const std::vector<Upload> &Uploads) {
-  Frame Hello;
-  Hello.Type = FrameType::Hello;
-  Hello.Tenant = Tenant;
-  Hello.Acquisition = "exact";
-  std::vector<uint8_t> Stream = encodeFrame(Hello);
-  uint64_t Serial = 0;
-  for (const Upload &U : Uploads) {
-    Frame Up;
-    Up.Type = FrameType::Upload;
-    Up.Serial = Serial++;
-    Up.Window = U.Window;
-    Up.Artifact = U.Bytes;
-    std::vector<uint8_t> Bytes = encodeFrame(Up);
-    Stream.insert(Stream.end(), Bytes.begin(), Bytes.end());
-  }
-  return Stream;
 }
 
 /// Every persisted artifact under \p StoreDir, keyed by
@@ -245,11 +104,8 @@ persistedTree(const std::string &StoreDir,
   for (uint64_t Id : WindowIds) {
     std::string Dir = StoreDir + "/w" + std::to_string(Id);
     for (const std::string &Path : profdb::listArtifactFiles(Dir)) {
-      std::ifstream In(Path, std::ios::binary);
-      std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                                 std::istreambuf_iterator<char>());
-      Tree["w" + std::to_string(Id) + Path.substr(Path.rfind('/'))] =
-          std::move(Bytes);
+      EXPECT_TRUE(profdb::readFile(
+          Path, Tree["w" + std::to_string(Id) + Path.substr(Path.rfind('/'))]));
     }
   }
   return Tree;
@@ -260,6 +116,34 @@ IngestConfig manualConfig() {
   C.Threads = 0;
   return C;
 }
+
+/// One started Server over its own service and one client connected to
+/// it: the setup every protocol and limit case shares.
+class ServerSession : public testing::Test {
+protected:
+  /// Starts the server under \p S over a service under \p I, connects
+  /// Conn with \p ReceiveBufferBytes, and HELLOs as tenant "t" when
+  /// \p Hello.
+  testing::AssertionResult open(bool Hello, ServerConfig S = {},
+                                IngestConfig I = manualConfig(),
+                                int ReceiveBufferBytes = 0) {
+    Service = std::make_unique<IngestService>(std::move(I));
+    Front = std::make_unique<Server>(std::move(S), *Service);
+    std::string Error;
+    if (!Front->start(Error))
+      return testing::AssertionFailure() << Error;
+    if (!Conn.connect("127.0.0.1", Front->port(), ReceiveBufferBytes) ||
+        (Hello && !Conn.hello("t", "exact")))
+      return testing::AssertionFailure() << Conn.error();
+    return testing::AssertionSuccess();
+  }
+
+  std::unique_ptr<IngestService> Service;
+  std::unique_ptr<Server> Front;
+  Client Conn;
+};
+using ServerProtocolTest = ServerSession;
+using ServerLimitTest = ServerSession;
 
 } // namespace
 
@@ -292,7 +176,7 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
       Fleet[Client].push_back(std::move(Up));
     }
     Streams[Client] =
-        sessionStream("c" + std::to_string(Client), Fleet[Client]);
+        encodeSession("c" + std::to_string(Client), "exact", Fleet[Client]);
   }
 
   uint64_t WireRejected;
@@ -360,7 +244,7 @@ TEST(ServerLoopbackTest, ConcurrentClientProcessesFoldIdentically) {
                  encodedArtifact("conc;c" + std::to_string(Client) + ";u" +
                                  std::to_string(U))});
     Streams[Client] =
-        sessionStream("c" + std::to_string(Client), Fleet[Client]);
+        encodeSession("c" + std::to_string(Client), "exact", Fleet[Client]);
   }
 
   IngestService Service(manualConfig());
@@ -393,100 +277,68 @@ TEST(ServerLoopbackTest, ConcurrentClientProcessesFoldIdentically) {
 // Typed protocol errors
 //===----------------------------------------------------------------------===//
 
-TEST(ServerProtocolTest, UploadBeforeHelloIsRefusedAndClosed) {
-  IngestService Service(manualConfig());
-  Server Front({}, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
+TEST_F(ServerProtocolTest, UploadBeforeHelloIsRefusedAndClosed) {
+  ASSERT_TRUE(open(/*Hello=*/false));
   Frame Up;
   Up.Type = FrameType::Upload;
   Up.Serial = 3;
   Up.Window = 0;
   Up.Artifact = {1, 2, 3};
-  ASSERT_TRUE(Client.sendFrame(Up));
+  ASSERT_TRUE(Conn.send(Up));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Reject);
   EXPECT_EQ(Reply.Serial, 3u);
   EXPECT_NE(Reply.Message.find("hello"), std::string::npos);
-  EXPECT_TRUE(Client.readEof());
-  EXPECT_EQ(Service.stats().Submitted, 0u);
+  EXPECT_TRUE(readEof(Conn));
+  EXPECT_EQ(Service->stats().Submitted, 0u);
 }
 
-TEST(ServerProtocolTest, BadMagicIsTypedRejectThenClose) {
-  IngestService Service(manualConfig());
-  Server Front({}, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
-  ASSERT_TRUE(Client.sendBytes({'G', 'E', 'T', ' ', '/', '\r', '\n'}));
+TEST_F(ServerProtocolTest, BadMagicIsTypedRejectThenClose) {
+  ASSERT_TRUE(open(/*Hello=*/false));
+  ASSERT_TRUE(Conn.sendBytes({'G', 'E', 'T', ' ', '/', '\r', '\n'}));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Reject);
   EXPECT_EQ(Reply.Wire, WireStatus::BadMagic);
-  EXPECT_TRUE(Client.readEof());
-  EXPECT_GE(Front.stats().ProtocolErrors, 1u);
+  EXPECT_TRUE(readEof(Conn));
+  EXPECT_GE(Front->stats().ProtocolErrors, 1u);
 }
 
-TEST(ServerProtocolTest, BadVersionIsTypedRejectThenClose) {
-  IngestService Service(manualConfig());
-  Server Front({}, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
+TEST_F(ServerProtocolTest, BadVersionIsTypedRejectThenClose) {
+  ASSERT_TRUE(open(/*Hello=*/false));
   Frame Hello;
   Hello.Type = FrameType::Hello;
   Hello.Tenant = "t";
   Hello.Acquisition = "exact";
   std::vector<uint8_t> Bytes = encodeFrame(Hello);
   Bytes[4] = WireVersion + 9;
-  ASSERT_TRUE(Client.sendBytes(Bytes));
+  ASSERT_TRUE(Conn.sendBytes(Bytes));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Reject);
   EXPECT_EQ(Reply.Wire, WireStatus::BadVersion);
-  EXPECT_TRUE(Client.readEof());
+  EXPECT_TRUE(readEof(Conn));
 }
 
-TEST(ServerProtocolTest, OversizedFrameIsTypedRejectThenClose) {
-  IngestService Service(manualConfig());
+TEST_F(ServerProtocolTest, OversizedFrameIsTypedRejectThenClose) {
   ServerConfig Cfg;
   Cfg.MaxPayloadBytes = 1024;
-  Server Front(Cfg, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
-  ASSERT_TRUE(Client.hello("t"));
+  ASSERT_TRUE(open(/*Hello=*/true, Cfg));
   Frame Up;
   Up.Type = FrameType::Upload;
   Up.Artifact.assign(4096, 0xaa);
-  ASSERT_TRUE(Client.sendFrame(Up));
+  ASSERT_TRUE(Conn.send(Up));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Reject);
   EXPECT_EQ(Reply.Wire, WireStatus::FrameTooLarge);
-  EXPECT_TRUE(Client.readEof());
-  EXPECT_EQ(Service.stats().Submitted, 0u);
+  EXPECT_TRUE(readEof(Conn));
+  EXPECT_EQ(Service->stats().Submitted, 0u);
 }
 
-TEST(ServerProtocolTest, CorruptUploadRejectsTypedAndSessionSurvives) {
-  IngestService Service(manualConfig());
-  Server Front({}, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
-  ASSERT_TRUE(Client.hello("t"));
+TEST_F(ServerProtocolTest, CorruptUploadRejectsTypedAndSessionSurvives) {
+  ASSERT_TRUE(open(/*Hello=*/true));
 
   // Corrupt *artifact* inside a well-formed frame: the wire CRC passes,
   // the artifact decoder refuses, the session lives on.
@@ -496,9 +348,9 @@ TEST(ServerProtocolTest, CorruptUploadRejectsTypedAndSessionSurvives) {
   Bad.Window = 0;
   Bad.Artifact = encodedArtifact("wire;bad");
   Bad.Artifact[Bad.Artifact.size() / 2] ^= 0x10;
-  ASSERT_TRUE(Client.sendFrame(Bad));
+  ASSERT_TRUE(Conn.send(Bad));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Reject);
   EXPECT_EQ(Reply.Serial, 1u);
   EXPECT_EQ(Reply.Reason, RejectReason::Corrupt);
@@ -509,30 +361,23 @@ TEST(ServerProtocolTest, CorruptUploadRejectsTypedAndSessionSurvives) {
   Good.Serial = 2;
   Good.Window = 0;
   Good.Artifact = encodedArtifact("wire;good");
-  ASSERT_TRUE(Client.sendFrame(Good));
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_TRUE(Conn.send(Good));
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Ack);
   EXPECT_EQ(Reply.Serial, 2u);
-  EXPECT_EQ(Service.stats().Accepted, 1u);
+  EXPECT_EQ(Service->stats().Accepted, 1u);
 }
 
-TEST(ServerProtocolTest, QueriesAnswerOverTheWire) {
-  IngestService Service(manualConfig());
-  Server Front({}, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
-  ASSERT_TRUE(Client.hello("t"));
+TEST_F(ServerProtocolTest, QueriesAnswerOverTheWire) {
+  ASSERT_TRUE(open(/*Hello=*/true));
   Frame Up;
   Up.Type = FrameType::Upload;
   Up.Serial = 1;
   Up.Window = 4;
   Up.Artifact = encodedArtifact("wire;q");
-  ASSERT_TRUE(Client.sendFrame(Up));
+  ASSERT_TRUE(Conn.send(Up));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   ASSERT_EQ(Reply.Type, FrameType::Ack);
 
   // The wire answer is the same text the service renders in process.
@@ -541,23 +386,24 @@ TEST(ServerProtocolTest, QueriesAnswerOverTheWire) {
   Query.Serial = 2;
   Query.Kind = QueryKind::CctStats;
   Query.Window = 4;
-  ASSERT_TRUE(Client.sendFrame(Query));
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_TRUE(Conn.send(Query));
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Ack);
-  EXPECT_EQ(Reply.Text, Service.queryCctStats(4, Error));
+  std::string Error;
+  EXPECT_EQ(Reply.Text, Service->queryCctStats(4, Error));
   EXPECT_TRUE(Error.empty());
 
   // A query for an absent window rejects this request, not the session.
   Query.Serial = 3;
   Query.Window = 99;
-  ASSERT_TRUE(Client.sendFrame(Query));
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_TRUE(Conn.send(Query));
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Reject);
   EXPECT_EQ(Reply.Serial, 3u);
   Query.Serial = 4;
   Query.Window = 4;
-  ASSERT_TRUE(Client.sendFrame(Query));
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_TRUE(Conn.send(Query));
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   EXPECT_EQ(Reply.Type, FrameType::Ack);
 }
 
@@ -565,49 +411,35 @@ TEST(ServerProtocolTest, QueriesAnswerOverTheWire) {
 // Resource limits
 //===----------------------------------------------------------------------===//
 
-TEST(ServerLimitTest, IdleConnectionsAreSweptAndCounted) {
-  IngestService Service(manualConfig());
+TEST_F(ServerLimitTest, IdleConnectionsAreSweptAndCounted) {
   ServerConfig Cfg;
   Cfg.IdleTimeoutMs = 100;
-  Server Front(Cfg, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
-  ASSERT_TRUE(Client.hello("t"));
+  ASSERT_TRUE(open(/*Hello=*/true, Cfg));
   // Say nothing; the sweep must close us.
-  EXPECT_TRUE(Client.readEof());
-  ServerStats Stats = Front.stats();
+  EXPECT_TRUE(readEof(Conn));
+  ServerStats Stats = Front->stats();
   EXPECT_GE(Stats.IdleClosed, 1u);
   EXPECT_EQ(Stats.OpenConnections, 0u);
 }
 
-TEST(ServerLimitTest, WriteBackpressurePausesReading) {
-  IngestService Service(manualConfig());
+TEST_F(ServerLimitTest, WriteBackpressurePausesReading) {
   ServerConfig Cfg;
   Cfg.WriteBufferLimit = 4096;
   // Shrink the kernel's slack on both ends so replies the client is not
   // reading land in the server's own buffer — the state under test —
-  // rather than in socket buffers.
+  // rather than in socket buffers. A tiny client receive buffer makes
+  // the kernel push back on the server quickly once we stop reading.
   Cfg.SendBufferBytes = 4096;
-  Server Front(Cfg, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  // A tiny client receive buffer makes the kernel push back on the
-  // server quickly once we stop reading.
-  ASSERT_TRUE(Client.connectTo(Front.port(), /*RcvBufBytes=*/4096));
-  ASSERT_TRUE(Client.hello("t"));
+  ASSERT_TRUE(open(/*Hello=*/true, Cfg, manualConfig(),
+                   /*ReceiveBufferBytes=*/4096));
   Frame Up;
   Up.Type = FrameType::Upload;
   Up.Serial = 1;
   Up.Window = 0;
   Up.Artifact = encodedArtifact("wire;bp");
-  ASSERT_TRUE(Client.sendFrame(Up));
+  ASSERT_TRUE(Conn.send(Up));
   Frame Reply;
-  ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+  ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
   ASSERT_EQ(Reply.Type, FrameType::Ack);
 
   // Pipeline many queries without reading a single reply: the server
@@ -625,42 +457,35 @@ TEST(ServerLimitTest, WriteBackpressurePausesReading) {
     std::vector<uint8_t> Bytes = encodeFrame(Query);
     Burst.insert(Burst.end(), Bytes.begin(), Bytes.end());
   }
-  ASSERT_TRUE(Client.sendBytes(Burst));
+  ASSERT_TRUE(Conn.sendBytes(Burst));
 
   // Hold off draining until the server has actually parked replies and
   // paused us — otherwise (e.g. under a sanitizer's slowdown) this
   // thread can race ahead and absorb replies as fast as the server
   // renders them, and the buffer under test never fills.
   auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (Front.stats().ReadPauses == 0 &&
+  while (Front->stats().ReadPauses == 0 &&
          std::chrono::steady_clock::now() < Deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   // Now drain: every reply must still arrive, in order.
   for (unsigned Index = 0; Index != Queries; ++Index) {
-    ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok) << "query " << Index;
+    ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok) << "query " << Index;
     EXPECT_EQ(Reply.Serial, 10u + Index);
     EXPECT_EQ(Reply.Type, FrameType::Ack);
   }
-  EXPECT_GE(Front.stats().ReadPauses, 1u);
-  EXPECT_EQ(Front.stats().Queries, uint64_t(Queries));
+  EXPECT_GE(Front->stats().ReadPauses, 1u);
+  EXPECT_EQ(Front->stats().Queries, uint64_t(Queries));
 }
 
-TEST(ServerLimitTest, TokenBucketRefusesOverTheWire) {
+TEST_F(ServerLimitTest, TokenBucketRefusesOverTheWire) {
   // A frozen injected clock: the bucket never refills, so verdicts are
   // exact — burst-many accepts, then rate-limited rejects.
   IngestConfig Config = manualConfig();
   Config.TenantRatePerSec = 1;
   Config.TenantRateBurst = 2;
   Config.RateClockNs = [] { return uint64_t(1000000000); };
-  IngestService Service(Config);
-  Server Front({}, Service);
-  std::string Error;
-  ASSERT_TRUE(Front.start(Error)) << Error;
-
-  TestClient Client;
-  ASSERT_TRUE(Client.connectTo(Front.port()));
-  ASSERT_TRUE(Client.hello("t"));
+  ASSERT_TRUE(open(/*Hello=*/true, {}, Config));
   unsigned Accepted = 0, RateLimited = 0;
   for (unsigned Index = 0; Index != 5; ++Index) {
     Frame Up;
@@ -668,9 +493,9 @@ TEST(ServerLimitTest, TokenBucketRefusesOverTheWire) {
     Up.Serial = Index;
     Up.Window = 0;
     Up.Artifact = encodedArtifact("wire;rate" + std::to_string(Index));
-    ASSERT_TRUE(Client.sendFrame(Up));
+    ASSERT_TRUE(Conn.send(Up));
     Frame Reply;
-    ASSERT_EQ(Client.readFrame(Reply), WireStatus::Ok);
+    ASSERT_EQ(Conn.receive(Reply), WireStatus::Ok);
     if (Reply.Type == FrameType::Ack) {
       ++Accepted;
     } else {
@@ -680,7 +505,7 @@ TEST(ServerLimitTest, TokenBucketRefusesOverTheWire) {
   }
   EXPECT_EQ(Accepted, 2u);
   EXPECT_EQ(RateLimited, 3u);
-  IngestStats Stats = Service.stats();
+  IngestStats Stats = Service->stats();
   EXPECT_EQ(Stats.RejectedBy[static_cast<size_t>(RejectReason::RateLimited)],
             3u);
 }

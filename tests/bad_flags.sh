@@ -1,21 +1,22 @@
 #!/usr/bin/env sh
 # Strict numeric flags: every malformed or out-of-range numeric flag of
-# pp, pp-report and pp-opt must exit nonzero and name the flag on
-# stderr, instead of reading as 0 (or as its numeric prefix) and running
-# on with a value nobody asked for.
+# pp, pp-report, pp-opt and pp-collectd must exit nonzero and name the
+# flag on stderr, instead of reading as 0 (or as its numeric prefix) and
+# running on with a value nobody asked for.
 #
-#   bad_flags.sh <pp> <pp-report> <pp-opt>
+#   bad_flags.sh <pp> <pp-report> <pp-opt> <pp-collectd>
 set -u
 
 PP="$1"
 PPREPORT="$2"
 PPOPT="$3"
+PPCOLLECTD="$4"
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/pp-bad-flags.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 
-# One real artifact, so each pp-report and pp-opt command line is valid
-# apart from the flag under test.
+# One real artifact, so each pp-report, pp-opt and pp-collectd --ingest
+# command line is valid apart from the flag under test.
 if ! "$PP" --mode=flowhw 130.li --profile-out="$tmp/repo" >/dev/null; then
     echo "bad_flags.sh: pp could not produce an artifact" >&2
     exit 1
@@ -58,6 +59,15 @@ expect_bad --limit "$PPREPORT" diff --limit=ten "$art" "$art"
 expect_bad --k "$PPREPORT" top-paths --k=1x "$art"
 
 expect_bad --scale "$PPOPT" --in 130.li --profile "$art" --scale=2x
+
+# A valid pp-collectd command line apart from the flag: a one-upload
+# simulation, so a bound that is not enforced shows as a quick exit 0.
+sim="--clients=1 --uploads=1 --workloads=130.li"
+expect_bad --threads "$PPCOLLECTD" --threads=65 $sim
+expect_bad --clients "$PPCOLLECTD" --clients=0
+expect_bad --queue "$PPCOLLECTD" --queue=0 $sim
+expect_bad --serve "$PPCOLLECTD" --serve=70000
+expect_bad --window "$PPCOLLECTD" --ingest="$tmp/repo" --window=1x
 
 if [ "$failures" -ne 0 ]; then
     echo "bad_flags.sh: $failures bad spelling(s) accepted" >&2

@@ -18,4 +18,4 @@ trap 'rm -f "$tmp"' EXIT
 
 "$PP" --mode="$MODE" "$WORKLOAD" --obs-out="$tmp" >/dev/null
 
-exec "$PPREPORT" obs "$tmp"
+"$PPREPORT" obs "$tmp"

@@ -32,4 +32,4 @@ if [ -z "$art" ]; then
     exit 1
 fi
 
-exec "$PPREPORT" "$@" "$art"
+"$PPREPORT" "$@" "$art"

@@ -19,26 +19,29 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "collectd/Client.h"
 #include "collectd/Ingest.h"
 #include "collectd/Server.h"
 #include "collectd/Wire.h"
 #include "driver/Driver.h"
-#include "obs/Obs.h"
 #include "profdb/Artifact.h"
 #include "profdb/Store.h"
 #include "support/Format.h"
 #include "support/TableWriter.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <netinet/in.h>
+#include <iterator>
+#include <numeric>
+#include <span>
 #include <string>
-#include <sys/socket.h>
 #include <thread>
-#include <unistd.h>
+#include <tuple>
 #include <vector>
 
 using namespace pp;
@@ -70,7 +73,7 @@ void printUsage() {
       "service options:\n"
       "  --window=<n>       window for --ingest uploads (default 0)\n"
       "  --windows=<n>      windows simulated uploads spread over (default 2)\n"
-      "  --threads=<n>      ingest workers; 0 = synchronous (default 4)\n"
+      "  --threads=<n>      ingest workers, 0..64; 0 = synchronous (default 4)\n"
       "  --queue=<n>        bounded queue capacity (default 256)\n"
       "  --quota=<n>        accepted uploads per tenant+window (0 = off)\n"
       "  --rate=<n>         per-tenant sustained uploads/second (0 = off)\n"
@@ -91,14 +94,6 @@ void printUsage() {
       "  --cct-stats        calling-context-tree statistics\n");
 }
 
-bool parseCount(const char *Flag, const char *Text, uint64_t &Out) {
-  if (parseUint64(Text, Out))
-    return true;
-  std::fprintf(stderr, "pp-collectd: bad %s '%s' (want a number)\n", Flag,
-               Text);
-  return false;
-}
-
 std::vector<std::string> splitList(const std::string &Text) {
   std::vector<std::string> Out;
   size_t Pos = 0;
@@ -113,14 +108,23 @@ std::vector<std::string> splitList(const std::string &Text) {
   return Out;
 }
 
-/// Encoded uploads for the simulated fleet: each workload runs once in
-/// Flow-and-HW (path queries) and once in Context-and-Flow-and-HW (CCT
-/// queries), then each client's uploads are those runs' artifacts under
-/// per-upload fingerprints — exactly what distinct fleet machines
-/// reporting the same binary would send.
-bool buildUploadPool(const std::vector<std::string> &Workloads,
-                     uint64_t Clients, uint64_t UploadsPerClient,
-                     std::vector<std::vector<uint8_t>> &Pool) {
+/// The simulated fleet's uploads, in client-major order: each workload of
+/// \p WorkloadList runs once in Flow-and-HW (path queries) and once in
+/// Context-and-Flow-and-HW (CCT queries), then each client's uploads are
+/// those runs' artifacts under per-upload fingerprints — exactly what
+/// distinct fleet machines reporting the same binary would send. Client
+/// c uploads as tenant "c<c>" into window c % \p Windows; with
+/// \p CorruptEvery, every nth upload has one byte flipped, as if in
+/// flight.
+bool buildUploadPool(const std::string &WorkloadList, uint64_t Clients,
+                     uint64_t UploadsPerClient, uint64_t Windows,
+                     uint64_t CorruptEvery,
+                     std::vector<collectd::Upload> &Pool) {
+  std::vector<std::string> Workloads = splitList(WorkloadList);
+  if (Workloads.empty()) {
+    std::fprintf(stderr, "pp-collectd: --workloads names no workload\n");
+    return false;
+  }
   driver::Driver D(/*DiskDir=*/"", /*Threads=*/0);
   struct Source {
     driver::OutcomePtr Run;
@@ -148,61 +152,95 @@ bool buildUploadPool(const std::vector<std::string> &Workloads,
   uint64_t Total = Clients * UploadsPerClient;
   for (uint64_t Index = 0; Index != Total; ++Index) {
     const Source &S = Sources[Index % Sources.size()];
-    Pool.push_back(profdb::encodeRunArtifact(
-        *S.Run,
-        formatString("sim;%s;upload%llu", S.Key.Workload.c_str(),
-                     static_cast<unsigned long long>(Index)),
-        S.Key.Workload, S.Key.Scale, S.Key.Schema));
+    uint64_t Client = Index / UploadsPerClient;
+    collectd::Upload U{
+        formatString("c%llu", static_cast<unsigned long long>(Client)),
+        Client % Windows,
+        profdb::encodeRunArtifact(
+            *S.Run,
+            formatString("sim;%s;upload%llu", S.Key.Workload.c_str(),
+                         static_cast<unsigned long long>(Index)),
+            S.Key.Workload, S.Key.Scale, S.Key.Schema)};
+    if (CorruptEvery && (Index + 1) % CorruptEvery == 0 && U.Bytes.size() > 16)
+      U.Bytes[U.Bytes.size() / 2] ^= 0x20;
+    Pool.push_back(std::move(U));
   }
   return true;
 }
 
-void printStats(const collectd::IngestService &Service) {
-  collectd::IngestStats Stats = Service.stats();
+/// The QUERY frames the --top-paths, --top-procs and --cct-stats flags
+/// ask for, in print order; the window is filled in per window.
+std::vector<collectd::Frame> askedQueries(uint64_t TopPaths,
+                                          uint64_t TopProcs, bool CctStats) {
+  std::vector<collectd::Frame> Queries;
+  for (auto [Asked, Kind, Limit] :
+       {std::tuple(TopPaths != 0, collectd::QueryKind::TopPaths, TopPaths),
+        std::tuple(TopProcs != 0, collectd::QueryKind::TopProcs, TopProcs),
+        std::tuple(CctStats, collectd::QueryKind::CctStats, uint64_t(0))}) {
+    if (!Asked)
+      continue;
+    collectd::Frame &Query = Queries.emplace_back();
+    Query.Type = collectd::FrameType::Query;
+    Query.Kind = Kind;
+    Query.Limit = Limit;
+  }
+  return Queries;
+}
+
+/// Prints the answer to every query in \p Queries for each window of
+/// \p Ids under a "-- window N --" line. \p Answer (Frame, Text, Error)
+/// returns false on a failure that ends the run; an empty Text (a window
+/// the collector does not hold) prints nothing.
+template <typename AnswerFn>
+bool printAnswers(const std::vector<uint64_t> &Ids,
+                  std::vector<collectd::Frame> Queries, AnswerFn Answer) {
+  for (uint64_t Id : Ids)
+    for (collectd::Frame &Query : Queries) {
+      Query.Window = Id;
+      std::string Text, Error;
+      if (!Answer(Query, Text, Error)) {
+        std::fprintf(stderr, "pp-collectd: %s\n", Error.c_str());
+        return false;
+      }
+      if (!Text.empty())
+        std::printf("-- window %llu --\n%s",
+                    static_cast<unsigned long long>(Id), Text.c_str());
+    }
+  return true;
+}
+
+using CountRows = std::vector<std::pair<std::string, uint64_t>>;
+
+/// Prints a two-column count table headed \p Title.
+void printCounts(const char *Title, const CountRows &Rows) {
   TableWriter Table;
-  Table.setHeader({"Ingest", "Count"});
-  Table.addRow({"submitted", std::to_string(Stats.Submitted)});
-  Table.addRow({"accepted", std::to_string(Stats.Accepted)});
-  Table.addRow({"rejected", std::to_string(Stats.Rejected)});
-  for (unsigned R = 1;
-       R != static_cast<unsigned>(collectd::RejectReason::NumReasons); ++R)
-    Table.addRow({formatString("  %s", collectd::rejectReasonName(
-                                           collectd::RejectReason(R))),
-                  std::to_string(Stats.RejectedBy[R])});
-  Table.addRow({"windows", std::to_string(Stats.Windows)});
-  Table.addRow({"queries", std::to_string(Stats.Queries)});
-  Table.addRow({"windows expired", std::to_string(Stats.WindowsExpired)});
+  Table.setHeader({Title, "Count"});
+  for (const auto &[Name, Count] : Rows)
+    Table.addRow({Name, std::to_string(Count)});
   std::printf("%s", Table.render().c_str());
 }
 
-void printServerStats(const collectd::ServerStats &S) {
-  TableWriter Table;
-  Table.setHeader({"Serve", "Count"});
-  Table.addRow({"connections", std::to_string(S.ConnectionsAccepted)});
-  Table.addRow({"frames in", std::to_string(S.FramesIn)});
-  Table.addRow({"frames out", std::to_string(S.FramesOut)});
-  Table.addRow({"bytes in", std::to_string(S.BytesIn)});
-  Table.addRow({"bytes out", std::to_string(S.BytesOut)});
-  Table.addRow({"uploads", std::to_string(S.Uploads)});
-  Table.addRow({"queries", std::to_string(S.Queries)});
-  Table.addRow({"protocol errors", std::to_string(S.ProtocolErrors)});
-  Table.addRow({"idle closed", std::to_string(S.IdleClosed)});
-  Table.addRow({"read pauses", std::to_string(S.ReadPauses)});
-  std::printf("%s", Table.render().c_str());
+/// Appends one row per typed rejection reason, named \p Prefix + reason.
+void addReasonRows(CountRows &Rows, const char *Prefix,
+                   const uint64_t *RejectedBy) {
+  for (unsigned R = 1;
+       R != static_cast<unsigned>(collectd::RejectReason::NumReasons); ++R)
+    Rows.push_back({Prefix + std::string(collectd::rejectReasonName(
+                                 collectd::RejectReason(R))),
+                    RejectedBy[R]});
 }
 
 /// Parses "--connect=<host:port>" at flag time: dotted-quad host, port in
-/// [1, 65535]. Every failure is a typed parse error, not a connect-time
+/// 1..65535. Every failure is a typed parse error, not a connect-time
 /// surprise.
 bool parseEndpoint(const char *Text, std::string &Host, uint16_t &Port) {
-  std::string Spec = Text;
-  size_t Colon = Spec.rfind(':');
-  if (Colon == std::string::npos || Colon == 0) {
+  const char *Colon = std::strrchr(Text, ':');
+  if (!Colon || Colon == Text) {
     std::fprintf(stderr,
                  "pp-collectd: bad --connect '%s' (want host:port)\n", Text);
     return false;
   }
-  Host = Spec.substr(0, Colon);
+  Host.assign(Text, Colon);
   in_addr Probe;
   if (inet_pton(AF_INET, Host.c_str(), &Probe) != 1) {
     std::fprintf(stderr,
@@ -212,95 +250,50 @@ bool parseEndpoint(const char *Text, std::string &Host, uint16_t &Port) {
     return false;
   }
   uint64_t Value;
-  if (!parseUint64(Spec.c_str() + Colon + 1, Value) || Value == 0 ||
-      Value > 65535) {
-    std::fprintf(stderr,
-                 "pp-collectd: bad --connect port '%s' (want 1..65535)\n",
-                 Spec.c_str() + Colon + 1);
+  if (!parseFlagUint64("pp-collectd", "--connect port", Colon + 1, 1, 65535,
+                       Value))
     return false;
-  }
   Port = static_cast<uint16_t>(Value);
   return true;
 }
 
-/// A minimal blocking client for the framed protocol: connect, write
-/// whole frames, read whole frames.
-class WireClient {
-public:
-  ~WireClient() { disconnect(); }
-
-  bool connectTo(const std::string &Host, uint16_t Port, std::string &Error) {
-    Fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (Fd < 0) {
-      Error = std::string("socket: ") + strerror(errno);
-      return false;
+/// The end of every collector run: persists the folded windows when
+/// \p StoreDir names a store, then prints the serve counts (when
+/// \p Served) and the ingest counts. Returns the exit status.
+int finishRun(collectd::IngestService &Service, const std::string &StoreDir,
+              const collectd::ServerStats *Served) {
+  if (!StoreDir.empty()) {
+    std::string Error;
+    if (!Service.persist(Error)) {
+      std::fprintf(stderr, "pp-collectd: persist failed: %s\n",
+                   Error.c_str());
+      return 1;
     }
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_port = htons(Port);
-    inet_pton(AF_INET, Host.c_str(), &Addr.sin_addr);
-    if (connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-      Error = formatString("connect %s:%u: %s", Host.c_str(), unsigned(Port),
-                           strerror(errno));
-      disconnect();
-      return false;
-    }
-    return true;
+    std::printf("persisted %zu window(s) under %s\n",
+                Service.windows().size(), StoreDir.c_str());
   }
-
-  bool sendFrame(const collectd::Frame &F, std::string &Error) {
-    std::vector<uint8_t> Bytes = collectd::encodeFrame(F);
-    size_t Sent = 0;
-    while (Sent != Bytes.size()) {
-      ssize_t Got = send(Fd, Bytes.data() + Sent, Bytes.size() - Sent,
-                         MSG_NOSIGNAL);
-      if (Got < 0) {
-        if (errno == EINTR)
-          continue;
-        Error = std::string("send: ") + strerror(errno);
-        return false;
-      }
-      Sent += static_cast<size_t>(Got);
-    }
-    return true;
-  }
-
-  bool readFrame(collectd::Frame &Out, std::string &Error) {
-    for (;;) {
-      collectd::WireStatus Status = Decoder.next(Out);
-      if (Status == collectd::WireStatus::Ok)
-        return true;
-      if (Status != collectd::WireStatus::NeedMore) {
-        Error = formatString("stream error: %s",
-                             collectd::wireStatusName(Status));
-        return false;
-      }
-      uint8_t Chunk[64 * 1024];
-      ssize_t Got = recv(Fd, Chunk, sizeof(Chunk), 0);
-      if (Got < 0) {
-        if (errno == EINTR)
-          continue;
-        Error = std::string("recv: ") + strerror(errno);
-        return false;
-      }
-      if (Got == 0) {
-        Error = "server closed the connection";
-        return false;
-      }
-      Decoder.feed(Chunk, static_cast<size_t>(Got));
-    }
-  }
-
-  void disconnect() {
-    if (Fd >= 0)
-      close(Fd);
-    Fd = -1;
-  }
-
-private:
-  int Fd = -1;
-  collectd::FrameDecoder Decoder;
-};
+  if (Served)
+    printCounts("Serve", {{"connections", Served->ConnectionsAccepted},
+                          {"frames in", Served->FramesIn},
+                          {"frames out", Served->FramesOut},
+                          {"bytes in", Served->BytesIn},
+                          {"bytes out", Served->BytesOut},
+                          {"uploads", Served->Uploads},
+                          {"queries", Served->Queries},
+                          {"protocol errors", Served->ProtocolErrors},
+                          {"idle closed", Served->IdleClosed},
+                          {"read pauses", Served->ReadPauses}});
+  collectd::IngestStats Stats = Service.stats();
+  CountRows Rows = {{"submitted", Stats.Submitted},
+                    {"accepted", Stats.Accepted},
+                    {"rejected", Stats.Rejected}};
+  addReasonRows(Rows, "  ", Stats.RejectedBy);
+  Rows.insert(Rows.end(), {{"windows", Stats.Windows},
+                           {"queries", Stats.Queries},
+                           {"windows expired", Stats.WindowsExpired}});
+  printCounts("Ingest", Rows);
+  return 0;
+}
 
 volatile std::sig_atomic_t StopRequested = 0;
 
@@ -311,112 +304,63 @@ void onStopSignal(int) { StopRequested = 1; }
 int main(int Argc, char **Argv) {
   uint64_t Clients = 8, Uploads = 2, Windows = 2, Window = 0;
   uint64_t CorruptEvery = 0, TopPaths = 0, TopProcs = 0;
-  uint64_t ExpectUploads = 0, IdleTimeoutMs = 30000;
+  uint64_t ServePort = 0, ExpectUploads = 0, IdleTimeoutMs = 30000;
+  uint64_t Threads = 4, Queue = 256, Quota = 0, Rate = 0, Burst = 0;
+  uint64_t Retain = 0;
   bool CctStats = false, ClientsSet = false, ServeSet = false;
-  uint64_t ServePort = 0;
   std::string ConnectHost;
   uint16_t ConnectPort = 0;
-  std::string IngestDir, WorkloadList = "130.li,129.compress";
-  collectd::IngestConfig Config;
-  Config.Threads = 4;
-  Config.QueueCapacity = 256;
+  std::string IngestDir, StoreDir, WorkloadList = "130.li,129.compress";
+
+  // Every numeric flag, the value it sets and the range it accepts.
+  // --threads stops at 64, the clamp PP_DRIVER_THREADS uses too.
+  const struct {
+    const char *Flag;
+    uint64_t *Out;
+    uint64_t Min, Max;
+  } Numeric[] = {
+      {"--clients", &Clients, 1, UINT64_MAX},
+      {"--uploads", &Uploads, 1, UINT64_MAX},
+      {"--corrupt-every", &CorruptEvery, 1, UINT64_MAX},
+      {"--window", &Window, 0, UINT64_MAX},
+      {"--windows", &Windows, 1, UINT64_MAX},
+      {"--threads", &Threads, 0, 64},
+      {"--queue", &Queue, 1, UINT64_MAX},
+      {"--quota", &Quota, 0, UINT64_MAX},
+      {"--rate", &Rate, 0, UINT64_MAX},
+      {"--burst", &Burst, 0, UINT64_MAX},
+      {"--retain", &Retain, 0, UINT64_MAX},
+      {"--serve", &ServePort, 0, 65535},
+      {"--expect-uploads", &ExpectUploads, 0, UINT64_MAX},
+      {"--idle-timeout-ms", &IdleTimeoutMs, 0, UINT64_MAX},
+      {"--top-paths", &TopPaths, 0, UINT64_MAX},
+      {"--top-procs", &TopProcs, 0, UINT64_MAX},
+  };
 
   for (int Index = 1; Index != Argc; ++Index) {
     std::string Arg = Argv[Index];
-    auto Value = [&Arg](const char *Prefix) -> const char * {
-      size_t Len = std::strlen(Prefix);
-      return Arg.compare(0, Len, Prefix) == 0 ? Arg.c_str() + Len : nullptr;
-    };
-    uint64_t N;
+    size_t Eq = Arg.find('=');
+    std::string Name = Arg.substr(0, Eq);
+    const char *V = Eq == std::string::npos ? nullptr : Argv[Index] + Eq + 1;
+    auto Flag = std::find_if(std::begin(Numeric), std::end(Numeric),
+                             [&Name](const auto &F) { return Name == F.Flag; });
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
-    } else if (const char *V = Value("--ingest=")) {
+    } else if (V && Flag != std::end(Numeric)) {
+      if (!parseFlagUint64("pp-collectd", Flag->Flag, V, Flag->Min,
+                           Flag->Max, *Flag->Out))
+        return 1;
+      ClientsSet |= Name == "--clients";
+      ServeSet |= Name == "--serve";
+    } else if (V && Name == "--ingest") {
       IngestDir = V;
-    } else if (const char *V = Value("--clients=")) {
-      if (!parseCount("--clients", V, Clients))
-        return 1;
-      if (Clients == 0) {
-        std::fprintf(stderr, "pp-collectd: --clients wants at least 1\n");
-        return 1;
-      }
-      ClientsSet = true;
-    } else if (const char *V = Value("--uploads=")) {
-      if (!parseCount("--uploads", V, Uploads))
-        return 1;
-      if (Uploads == 0) {
-        std::fprintf(stderr, "pp-collectd: --uploads wants at least 1\n");
-        return 1;
-      }
-    } else if (const char *V = Value("--workloads=")) {
+    } else if (V && Name == "--workloads") {
       WorkloadList = V;
-    } else if (const char *V = Value("--corrupt-every=")) {
-      if (!parseCount("--corrupt-every", V, CorruptEvery))
-        return 1;
-      if (CorruptEvery == 0) {
-        std::fprintf(stderr,
-                     "pp-collectd: --corrupt-every wants at least 1 "
-                     "(omit the flag to corrupt nothing)\n");
-        return 1;
-      }
-    } else if (const char *V = Value("--serve=")) {
-      if (!parseCount("--serve", V, ServePort) || ServePort > 65535) {
-        std::fprintf(stderr,
-                     "pp-collectd: bad --serve port '%s' (want 0..65535; "
-                     "0 = ephemeral)\n",
-                     V);
-        return 1;
-      }
-      ServeSet = true;
-    } else if (const char *V = Value("--connect=")) {
+    } else if (V && Name == "--store") {
+      StoreDir = V;
+    } else if (V && Name == "--connect") {
       if (!parseEndpoint(V, ConnectHost, ConnectPort))
-        return 1;
-    } else if (const char *V = Value("--expect-uploads=")) {
-      if (!parseCount("--expect-uploads", V, ExpectUploads))
-        return 1;
-    } else if (const char *V = Value("--idle-timeout-ms=")) {
-      if (!parseCount("--idle-timeout-ms", V, IdleTimeoutMs))
-        return 1;
-    } else if (const char *V = Value("--rate=")) {
-      if (!parseCount("--rate", V, N))
-        return 1;
-      Config.TenantRatePerSec = static_cast<double>(N);
-    } else if (const char *V = Value("--burst=")) {
-      if (!parseCount("--burst", V, N))
-        return 1;
-      Config.TenantRateBurst = static_cast<double>(N);
-    } else if (const char *V = Value("--retain=")) {
-      if (!parseCount("--retain", V, N))
-        return 1;
-      Config.RetainWindows = N;
-    } else if (const char *V = Value("--window=")) {
-      if (!parseCount("--window", V, Window))
-        return 1;
-    } else if (const char *V = Value("--windows=")) {
-      if (!parseCount("--windows", V, Windows) || Windows == 0) {
-        std::fprintf(stderr, "pp-collectd: --windows wants at least 1\n");
-        return 1;
-      }
-    } else if (const char *V = Value("--threads=")) {
-      if (!parseCount("--threads", V, N))
-        return 1;
-      Config.Threads = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--queue=")) {
-      if (!parseCount("--queue", V, N) || N == 0) {
-        std::fprintf(stderr, "pp-collectd: --queue wants at least 1\n");
-        return 1;
-      }
-      Config.QueueCapacity = N;
-    } else if (const char *V = Value("--quota=")) {
-      if (!parseCount("--quota", V, Config.TenantWindowQuota))
-        return 1;
-    } else if (const char *V = Value("--store=")) {
-      Config.StoreDir = V;
-    } else if (const char *V = Value("--top-paths=")) {
-      if (!parseCount("--top-paths", V, TopPaths))
-        return 1;
-    } else if (const char *V = Value("--top-procs=")) {
-      if (!parseCount("--top-procs", V, TopProcs))
         return 1;
     } else if (Arg == "--cct-stats") {
       CctStats = true;
@@ -443,36 +387,40 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  collectd::IngestConfig Config;
+  Config.Threads = static_cast<unsigned>(Threads);
+  Config.QueueCapacity = Queue;
+  Config.TenantWindowQuota = Quota;
+  Config.TenantRatePerSec = static_cast<double>(Rate);
+  Config.TenantRateBurst = static_cast<double>(Burst);
+  Config.RetainWindows = Retain;
+  Config.StoreDir = StoreDir;
+  std::vector<collectd::Frame> Queries =
+      askedQueries(TopPaths, TopProcs, CctStats);
+
+  // The simulated fleet feeds --connect and the default mode alike.
+  std::vector<collectd::Upload> Pool;
+  if (IngestDir.empty() && !ServeSet &&
+      !buildUploadPool(WorkloadList, Clients, Uploads, Windows, CorruptEvery,
+                       Pool))
+    return 1;
+
   // ---- client mode: upload the simulated fleet over the wire ----
   if (!ConnectHost.empty()) {
-    std::vector<std::string> Workloads = splitList(WorkloadList);
-    if (Workloads.empty()) {
-      std::fprintf(stderr, "pp-collectd: --workloads names no workload\n");
-      return 1;
-    }
-    std::vector<std::vector<uint8_t>> Pool;
-    if (!buildUploadPool(Workloads, Clients, Uploads, Pool))
-      return 1;
-
     uint64_t Accepted = 0;
     uint64_t RejectedBy[static_cast<size_t>(
         collectd::RejectReason::NumReasons)] = {};
     for (uint64_t Client = 0; Client != Clients; ++Client) {
-      WireClient Wire;
-      std::string Error;
-      if (!Wire.connectTo(ConnectHost, ConnectPort, Error)) {
-        std::fprintf(stderr, "pp-collectd: %s\n", Error.c_str());
-        return 1;
-      }
-      collectd::Frame Hello;
-      Hello.Type = collectd::FrameType::Hello;
-      Hello.Tenant = formatString("c%llu",
-                                  static_cast<unsigned long long>(Client));
-      Hello.Acquisition = Config.Acquisition;
+      // Pipeline the whole session, then read the HELLO's ACK and each
+      // upload's verdict in order.
+      collectd::Client Wire;
       collectd::Frame Reply;
-      if (!Wire.sendFrame(Hello, Error) || !Wire.readFrame(Reply, Error)) {
-        std::fprintf(stderr, "pp-collectd: hello failed: %s\n",
-                     Error.c_str());
+      if (!Wire.connect(ConnectHost, ConnectPort) ||
+          !Wire.sendBytes(collectd::encodeSession(
+              Pool[Client * Uploads].Tenant, Config.Acquisition,
+              std::span(Pool).subspan(Client * Uploads, Uploads))) ||
+          Wire.receive(Reply) != collectd::WireStatus::Ok) {
+        std::fprintf(stderr, "pp-collectd: %s\n", Wire.error().c_str());
         return 1;
       }
       if (Reply.Type != collectd::FrameType::Ack) {
@@ -480,27 +428,10 @@ int main(int Argc, char **Argv) {
                      Reply.Message.c_str());
         return 1;
       }
-      // Pipeline every upload, then read the verdicts in order.
       for (uint64_t U = 0; U != Uploads; ++U) {
-        uint64_t Index = Client * Uploads + U;
-        collectd::Frame Up;
-        Up.Type = collectd::FrameType::Upload;
-        Up.Serial = Index;
-        Up.Window = Client % Windows;
-        Up.Artifact = Pool[Index];
-        if (CorruptEvery && (Index + 1) % CorruptEvery == 0 &&
-            Up.Artifact.size() > 16)
-          Up.Artifact[Up.Artifact.size() / 2] ^= 0x20;
-        if (!Wire.sendFrame(Up, Error)) {
-          std::fprintf(stderr, "pp-collectd: upload failed: %s\n",
-                       Error.c_str());
-          return 1;
-        }
-      }
-      for (uint64_t U = 0; U != Uploads; ++U) {
-        if (!Wire.readFrame(Reply, Error)) {
+        if (Wire.receive(Reply) != collectd::WireStatus::Ok) {
           std::fprintf(stderr, "pp-collectd: upload verdict lost: %s\n",
-                       Error.c_str());
+                       Wire.error().c_str());
           return 1;
         }
         if (Reply.Type == collectd::FrameType::Ack)
@@ -509,53 +440,29 @@ int main(int Argc, char **Argv) {
           ++RejectedBy[static_cast<size_t>(Reply.Reason)];
       }
 
-      // The last client carries the window queries.
-      if (Client + 1 == Clients && (TopPaths || TopProcs || CctStats)) {
-        for (uint64_t Id = 0; Id != Windows; ++Id) {
-          struct Ask {
-            bool On;
-            collectd::QueryKind Kind;
-            uint64_t Limit;
-          } Asks[] = {
-              {TopPaths != 0, collectd::QueryKind::TopPaths, TopPaths},
-              {TopProcs != 0, collectd::QueryKind::TopProcs, TopProcs},
-              {CctStats, collectd::QueryKind::CctStats, 0},
-          };
-          for (const Ask &A : Asks) {
-            if (!A.On)
-              continue;
-            collectd::Frame Query;
-            Query.Type = collectd::FrameType::Query;
-            Query.Kind = A.Kind;
-            Query.Window = Id;
-            Query.Limit = A.Limit;
-            if (!Wire.sendFrame(Query, Error) ||
-                !Wire.readFrame(Reply, Error)) {
-              std::fprintf(stderr, "pp-collectd: query failed: %s\n",
-                           Error.c_str());
-              return 1;
-            }
-            if (Reply.Type == collectd::FrameType::Ack)
-              std::printf("-- window %llu --\n%s",
-                          static_cast<unsigned long long>(Id),
-                          Reply.Text.c_str());
+      // The last client asks every window the fleet uploaded into.
+      if (Client + 1 == Clients && !Queries.empty()) {
+        std::vector<uint64_t> Ids(Windows);
+        std::iota(Ids.begin(), Ids.end(), 0);
+        auto Answer = [&Wire, &Reply](const collectd::Frame &Query,
+                                      std::string &Text, std::string &Error) {
+          if (!Wire.send(Query) ||
+              Wire.receive(Reply) != collectd::WireStatus::Ok) {
+            Error = "query failed: " + Wire.error();
+            return false;
           }
-        }
+          if (Reply.Type == collectd::FrameType::Ack)
+            Text = std::move(Reply.Text);
+          return true;
+        };
+        if (!printAnswers(Ids, Queries, Answer))
+          return 1;
       }
-      Wire.disconnect();
     }
 
-    TableWriter Table;
-    Table.setHeader({"Wire client", "Count"});
-    Table.addRow({"uploads", std::to_string(Clients * Uploads)});
-    Table.addRow({"accepted", std::to_string(Accepted)});
-    for (unsigned R = 1;
-         R != static_cast<unsigned>(collectd::RejectReason::NumReasons); ++R)
-      Table.addRow({formatString("rejected %s",
-                                 collectd::rejectReasonName(
-                                     collectd::RejectReason(R))),
-                    std::to_string(RejectedBy[R])});
-    std::printf("%s", Table.render().c_str());
+    CountRows Rows = {{"uploads", Clients * Uploads}, {"accepted", Accepted}};
+    addReasonRows(Rows, "rejected ", RejectedBy);
+    printCounts("Wire client", Rows);
     return 0;
   }
 
@@ -587,23 +494,12 @@ int main(int Argc, char **Argv) {
       }
     }
     Server.stop();
-
-    if (!Config.StoreDir.empty()) {
-      if (!Service.persist(Error)) {
-        std::fprintf(stderr, "pp-collectd: persist failed: %s\n",
-                     Error.c_str());
-        return 1;
-      }
-      std::printf("persisted %zu window(s) under %s\n",
-                  Service.windows().size(), Config.StoreDir.c_str());
-    }
-    printServerStats(Server.stats());
-    printStats(Service);
-    return 0;
+    collectd::ServerStats Served = Server.stats();
+    return finishRun(Service, StoreDir, &Served);
   }
 
+  // ---- in-process modes: a directory batch or a simulated fleet ----
   collectd::IngestService Service(Config);
-
   if (!IngestDir.empty()) {
     std::vector<std::string> Files = profdb::listArtifactFiles(IngestDir);
     if (Files.empty()) {
@@ -620,74 +516,22 @@ int main(int Argc, char **Argv) {
       }
       Service.submit({Path, Window, std::move(Bytes)});
     }
-  } else {
-    std::vector<std::string> Workloads = splitList(WorkloadList);
-    if (Workloads.empty() || Clients == 0 || Uploads == 0) {
-      std::fprintf(stderr,
-                   "pp-collectd: nothing to simulate (check --clients, "
-                   "--uploads, --workloads)\n");
-      return 1;
-    }
-    std::vector<std::vector<uint8_t>> Pool;
-    if (!buildUploadPool(Workloads, Clients, Uploads, Pool))
-      return 1;
-    for (uint64_t Client = 0; Client != Clients; ++Client)
-      for (uint64_t U = 0; U != Uploads; ++U) {
-        uint64_t Index = Client * Uploads + U;
-        std::vector<uint8_t> Bytes = Pool[Index];
-        if (CorruptEvery && (Index + 1) % CorruptEvery == 0 &&
-            Bytes.size() > 16)
-          Bytes[Bytes.size() / 2] ^= 0x20;
-        Service.submit({formatString("c%llu",
-                                     static_cast<unsigned long long>(Client)),
-                        Client % Windows, std::move(Bytes)});
-      }
   }
-
+  for (collectd::Upload &U : Pool)
+    Service.submit(std::move(U));
   Service.drain();
 
-  for (uint64_t Id : Service.windows()) {
-    std::string Error;
-    if (TopPaths) {
-      std::string Out = Service.queryTopPaths(Id, TopPaths, Error);
-      if (Out.empty() && !Error.empty()) {
-        std::fprintf(stderr, "pp-collectd: %s\n", Error.c_str());
-        return 1;
-      }
-      std::printf("-- window %llu --\n%s",
-                  static_cast<unsigned long long>(Id), Out.c_str());
-    }
-    if (TopProcs) {
-      std::string Out = Service.queryTopProcs(Id, TopProcs, Error);
-      if (Out.empty() && !Error.empty()) {
-        std::fprintf(stderr, "pp-collectd: %s\n", Error.c_str());
-        return 1;
-      }
-      std::printf("-- window %llu --\n%s",
-                  static_cast<unsigned long long>(Id), Out.c_str());
-    }
-    if (CctStats) {
-      std::string Out = Service.queryCctStats(Id, Error);
-      if (Out.empty() && !Error.empty()) {
-        std::fprintf(stderr, "pp-collectd: %s\n", Error.c_str());
-        return 1;
-      }
-      std::printf("-- window %llu --\n%s",
-                  static_cast<unsigned long long>(Id), Out.c_str());
-    }
-  }
-
-  if (!Config.StoreDir.empty()) {
-    std::string Error;
-    if (!Service.persist(Error)) {
-      std::fprintf(stderr, "pp-collectd: persist failed: %s\n",
-                   Error.c_str());
-      return 1;
-    }
-    std::printf("persisted %zu window(s) under %s\n",
-                Service.windows().size(), Config.StoreDir.c_str());
-  }
-
-  printStats(Service);
-  return 0;
+  auto Answer = [&Service](const collectd::Frame &Query, std::string &Text,
+                           std::string &Error) {
+    if (Query.Kind == collectd::QueryKind::TopPaths)
+      Text = Service.queryTopPaths(Query.Window, Query.Limit, Error);
+    else if (Query.Kind == collectd::QueryKind::TopProcs)
+      Text = Service.queryTopProcs(Query.Window, Query.Limit, Error);
+    else
+      Text = Service.queryCctStats(Query.Window, Error);
+    return Error.empty();
+  };
+  if (!printAnswers(Service.windows(), Queries, Answer))
+    return 1;
+  return finishRun(Service, StoreDir, nullptr);
 }
