@@ -3,10 +3,9 @@
 // Load-tests the pp-collectd ingest service with a simulated fleet of
 // 10,000 clients, twice over:
 //
-//   1. In process: uploads flow through the bounded-queue thread pool
-//      into windowed incremental folds while queries run against them,
-//      and the threaded fold is asserted byte-identical to a serial
-//      reference.
+//   1. In process: a producer thread ingests the uploads into windowed
+//      incremental folds while the main thread queries them, and the
+//      folds are asserted byte-identical to a serial reference.
 //   2. Over the wire: the same 10,000 framed client sessions are
 //      replayed against the epoll socket server by a pool of forked
 //      sender *processes* (real connect/write/EOF lifecycles, not
@@ -19,10 +18,10 @@
 // it as a workflow artifact). A latency below the steady clock's
 // measured resolution is reported as "not measured", not as a number.
 //
-// Fork discipline: the parent is threaded (ingest pool, epoll event
-// thread), so forked senders touch no heap — every frame stream is
-// serialized before the first fork and children only call
-// collectd::replay, which makes system calls only.
+// Fork discipline: the parent is threaded (the epoll event thread), so
+// forked senders touch no heap — every frame stream is serialized before
+// the first fork and children only call collectd::replay, which makes
+// system calls only.
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,12 +130,9 @@ int main() {
   // Serial reference fold for both determinism checks.
   std::vector<std::vector<std::vector<uint8_t>>> Reference(NumWindows);
   {
-    collectd::IngestConfig C;
-    C.Threads = 0;
-    collectd::IngestService Service(C);
+    collectd::IngestService Service(collectd::IngestConfig{});
     for (const collectd::Upload &U : Uploads)
-      Service.submit(U);
-    Service.drain();
+      Service.ingestNow(U);
     for (uint64_t W = 0; W != NumWindows; ++W) {
       std::string Error;
       Reference[W] = Service.windowBytes(W, Error);
@@ -149,13 +145,10 @@ int main() {
   }
 
   unsigned Cores = std::thread::hardware_concurrency();
-  collectd::IngestConfig C;
-  C.Threads = Cores ? std::min(Cores, 8u) : 4;
-  C.QueueCapacity = 512;
   double IngestSeconds = 0;
   double P50 = 0, P99 = 0;
   {
-    collectd::IngestService Service(C);
+    collectd::IngestService Service(collectd::IngestConfig{});
 
     // Feed the fleet from one producer thread while the main thread
     // runs queries against whatever the windows hold so far — the
@@ -163,7 +156,7 @@ int main() {
     auto T0 = std::chrono::steady_clock::now();
     std::thread Producer([&Service, &Uploads] {
       for (const collectd::Upload &U : Uploads)
-        Service.submit(U);
+        Service.ingestNow(U);
     });
 
     std::vector<double> QueryLatencies;
@@ -181,7 +174,6 @@ int main() {
     }
 
     Producer.join();
-    Service.drain();
     auto T1 = std::chrono::steady_clock::now();
     IngestSeconds = seconds(T0, T1);
 
@@ -196,8 +188,8 @@ int main() {
 
     std::string Error;
     if (Service.windowBytes(0, Error) != Reference[0]) {
-      std::fprintf(stderr, "collectd_ingest: threaded fold diverged from "
-                           "the serial reference\n");
+      std::fprintf(stderr, "collectd_ingest: in-process fold diverged "
+                           "from the serial reference\n");
       return 1;
     }
 
@@ -206,9 +198,7 @@ int main() {
   }
 
   // --- Wire phase: the same 10k sessions through real sockets. -------
-  collectd::IngestConfig WireCfg;
-  WireCfg.Threads = 0;
-  collectd::IngestService WireService(WireCfg);
+  collectd::IngestService WireService(collectd::IngestConfig{});
   collectd::ServerConfig ServerCfg;
   ServerCfg.IdleTimeoutMs = 60000;
   collectd::Server Server(ServerCfg, WireService);
@@ -345,7 +335,6 @@ int main() {
                 "  \"uploads\": %llu,\n"
                 "  \"upload_bytes\": %zu,\n"
                 "  \"windows\": %llu,\n"
-                "  \"ingest_threads\": %u,\n"
                 "  \"hardware_cores\": %u,\n"
                 "  \"ingest_seconds\": %.6f,\n"
                 "  \"artifacts_per_second\": %.1f,\n"
@@ -367,8 +356,8 @@ int main() {
                 "  \"wire_bit_identical\": true\n}\n",
                 static_cast<unsigned long long>(NumClients),
                 static_cast<unsigned long long>(TotalUploads), UploadBytes,
-                static_cast<unsigned long long>(NumWindows), C.Threads,
-                Cores, IngestSeconds, PerSec, NumQueries, Resolution,
+                static_cast<unsigned long long>(NumWindows), Cores,
+                IngestSeconds, PerSec, NumQueries, Resolution,
                 JsonSeconds(P50).c_str(), JsonSeconds(P99).c_str(),
                 NumSenders, WireSeconds, WirePerSec, NumWireQueries,
                 JsonSeconds(WireP50).c_str(), JsonSeconds(WireP99).c_str(),

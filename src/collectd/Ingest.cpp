@@ -9,6 +9,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 using namespace pp;
@@ -36,10 +37,8 @@ const char *collectd::rejectReasonName(RejectReason R) {
   return "?";
 }
 
-IngestService::IngestService(IngestConfig C)
-    : Cfg(std::move(C)), Pool(Cfg.Threads, Cfg.QueueCapacity) {
-  // The pool's workers read Cfg only inside jobs, which are posted after
-  // the constructor returns.
+IngestService::IngestService(IngestConfig C) : Cfg(std::move(C)) {
+  assert(Cfg.Threads == 0 && "ingest runs on the caller");
   if (Cfg.TenantRatePerSec > 0 && Cfg.TenantRateBurst <= 0)
     Cfg.TenantRateBurst = std::max(1.0, Cfg.TenantRatePerSec);
   if (!Cfg.RateClockNs)
@@ -50,12 +49,6 @@ IngestService::IngestService(IngestConfig C)
               .count());
     };
 }
-
-void IngestService::submit(Upload U) {
-  Pool.post([this, U = std::move(U)]() mutable { ingestNow(std::move(U)); });
-}
-
-void IngestService::drain() { Pool.drain(); }
 
 UploadResult IngestService::ingestNow(Upload U) {
   obs::SpanScope Span("collectd", "ingest", "", /*Work=*/U.Bytes.size());

@@ -26,16 +26,20 @@
 ///      structure) rejects this upload at admission — never a later
 ///      one, and never the group's accepted contents.
 ///
-/// Ingest runs on a support/WorkerPool behind a bounded queue: submit()
-/// blocks for space (backpressure). Threads == 0 selects the pool's
-/// manual-pump mode — submissions only enqueue, drain() processes them
-/// on the calling thread — which is what the deterministic tests use.
+/// ingestNow is the one entry: it decides and folds the upload on the
+/// calling thread, and the service owns no thread or queue. Every verdict
+/// and every window byte is therefore a function of the sequence of
+/// ingestNow calls (plus, when rate limiting is on, the clock readings):
+/// quota slots, the retention watermark and the token buckets are
+/// charged in call order. pp-collectd, the socket server's event thread
+/// and the benches each ingest from one thread. Queries may run on other
+/// threads meanwhile: one lock guards the state, and the decode runs
+/// outside it.
 ///
 /// Every fold is deterministic: the window's merged bytes are identical
-/// for any arrival order or ingest thread count, and equal a flat
-/// mergeAll of the group's uploads (see profdb/Merge.h), so a rejected
-/// upload provably leaves the window byte-identical to a run that never
-/// saw it.
+/// for any arrival order, and equal a flat mergeAll of the group's
+/// uploads (see profdb/Merge.h), so a rejected upload provably leaves the
+/// window byte-identical to a run that never saw it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +47,6 @@
 #define PP_COLLECTD_INGEST_H
 
 #include "profdb/Merge.h"
-#include "support/WorkerPool.h"
 
 #include <cstdint>
 #include <functional>
@@ -97,12 +100,10 @@ struct UploadResult {
 };
 
 struct IngestConfig {
-  /// Ingest worker threads; 0 = manual-pump mode (drain() processes the
-  /// queue on the calling thread — deterministic, used by tests).
-  unsigned Threads = 4;
-  /// Bounded queue depth (0 is treated as 1); submit() blocks at
-  /// capacity.
-  size_t QueueCapacity = 1024;
+  /// Must be 0: ingest always runs on the caller. Kept only because
+  /// perfbench's fleet-ingest still assigns it; it goes at the next
+  /// benchmark change.
+  unsigned Threads = 0;
   /// Accepted uploads allowed per (tenant, window); 0 = unlimited.
   uint64_t TenantWindowQuota = 0;
   /// The acquisition this collector accepts ("exact" or "overflow").
@@ -128,12 +129,8 @@ struct IngestConfig {
   size_t RetainWindows = 0;
 };
 
-/// Aggregate service counters. The totals (Submitted, Accepted,
-/// Rejected, RejectedBy) depend only on the set of submitted uploads,
-/// never on worker interleaving — with one carve-out: when
-/// TenantWindowQuota is set and uploads race over a shared quota,
-/// *which* uploads win the remaining slots (and therefore the windows'
-/// folded contents) follows admission order; only the counts are stable.
+/// Aggregate service counters, like every verdict a function of the
+/// sequence of ingestNow calls.
 struct IngestStats {
   uint64_t Submitted = 0;
   uint64_t Accepted = 0;
@@ -159,17 +156,8 @@ public:
   IngestService(const IngestService &) = delete;
   IngestService &operator=(const IngestService &) = delete;
 
-  /// Enqueues \p U, blocking while the queue is at capacity. In
-  /// manual-pump mode there is no consumer to wait for, so a full queue
-  /// pumps queued uploads inline on the calling thread instead of
-  /// deadlocking.
-  void submit(Upload U);
-  /// Blocks until every enqueued upload has been ingested. In
-  /// manual-pump mode this processes the queue on the calling thread.
-  void drain();
-
-  /// Synchronous ingest on the calling thread, returning the typed
-  /// verdict. The queued paths funnel into this.
+  /// Decides and folds \p U on the calling thread, returning the typed
+  /// verdict.
   UploadResult ingestNow(Upload U);
 
   /// The hottest paths / procedures / CCT statistics of \p Window,
@@ -237,10 +225,6 @@ private:
   /// Retention watermark: every window id below this has been persisted
   /// and dropped; late uploads aimed under it reject as WindowExpired.
   uint64_t ExpiredBelow = 0;
-
-  /// Declared last so it is destroyed first: its destructor finishes the
-  /// queued uploads while the state they fold into is still alive.
-  WorkerPool Pool;
 };
 
 } // namespace collectd

@@ -611,20 +611,25 @@ bool profdb::mergeAll(std::vector<Artifact> Shards, Artifact &Out,
   // Contiguous chunks of at least two shards, one per thread, each folded
   // on its own; the chunk folds are then absorbed in chunk order. The
   // canonical emission makes the bytes independent of the chunking. One
-  // chunk runs on a 0-thread pool, that is, here.
+  // chunk is folded here, on the caller.
   size_t Chunks = std::max<size_t>(
       1, std::min<size_t>(Threads, Shards.size() / 2));
   std::vector<Fold> Parts(Chunks);
   std::vector<std::string> Errors(Chunks);
-  WorkerPool Pool(Chunks > 1 ? static_cast<unsigned>(Chunks) : 0);
-  for (size_t Chunk = 0; Chunk != Chunks; ++Chunk)
-    Pool.post([&, Chunk] {
-      size_t End = Shards.size() * (Chunk + 1) / Chunks;
-      for (size_t I = Shards.size() * Chunk / Chunks; I != End; ++I)
-        if (!Parts[Chunk].add(std::move(Shards[I]), Errors[Chunk]))
-          return;
-    });
-  Pool.drain();
+  auto FoldChunk = [&](size_t Chunk) {
+    size_t End = Shards.size() * (Chunk + 1) / Chunks;
+    for (size_t I = Shards.size() * Chunk / Chunks; I != End; ++I)
+      if (!Parts[Chunk].add(std::move(Shards[I]), Errors[Chunk]))
+        return;
+  };
+  if (Chunks == 1) {
+    FoldChunk(0);
+  } else {
+    WorkerPool Pool(static_cast<unsigned>(Chunks));
+    for (size_t Chunk = 0; Chunk != Chunks; ++Chunk)
+      Pool.post([&FoldChunk, Chunk] { FoldChunk(Chunk); });
+    Pool.drain();
+  }
   for (size_t Chunk = 0; Chunk != Chunks; ++Chunk) {
     if (!Errors[Chunk].empty()) {
       Error = Errors[Chunk];

@@ -1,13 +1,13 @@
-//===- support/WorkerPool.cpp - Bounded FIFO worker pool ----------------------===//
+//===- support/WorkerPool.cpp - FIFO worker pool ------------------------------===//
 
 #include "support/WorkerPool.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace pp;
 
-WorkerPool::WorkerPool(unsigned Threads, size_t Capacity)
-    : Capacity(std::max<size_t>(Capacity, 1)) {
+WorkerPool::WorkerPool(unsigned Threads) {
   Workers.reserve(Threads);
   for (unsigned Index = 0; Index != Threads; ++Index)
     Workers.emplace_back([this] { workerLoop(); });
@@ -29,37 +29,18 @@ unsigned WorkerPool::hardwareDefault() {
   return std::clamp(Hardware ? Hardware : 4u, 4u, 16u);
 }
 
-void WorkerPool::runHead(std::unique_lock<std::mutex> &Lock) {
-  Job J = std::move(Queue.front());
-  Queue.pop_front();
-  ++InFlight;
-  Progress.notify_all(); // a slot opened for a blocked post()
-  Lock.unlock();
-  J();
-  Lock.lock();
-  --InFlight;
-  Progress.notify_all();
-}
-
 void WorkerPool::post(Job J) {
-  std::unique_lock<std::mutex> Lock(Mu);
-  if (Workers.empty()) {
-    // Blocking would deadlock: the caller is the only consumer.
-    while (Queue.size() >= Capacity)
-      runHead(Lock);
-  } else {
-    Progress.wait(Lock, [this] { return Queue.size() < Capacity; });
+  assert(!Workers.empty() && "post to a pool without workers");
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Queue.push_back(std::move(J));
   }
-  Queue.push_back(std::move(J));
   NotEmpty.notify_one();
 }
 
 void WorkerPool::drain() {
   std::unique_lock<std::mutex> Lock(Mu);
-  if (Workers.empty())
-    while (!Queue.empty())
-      runHead(Lock);
-  Progress.wait(Lock, [this] { return Queue.empty() && InFlight == 0; });
+  Idle.wait(Lock, [this] { return Queue.empty() && InFlight == 0; });
 }
 
 void WorkerPool::workerLoop() {
@@ -68,6 +49,15 @@ void WorkerPool::workerLoop() {
     NotEmpty.wait(Lock, [this] { return Stopping || !Queue.empty(); });
     if (Queue.empty())
       return; // stopping, and the destructor drained everything
-    runHead(Lock);
+    {
+      Job J = std::move(Queue.front());
+      Queue.pop_front();
+      ++InFlight;
+      Lock.unlock();
+      J(); // J and its captures die here, before drain() can return
+    }
+    Lock.lock();
+    --InFlight;
+    Idle.notify_all();
   }
 }

@@ -1,16 +1,10 @@
-//===- support/WorkerPool.h - Bounded FIFO worker pool ---------*- C++ -*-===//
+//===- support/WorkerPool.h - FIFO worker pool -----------------*- C++ -*-===//
 ///
 /// \file
-/// The one thread pool of the code base: N worker threads draining one
-/// bounded FIFO of jobs. The run scheduler posts each declared run, the
-/// fleet ingest service each upload, and mergeAll each chunk of its
-/// threaded fold.
-///
-/// A pool of 0 threads runs every job on a calling thread: a post() that
-/// finds the queue full runs the queue head inline to make room (there is
-/// no consumer to wait for), and drain() runs the backlog in FIFO order.
-/// That is the deterministic manual-pump mode the ingest tests use, and
-/// mergeAll's serial mode.
+/// The one thread pool of the code base: N worker threads (N >= 1)
+/// draining one unbounded FIFO of jobs. The run scheduler posts each
+/// declared run, and mergeAll each chunk of its threaded fold. Serial
+/// callers do not build a pool: they run the work themselves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +13,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -32,20 +25,19 @@ class WorkerPool {
 public:
   using Job = std::function<void()>;
 
-  /// \p Threads workers behind a queue of at most \p Capacity jobs
-  /// (0 is treated as 1).
-  explicit WorkerPool(unsigned Threads, size_t Capacity = SIZE_MAX);
+  /// \p Threads workers. A pool of 0 threads accepts no job; it only lets
+  /// a serial owner (RunScheduler with PP_DRIVER_THREADS=0) keep one
+  /// member type.
+  explicit WorkerPool(unsigned Threads);
   /// Finishes every queued job, then joins the workers.
   ~WorkerPool();
 
   WorkerPool(const WorkerPool &) = delete;
   WorkerPool &operator=(const WorkerPool &) = delete;
 
-  /// Enqueues \p J, blocking while the queue is full (with 0 threads:
-  /// running queued jobs inline until there is room).
+  /// Enqueues \p J; the pool must have at least one worker.
   void post(Job J);
-  /// Returns once the queue is empty and no job is running (with 0
-  /// threads: after running the backlog on the calling thread).
+  /// Returns once the queue is empty and no job is running.
   void drain();
 
   unsigned numThreads() const {
@@ -58,15 +50,11 @@ public:
 
 private:
   void workerLoop();
-  /// Pops the queue head and runs it with \p Lock released.
-  void runHead(std::unique_lock<std::mutex> &Lock);
 
-  const size_t Capacity;
   std::mutex Mu;
   std::condition_variable NotEmpty;
-  /// Signalled whenever a job leaves the queue or finishes: wakes blocked
-  /// posters and drain().
-  std::condition_variable Progress;
+  /// Signalled whenever a job finishes: wakes drain().
+  std::condition_variable Idle;
   std::deque<Job> Queue;
   size_t InFlight = 0; ///< popped but not yet finished
   bool Stopping = false;

@@ -73,12 +73,6 @@ Upload makeUpload(const std::string &Tenant, uint64_t Window,
                 encodedArtifact("fleet;u" + std::to_string(Serial), Acq)};
 }
 
-IngestConfig manualConfig() {
-  IngestConfig C;
-  C.Threads = 0; // manual pump: fully deterministic
-  return C;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -86,8 +80,8 @@ IngestConfig manualConfig() {
 //===----------------------------------------------------------------------===//
 
 TEST(CollectdIngestTest, CorruptUploadRejectsOnlyThatArtifact) {
-  IngestService Clean(manualConfig());
-  IngestService Faulty(manualConfig());
+  IngestService Clean(IngestConfig{});
+  IngestService Faulty(IngestConfig{});
 
   for (unsigned Serial = 0; Serial != 5; ++Serial) {
     Upload U = makeUpload("t0", /*Window=*/7, Serial);
@@ -127,8 +121,8 @@ TEST(CollectdIngestTest, CorruptUploadRejectsOnlyThatArtifact) {
 }
 
 TEST(CollectdIngestTest, CrossAcquisitionUploadIsRejectedTyped) {
-  IngestService Clean(manualConfig());
-  IngestService Faulty(manualConfig());
+  IngestService Clean(IngestConfig{});
+  IngestService Faulty(IngestConfig{});
 
   for (unsigned Serial = 0; Serial != 3; ++Serial) {
     Upload U = makeUpload("t0", 1, Serial);
@@ -154,42 +148,33 @@ TEST(CollectdIngestTest, CrossAcquisitionUploadIsRejectedTyped) {
 // Determinism of the window folds
 //===----------------------------------------------------------------------===//
 
-TEST(CollectdIngestTest, ArrivalOrderAndThreadsDoNotChangeBytes) {
+TEST(CollectdIngestTest, ArrivalOrderDoesNotChangeBytes) {
   constexpr unsigned NumUploads = 9;
   std::vector<Upload> Uploads;
   for (unsigned Serial = 0; Serial != NumUploads; ++Serial)
     Uploads.push_back(makeUpload("t0", 3, Serial));
 
-  auto FoldBytes = [&](std::vector<Upload> Ups, IngestConfig C) {
-    IngestService Service(C);
+  auto FoldBytes = [&](std::vector<Upload> Ups) {
+    IngestService Service(IngestConfig{});
     for (Upload &U : Ups)
-      Service.submit(std::move(U));
-    Service.drain();
+      EXPECT_TRUE(Service.ingestNow(std::move(U)).Accepted);
     std::string Error;
     auto Bytes = Service.windowBytes(3, Error);
     EXPECT_TRUE(Error.empty()) << Error;
-    EXPECT_EQ(Service.stats().Accepted, NumUploads);
     return Bytes;
   };
 
-  IngestConfig Manual = manualConfig();
-  std::vector<std::vector<uint8_t>> Reference = FoldBytes(Uploads, Manual);
+  std::vector<std::vector<uint8_t>> Reference = FoldBytes(Uploads);
   ASSERT_FALSE(Reference.empty());
 
   // Reversed arrivals.
   std::vector<Upload> Reversed(Uploads.rbegin(), Uploads.rend());
-  EXPECT_EQ(FoldBytes(std::move(Reversed), Manual), Reference);
-
-  // A racing thread pool: arrival interleaving is whatever the scheduler
-  // makes it, the bytes must not care.
-  IngestConfig Threaded = manualConfig();
-  Threaded.Threads = 4;
-  EXPECT_EQ(FoldBytes(std::move(Uploads), Threaded), Reference);
+  EXPECT_EQ(FoldBytes(std::move(Reversed)), Reference);
 }
 
 TEST(CollectdFoldTest, WindowBytesEqualFlatMergeOfLeaves) {
   constexpr unsigned NumLeaves = 8;
-  IngestService Service(manualConfig());
+  IngestService Service(IngestConfig{});
   std::vector<profdb::Artifact> Flat;
   for (unsigned Serial = 0; Serial != NumLeaves; ++Serial) {
     Upload U = makeUpload("t0", 3, Serial);
@@ -266,8 +251,8 @@ TEST(CollectdFoldTest, IncompatibleAddRejectsAndLeavesFoldUntouched) {
 }
 
 TEST(CollectdIngestTest, MergeIncompatibleUploadRejectsAtAdmission) {
-  IngestService Clean(manualConfig());
-  IngestService Faulty(manualConfig());
+  IngestService Clean(IngestConfig{});
+  IngestService Faulty(IngestConfig{});
 
   // The incompatible upload must be refused on its own admission, never
   // surface later as the merge failure of an innocent upload or query.
@@ -335,7 +320,7 @@ TEST(CollectdIngestTest, ExtraSlotUploadIsMergeFailedNotAnAbort) {
   EXPECT_NE(Error.find("slot count"), std::string::npos) << Error;
   EXPECT_EQ(Fold.inputs(), 0u);
 
-  IngestService Service(manualConfig());
+  IngestService Service(IngestConfig{});
   UploadResult Verdict = Service.ingestNow(Upload{"t0", 5, Bytes});
   EXPECT_FALSE(Verdict.Accepted);
   EXPECT_EQ(Verdict.Reason, RejectReason::MergeFailed);
@@ -348,8 +333,8 @@ TEST(CollectdIngestTest, ExtraSlotUploadIsMergeFailedNotAnAbort) {
 TEST(CollectdIngestTest, SecondCalleeInDirectSlotIsMergeFailedNotAnAbort) {
   // On its own the swapped tree is sound; after the original it would
   // resolve one direct slot to two procedures.
-  IngestService Clean(manualConfig());
-  IngestService Faulty(manualConfig());
+  IngestService Clean(IngestConfig{});
+  IngestService Faulty(IngestConfig{});
   Upload U = makeUpload("t0", 5, 0);
   EXPECT_TRUE(Clean.ingestNow(U).Accepted);
   EXPECT_TRUE(Faulty.ingestNow(std::move(U)).Accepted);
@@ -370,7 +355,7 @@ TEST(CollectdIngestTest, SecondCalleeInDirectSlotIsMergeFailedNotAnAbort) {
 TEST(CollectdFoldTest, SingleUploadWindowIsTheUploadItself) {
   Upload U = makeUpload("t0", 4, 0);
   const std::vector<uint8_t> Bytes = U.Bytes;
-  IngestService Service(manualConfig());
+  IngestService Service(IngestConfig{});
   ASSERT_TRUE(Service.ingestNow(std::move(U)).Accepted);
   std::string Error;
   EXPECT_EQ(Service.windowBytes(4, Error),
@@ -430,7 +415,7 @@ TEST(CollectdIngestTest, LoopFreeUploadsAtTwoKsFoldInTwoGroups) {
   for (size_t F = 0; F != K1.PathProfiles.size(); ++F)
     EXPECT_EQ(K1.PathProfiles[F].NumPaths, K2.PathProfiles[F].NumPaths);
 
-  IngestService Service(manualConfig());
+  IngestService Service(IngestConfig{});
   for (const profdb::Artifact *A : {&K1, &K2, &K2}) {
     UploadResult Verdict =
         Service.ingestNow(Upload{"t0", 6, profdb::encodeArtifact(*A)});
@@ -454,11 +439,11 @@ TEST(CollectdIngestTest, LoopFreeUploadsAtTwoKsFoldInTwoGroups) {
 }
 
 //===----------------------------------------------------------------------===//
-// Quotas and backpressure
+// Quotas
 //===----------------------------------------------------------------------===//
 
 TEST(CollectdIngestTest, QuotaBoundsEachTenantPerWindow) {
-  IngestConfig C = manualConfig();
+  IngestConfig C;
   C.TenantWindowQuota = 2;
   IngestService Service(C);
 
@@ -481,33 +466,12 @@ TEST(CollectdIngestTest, QuotaBoundsEachTenantPerWindow) {
       2u);
 }
 
-TEST(CollectdIngestTest, ManualModeSubmitPastCapacityPumpsInline) {
-  // submit() in manual-pump mode used to block on QueueNotFull with no
-  // consumer to ever wake it: any caller submitting more than
-  // QueueCapacity uploads before drain() deadlocked (the ingest bench's
-  // serial reference fold hit exactly this). A full queue must instead
-  // pump inline on the calling thread.
-  IngestConfig C = manualConfig();
-  C.QueueCapacity = 2;
-  IngestService Service(C);
-
-  for (unsigned Serial = 0; Serial != 7; ++Serial)
-    Service.submit(makeUpload("t0", 0, Serial));
-  // Capacity still bounds the backlog: everything past it was ingested
-  // to make room, so at most QueueCapacity uploads remain queued.
-  EXPECT_GE(Service.stats().Accepted, 5u);
-  Service.drain();
-  EXPECT_EQ(Service.stats().Submitted, 7u);
-  EXPECT_EQ(Service.stats().Accepted, 7u);
-  EXPECT_EQ(Service.stats().Rejected, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Queries and persistence
 //===----------------------------------------------------------------------===//
 
 TEST(CollectdIngestTest, QueriesRenderAndUnknownWindowIsTyped) {
-  IngestService Service(manualConfig());
+  IngestService Service(IngestConfig{});
   for (unsigned Serial = 0; Serial != 3; ++Serial)
     ASSERT_TRUE(Service.ingestNow(makeUpload("t0", 4, Serial)).Accepted);
 
@@ -530,7 +494,7 @@ TEST(CollectdIngestTest, PersistWritesOrdinaryArtifacts) {
   std::string Dir = makeTempDir();
   ASSERT_FALSE(Dir.empty());
 
-  IngestConfig C = manualConfig();
+  IngestConfig C;
   // Parents of the store root don't exist yet: persist must create the
   // whole chain (the recursive-mkdir fix this PR ships).
   C.StoreDir = Dir + "/fleet/profiles";
@@ -566,7 +530,7 @@ TEST(CollectdRateTest, BucketRefusesBeyondBurstAndRefillsOnTheClock) {
   // A manual clock makes the bucket exact: burst-many accepts, then
   // typed refusals until the injected time advances.
   uint64_t NowNs = 0;
-  IngestConfig C = manualConfig();
+  IngestConfig C;
   C.TenantRatePerSec = 2;  // one token every half second
   C.TenantRateBurst = 3;
   C.RateClockNs = [&NowNs] { return NowNs; };
@@ -605,7 +569,7 @@ TEST(CollectdRateTest, BucketRefusesBeyondBurstAndRefillsOnTheClock) {
 
 TEST(CollectdRateTest, BucketsArePerTenant) {
   uint64_t NowNs = 0;
-  IngestConfig C = manualConfig();
+  IngestConfig C;
   C.TenantRatePerSec = 1;
   C.TenantRateBurst = 1;
   C.RateClockNs = [&NowNs] { return NowNs; };
@@ -627,7 +591,7 @@ TEST(CollectdRetentionTest, OldWindowsArePersistedThenDroppedAndClosed) {
   std::string Dir = makeTempDir();
   ASSERT_FALSE(Dir.empty());
 
-  IngestConfig C = manualConfig();
+  IngestConfig C;
   C.StoreDir = Dir;
   C.RetainWindows = 2;
   IngestService Service(C);
@@ -671,7 +635,7 @@ TEST(CollectdRetentionTest, UnpersistableWindowsAreNeverDropped) {
   // No StoreDir: retention wants to shed the oldest window but has
   // nowhere to put it. The window must stay resident — dropping
   // unpersisted uploads would silently lose fleet data.
-  IngestConfig C = manualConfig();
+  IngestConfig C;
   C.RetainWindows = 1;
   IngestService Service(C);
 

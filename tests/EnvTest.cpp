@@ -259,7 +259,6 @@ TEST(Env, RetiredKnobsAreInert) {
         profdb::MetricSchema::of(Plan.Options.Config);
 
     collectd::IngestConfig C;
-    C.Threads = 0;
     C.StoreDir = Dir + "/store";
     collectd::IngestService Service(C);
     for (uint64_t Window = 0; Window != 3; ++Window)

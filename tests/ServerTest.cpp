@@ -111,12 +111,6 @@ persistedTree(const std::string &StoreDir,
   return Tree;
 }
 
-IngestConfig manualConfig() {
-  IngestConfig C;
-  C.Threads = 0;
-  return C;
-}
-
 /// One started Server over its own service and one client connected to
 /// it: the setup every protocol and limit case shares.
 class ServerSession : public testing::Test {
@@ -125,7 +119,7 @@ protected:
   /// Conn with \p ReceiveBufferBytes, and HELLOs as tenant "t" when
   /// \p Hello.
   testing::AssertionResult open(bool Hello, ServerConfig S = {},
-                                IngestConfig I = manualConfig(),
+                                IngestConfig I = {},
                                 int ReceiveBufferBytes = 0) {
     Service = std::make_unique<IngestService>(std::move(I));
     Front = std::make_unique<Server>(std::move(S), *Service);
@@ -181,7 +175,7 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
 
   uint64_t WireRejected;
   {
-    IngestConfig Config = manualConfig();
+    IngestConfig Config;
     Config.StoreDir = WireDir;
     IngestService Service(Config);
     Server Front({}, Service);
@@ -207,7 +201,7 @@ TEST(ServerLoopbackTest, ForkedClientsMatchInProcessIngestUnderFaults) {
   // Reference: identical uploads, no wire.
   std::vector<uint64_t> WindowIds;
   {
-    IngestConfig Config = manualConfig();
+    IngestConfig Config;
     Config.StoreDir = RefDir;
     IngestService Reference(Config);
     for (unsigned Client = 0; Client != Clients; ++Client)
@@ -247,7 +241,7 @@ TEST(ServerLoopbackTest, ConcurrentClientProcessesFoldIdentically) {
         encodeSession("c" + std::to_string(Client), "exact", Fleet[Client]);
   }
 
-  IngestService Service(manualConfig());
+  IngestService Service(IngestConfig{});
   Server Front({}, Service);
   std::string Error;
   ASSERT_TRUE(Front.start(Error)) << Error;
@@ -259,7 +253,7 @@ TEST(ServerLoopbackTest, ConcurrentClientProcessesFoldIdentically) {
     EXPECT_EQ(waitFor(Pids[Client]), 0) << "client " << Client;
   Front.stop();
 
-  IngestService Reference(manualConfig());
+  IngestService Reference(IngestConfig{});
   for (unsigned Client = 0; Client != Clients; ++Client)
     for (const Upload &U : Fleet[Client])
       EXPECT_TRUE(Reference.ingestNow(U).Accepted);
@@ -430,7 +424,7 @@ TEST_F(ServerLimitTest, WriteBackpressurePausesReading) {
   // rather than in socket buffers. A tiny client receive buffer makes
   // the kernel push back on the server quickly once we stop reading.
   Cfg.SendBufferBytes = 4096;
-  ASSERT_TRUE(open(/*Hello=*/true, Cfg, manualConfig(),
+  ASSERT_TRUE(open(/*Hello=*/true, Cfg, IngestConfig{},
                    /*ReceiveBufferBytes=*/4096));
   Frame Up;
   Up.Type = FrameType::Upload;
@@ -481,7 +475,7 @@ TEST_F(ServerLimitTest, WriteBackpressurePausesReading) {
 TEST_F(ServerLimitTest, TokenBucketRefusesOverTheWire) {
   // A frozen injected clock: the bucket never refills, so verdicts are
   // exact — burst-many accepts, then rate-limited rejects.
-  IngestConfig Config = manualConfig();
+  IngestConfig Config;
   Config.TenantRatePerSec = 1;
   Config.TenantRateBurst = 2;
   Config.RateClockNs = [] { return uint64_t(1000000000); };

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Strict numeric flags: every malformed or out-of-range numeric flag of
-# pp, pp-report, pp-opt and pp-collectd must exit nonzero and name the
+# Bad command lines fail by name: every malformed or out-of-range numeric
+# flag of pp, pp-report, pp-opt and pp-collectd, every retired flag, and
+# every flag given without the one it needs must exit nonzero and name the
 # flag on stderr, instead of reading as 0 (or as its numeric prefix) and
-# running on with a value nobody asked for.
+# running on with a value nobody asked for. An output file pp cannot write
+# likewise fails and names the file, instead of reporting it written.
 #
 #   bad_flags.sh <pp> <pp-report> <pp-opt> <pp-collectd>
 set -u
@@ -53,6 +55,13 @@ expect_bad --scale "$PP" --scale=2x 130.li
 expect_bad --k "$PP" --k=1x 130.li
 expect_bad --period "$PP" --period=abc 130.li
 
+# Output files under a directory that does not exist.
+absent="$tmp/absent"
+expect_bad "$absent/x.cct" "$PP" --mode=contextflowhw \
+    --cct-out="$absent/x.cct" examples/recurse.ppir
+expect_bad "$absent/x.dot" "$PP" --mode=contextflowhw \
+    --dot="$absent/x.dot" examples/recurse.ppir
+
 expect_bad --paths "$PPREPORT" top-paths --paths=ten "$art"
 expect_bad --procs "$PPREPORT" top-procs --procs=5x "$art"
 expect_bad --limit "$PPREPORT" diff --limit=ten "$art" "$art"
@@ -62,10 +71,13 @@ expect_bad --scale "$PPOPT" --in 130.li --profile "$art" --scale=2x
 
 # A valid pp-collectd command line apart from the flag: a one-upload
 # simulation, so a bound that is not enforced shows as a quick exit 0.
+# --threads and --queue are retired (ingest runs on the caller), so even
+# the values they used to accept are refused.
 sim="--clients=1 --uploads=1 --workloads=130.li"
-expect_bad --threads "$PPCOLLECTD" --threads=65 $sim
+expect_bad --threads "$PPCOLLECTD" --threads=4 $sim
 expect_bad --clients "$PPCOLLECTD" --clients=0
-expect_bad --queue "$PPCOLLECTD" --queue=0 $sim
+expect_bad --queue "$PPCOLLECTD" --queue=256 $sim
+expect_bad --retain "$PPCOLLECTD" --retain=1 $sim
 expect_bad --serve "$PPCOLLECTD" --serve=70000
 expect_bad --window "$PPCOLLECTD" --ingest="$tmp/repo" --window=1x
 

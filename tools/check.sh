@@ -11,10 +11,10 @@
 # The ASan pass runs the full suite; the TSan pass runs the driver,
 # fault-injection, profile-repository, observability, optimizer, and
 # worker-pool tests, which exercise every concurrent component (the one
-# support::WorkerPool and its three users — run scheduler, ingest
-# service, parallel artifact merge — plus the run cache, the shared obs
-# recorder, and the benches' Build closures optimizing modules on
-# worker threads).
+# support::WorkerPool and its two users — run scheduler and parallel
+# artifact merge — plus the ingest service's queries beside its ingest,
+# the run cache, the shared obs recorder, and the benches' Build closures
+# optimizing modules on worker threads).
 
 set -e
 

@@ -12,10 +12,11 @@
 //                                           simulated artifacts over the
 //                                           wire instead of in process
 //
-// Either way, uploads flow through the bounded-queue ingest service into
-// per-window incremental folds, and the folded windows answer the same queries
-// pp-report does (top-paths / top-procs / cct-stats) — plus an ingest
-// stats table with every typed rejection reason.
+// Every mode ingests its uploads one at a time, in order, on one thread, so
+// each verdict follows the upload order; accepted uploads fold into
+// per-window incremental folds, and the folded windows answer the same
+// queries pp-report does (top-paths / top-procs / cct-stats) — plus an
+// ingest stats table with every typed rejection reason.
 //
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +74,6 @@ void printUsage() {
       "service options:\n"
       "  --window=<n>       window for --ingest uploads (default 0)\n"
       "  --windows=<n>      windows simulated uploads spread over (default 2)\n"
-      "  --threads=<n>      ingest workers, 0..64; 0 = synchronous (default 4)\n"
-      "  --queue=<n>        bounded queue capacity (default 256)\n"
       "  --quota=<n>        accepted uploads per tenant+window (0 = off)\n"
       "  --rate=<n>         per-tenant sustained uploads/second (0 = off)\n"
       "  --burst=<n>        per-tenant burst allowance (0 = max(1, rate))\n"
@@ -305,15 +304,13 @@ int main(int Argc, char **Argv) {
   uint64_t Clients = 8, Uploads = 2, Windows = 2, Window = 0;
   uint64_t CorruptEvery = 0, TopPaths = 0, TopProcs = 0;
   uint64_t ServePort = 0, ExpectUploads = 0, IdleTimeoutMs = 30000;
-  uint64_t Threads = 4, Queue = 256, Quota = 0, Rate = 0, Burst = 0;
-  uint64_t Retain = 0;
+  uint64_t Quota = 0, Rate = 0, Burst = 0, Retain = 0;
   bool CctStats = false, ClientsSet = false, ServeSet = false;
   std::string ConnectHost;
   uint16_t ConnectPort = 0;
   std::string IngestDir, StoreDir, WorkloadList = "130.li,129.compress";
 
   // Every numeric flag, the value it sets and the range it accepts.
-  // --threads stops at 64, the clamp PP_DRIVER_THREADS uses too.
   const struct {
     const char *Flag;
     uint64_t *Out;
@@ -324,8 +321,6 @@ int main(int Argc, char **Argv) {
       {"--corrupt-every", &CorruptEvery, 1, UINT64_MAX},
       {"--window", &Window, 0, UINT64_MAX},
       {"--windows", &Windows, 1, UINT64_MAX},
-      {"--threads", &Threads, 0, 64},
-      {"--queue", &Queue, 1, UINT64_MAX},
       {"--quota", &Quota, 0, UINT64_MAX},
       {"--rate", &Rate, 0, UINT64_MAX},
       {"--burst", &Burst, 0, UINT64_MAX},
@@ -386,10 +381,13 @@ int main(int Argc, char **Argv) {
                  "and --connect modes\n");
     return 1;
   }
+  if (Retain && StoreDir.empty()) {
+    std::fprintf(stderr, "pp-collectd: --retain needs --store: a window is "
+                         "dropped only once it is persisted\n");
+    return 1;
+  }
 
   collectd::IngestConfig Config;
-  Config.Threads = static_cast<unsigned>(Threads);
-  Config.QueueCapacity = Queue;
   Config.TenantWindowQuota = Quota;
   Config.TenantRatePerSec = static_cast<double>(Rate);
   Config.TenantRateBurst = static_cast<double>(Burst);
@@ -468,8 +466,6 @@ int main(int Argc, char **Argv) {
 
   // ---- serve mode: the socket front end owns the service ----
   if (ServeSet) {
-    // The event loop ingests synchronously; queue workers would only idle.
-    Config.Threads = 0;
     collectd::IngestService Service(Config);
     collectd::ServerConfig ServerCfg;
     ServerCfg.Port = static_cast<uint16_t>(ServePort);
@@ -514,12 +510,11 @@ int main(int Argc, char **Argv) {
                      Path.c_str());
         continue;
       }
-      Service.submit({Path, Window, std::move(Bytes)});
+      Service.ingestNow({Path, Window, std::move(Bytes)});
     }
   }
   for (collectd::Upload &U : Pool)
-    Service.submit(std::move(U));
-  Service.drain();
+    Service.ingestNow(std::move(U));
 
   auto Answer = [&Service](const collectd::Frame &Query, std::string &Text,
                            std::string &Error) {

@@ -411,7 +411,25 @@ void reportCoverage(const ir::Module &M, const prof::RunOutcome &Run) {
   std::printf("path coverage:\n%s\n", Table.render().c_str());
 }
 
-void reportCct(const prof::RunOutcome &Run, const Options &Opts) {
+/// Writes \p Size bytes at \p Data to \p Path. A file that cannot be
+/// opened or written is named on stderr, and false is returned.
+bool writeOutputFile(const std::string &Path, const char *Data, size_t Size) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  if (!Out) {
+    std::fprintf(stderr, "pp: cannot write '%s'\n", Path.c_str());
+    return false;
+  }
+  Out.write(Data, static_cast<std::streamsize>(Size));
+  if (!Out.flush()) {
+    std::fprintf(stderr, "pp: write to '%s' failed\n", Path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Prints the CCT report and writes the --dot and --cct-out files; false
+/// when a file could not be written.
+bool reportCct(const prof::RunOutcome &Run, const Options &Opts) {
   const cct::CallingContextTree &Tree = *Run.Tree;
   cct::CctStats Stats = Tree.computeStats();
   std::printf("CCT: %llu records, %llu heap bytes, avg out-degree %.1f, "
@@ -449,18 +467,21 @@ void reportCct(const prof::RunOutcome &Run, const Options &Opts) {
   std::printf("%s\n", Table.render().c_str());
 
   if (!Opts.DotFile.empty()) {
-    std::ofstream Out(Opts.DotFile);
-    Out << cct::exportDot(Tree);
+    std::string Dot = cct::exportDot(Tree);
+    if (!writeOutputFile(Opts.DotFile, Dot.data(), Dot.size()))
+      return false;
     std::printf("wrote %s\n", Opts.DotFile.c_str());
   }
   if (!Opts.CctFile.empty()) {
     std::vector<uint8_t> Bytes = cct::serialize(Tree);
-    std::ofstream Out(Opts.CctFile, std::ios::binary);
-    Out.write(reinterpret_cast<const char *>(Bytes.data()),
-              static_cast<std::streamsize>(Bytes.size()));
+    if (!writeOutputFile(Opts.CctFile,
+                         reinterpret_cast<const char *>(Bytes.data()),
+                         Bytes.size()))
+      return false;
     std::printf("wrote %s (%zu bytes)\n", Opts.CctFile.c_str(),
                 Bytes.size());
   }
+  return true;
 }
 
 } // namespace
@@ -621,7 +642,7 @@ int main(int Argc, char **Argv) {
     if (Opts.Coverage)
       reportCoverage(*M, *Run);
   }
-  if (Run->Tree)
-    reportCct(*Run, Opts);
+  if (Run->Tree && !reportCct(*Run, Opts))
+    return 1;
   return 0;
 }
