@@ -311,98 +311,3 @@ CctStats CallingContextTree::computeStats() const {
   }
   return Stats;
 }
-
-TreeImage CallingContextTree::image() const {
-  TreeImage Image;
-  Image.Procs = Procs;
-  Image.NumMetrics = NumMetrics;
-  Image.PathCellBytes = PathCellBytes;
-  Image.HashThreshold = HashThreshold;
-  Image.HeapBytes = heapBytes();
-  Image.ListCells = ListCellCount;
-
-  std::unordered_map<const CallRecord *, uint64_t> IndexOf;
-  for (size_t Index = 0; Index != Records.size(); ++Index)
-    IndexOf[Records[Index].get()] = Index;
-
-  Image.Records.reserve(Records.size());
-  for (const auto &R : Records) {
-    TreeImage::Record Rec;
-    Rec.Proc = R->Proc;
-    Rec.Parent = R->Parent ? static_cast<int64_t>(IndexOf.at(R->Parent)) : -1;
-    Rec.Addr = R->Addr;
-    Rec.PathTableAddr = R->PathTableAddr;
-    Rec.Metrics = R->Metrics;
-    Rec.PathCells.assign(R->PathTable.begin(), R->PathTable.end());
-    // Canonical order, so identical trees produce identical images even
-    // though the live counters sit in an unordered map.
-    std::sort(Rec.PathCells.begin(), Rec.PathCells.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    for (const CallRecord::Slot &S : R->Slots) {
-      TreeImage::Slot Slot;
-      Slot.Kind = static_cast<uint8_t>(S.K);
-      if (S.K == CallRecord::Slot::Kind::Record && S.Direct)
-        Slot.Targets.push_back({IndexOf.at(S.Direct), 0});
-      else if (S.K == CallRecord::Slot::Kind::List)
-        for (const auto &Cell : S.List)
-          Slot.Targets.push_back({IndexOf.at(Cell.first), Cell.second});
-      Rec.Slots.push_back(std::move(Slot));
-    }
-    Image.Records.push_back(std::move(Rec));
-  }
-  return Image;
-}
-
-std::unique_ptr<CallingContextTree>
-CallingContextTree::fromImage(const TreeImage &Image) {
-  if (Image.Records.empty())
-    return nullptr;
-  auto Tree = std::make_unique<CallingContextTree>(
-      Image.Procs, Image.NumMetrics, nullptr, Image.PathCellBytes,
-      Image.HashThreshold);
-  // Discard the constructor's root; every record is rebuilt verbatim.
-  Tree->Records.clear();
-  Tree->Root = nullptr;
-  Tree->ListCellCount = Image.ListCells;
-  Tree->HeapNext = layout::CctHeapBase + Image.HeapBytes;
-
-  for (const TreeImage::Record &Rec : Image.Records) {
-    auto Record = std::make_unique<CallRecord>();
-    CallRecord *R = Record.get();
-    Tree->Records.push_back(std::move(Record));
-    R->Proc = Rec.Proc;
-    if (Rec.Parent >= 0) {
-      if (static_cast<uint64_t>(Rec.Parent) + 1 >= Tree->Records.size())
-        return nullptr; // parents must precede children
-      R->Parent = Tree->Records[static_cast<size_t>(Rec.Parent)].get();
-      R->Depth = R->Parent->Depth + 1;
-    }
-    R->Addr = Rec.Addr;
-    R->PathTableAddr = Rec.PathTableAddr;
-    R->Metrics = Rec.Metrics;
-    for (const auto &[Sum, Cell] : Rec.PathCells)
-      R->PathTable.emplace(Sum, Cell);
-    R->Slots.resize(Rec.Slots.size());
-  }
-  // Slots resolve against fully constructed records, so fill them second.
-  for (size_t Index = 0; Index != Image.Records.size(); ++Index) {
-    const TreeImage::Record &Rec = Image.Records[Index];
-    CallRecord *R = Tree->Records[Index].get();
-    for (size_t S = 0; S != Rec.Slots.size(); ++S) {
-      const TreeImage::Slot &Slot = Rec.Slots[S];
-      CallRecord::Slot &Out = R->Slots[S];
-      Out.K = static_cast<CallRecord::Slot::Kind>(Slot.Kind);
-      for (const auto &[Target, CellAddr] : Slot.Targets) {
-        if (Target >= Tree->Records.size())
-          return nullptr;
-        CallRecord *T = Tree->Records[Target].get();
-        if (Out.K == CallRecord::Slot::Kind::Record)
-          Out.Direct = T;
-        else
-          Out.List.push_back({T, CellAddr});
-      }
-    }
-  }
-  Tree->Root = Tree->Records.front().get();
-  return Tree;
-}

@@ -118,7 +118,7 @@ public:
 
 private:
   friend class CallingContextTree;
-  /// The artifact decoder (cct/ImageIO.h) fills records in place.
+  /// The artifact reader (cct/ImageIO.h) fills records in place.
   friend DecodeStatus readTree(ByteReader &,
                                std::unique_ptr<CallingContextTree> &);
 
@@ -164,42 +164,6 @@ struct CctStats {
   uint64_t UsedSlots = 0;
   /// Slots resolved to an ancestor record (recursion backedges).
   uint64_t BackedgeSlots = 0;
-};
-
-/// A full-fidelity, pointer-free copy of a tree: the form the artifact
-/// encoder writes (cct/ImageIO.h) and deep copies go through. Unlike the
-/// compact profile-file encoding in cct/Export.h, an image preserves
-/// slots, simulated addresses, and heap usage, so
-/// CallingContextTree::fromImage rebuilds a tree whose statistics are
-/// identical to the original's. Decoding reads the same fields straight
-/// into a tree (cct::readTree) and never builds an image.
-struct TreeImage {
-  struct Slot {
-    /// Mirrors CallRecord::Slot::Kind.
-    uint8_t Kind = 0;
-    /// Resolved targets as (record index, simulated list-cell address);
-    /// direct slots carry one pair with address 0.
-    std::vector<std::pair<uint64_t, uint64_t>> Targets;
-  };
-  struct Record {
-    ProcId Proc = RootProcId;
-    /// Index of the parent record, or -1 for the root.
-    int64_t Parent = -1;
-    uint64_t Addr = 0;
-    uint64_t PathTableAddr = 0;
-    std::vector<uint64_t> Metrics;
-    std::vector<std::pair<uint64_t, PathCell>> PathCells;
-    std::vector<Slot> Slots;
-  };
-
-  std::vector<ProcDesc> Procs;
-  unsigned NumMetrics = 0;
-  unsigned PathCellBytes = 24;
-  uint64_t HashThreshold = 1 << 16;
-  uint64_t HeapBytes = 0;
-  uint64_t ListCells = 0;
-  /// Allocation order, root first (parents precede children).
-  std::vector<Record> Records;
 };
 
 /// The tree itself plus its simulated-heap allocator.
@@ -253,15 +217,6 @@ public:
 
   CctStats computeStats() const;
 
-  /// Snapshots the complete tree state for persistence.
-  TreeImage image() const;
-  /// Rebuilds a tree from an image. The result is structurally identical
-  /// (records, slots, addresses, heap usage) but carries no MemCharger;
-  /// it is a read-only profile, not a live instrumentation target.
-  /// Returns nullptr for malformed images (bad indices or an empty record
-  /// list).
-  static std::unique_ptr<CallingContextTree> fromImage(const TreeImage &Image);
-
   /// Record layout constants (Figure 6: ID, parent, metrics[], children[]).
   /// The root record has two slots (program entry + signal handlers).
   uint64_t recordBytes(ProcId Proc) const {
@@ -271,7 +226,8 @@ public:
   static constexpr uint64_t ListCellBytes = 16;
 
 private:
-  /// The artifact decoder (cct/ImageIO.h) fills a tree in place.
+  /// The artifact codec (cct/ImageIO.h) writes and reads a tree in place.
+  friend void writeTree(ByteWriter &, const CallingContextTree &);
   friend DecodeStatus readTree(ByteReader &,
                                std::unique_ptr<CallingContextTree> &);
 

@@ -33,9 +33,9 @@ std::vector<uint8_t> cct::serialize(const CallingContextTree &Tree) {
     W.u64(R->Metrics.size());
     for (uint64_t Metric : R->Metrics)
       W.u64(Metric);
-    // Path-sum order, as image() uses: the live table is a hash map whose
-    // iteration order depends on insertion history, so a tree restored
-    // from an image would otherwise export different bytes.
+    // Path-sum order, as cct::writeTree uses: the live table is a hash
+    // map whose iteration order depends on insertion history, so a tree
+    // read back from an artifact would otherwise export different bytes.
     std::vector<std::pair<uint64_t, PathCell>> Cells(R->PathTable.begin(),
                                                      R->PathTable.end());
     std::sort(Cells.begin(), Cells.end(),

@@ -30,7 +30,7 @@ struct LoadedRecord {
 
 /// Serialises the tree (records in allocation order, tree edges, metrics,
 /// path tables in path-sum order), so equal trees serialize to equal
-/// bytes whether live or restored from an image. Slots/backedges are
+/// bytes whether live or read from an artifact. Slots/backedges are
 /// reconstructible from the metrics use case and are not persisted,
 /// matching the paper's profile-file role.
 std::vector<uint8_t> serialize(const CallingContextTree &Tree);

@@ -1,6 +1,10 @@
-//===- cct/ImageIO.cpp - TreeImage binary codec --------------------------------===//
+//===- cct/ImageIO.cpp - CCT binary codec ---------------------------------------===//
 
 #include "cct/ImageIO.h"
+
+#include <algorithm>
+#include <cassert>
+#include <unordered_map>
 
 using namespace pp;
 using namespace pp::cct;
@@ -17,42 +21,65 @@ constexpr size_t MinTargetBytes = 2 * 8;
 
 } // namespace
 
-void cct::writeTreeImage(ByteWriter &W, const TreeImage &Image) {
-  W.u64(Image.Procs.size());
-  for (const ProcDesc &Proc : Image.Procs) {
+void cct::writeTree(ByteWriter &W, const CallingContextTree &Tree) {
+  W.u64(Tree.procs().size());
+  for (const ProcDesc &Proc : Tree.procs()) {
     W.str(Proc.Name);
     W.u64(Proc.NumSites);
     W.bytes(Proc.SiteIsIndirect);
     W.u64(Proc.NumPaths);
   }
-  W.u64(Image.NumMetrics);
-  W.u64(Image.PathCellBytes);
-  W.u64(Image.HashThreshold);
-  W.u64(Image.HeapBytes);
-  W.u64(Image.ListCells);
-  W.u64(Image.Records.size());
-  for (const TreeImage::Record &Rec : Image.Records) {
-    W.u64(Rec.Proc);
-    W.u64(static_cast<uint64_t>(Rec.Parent));
-    W.u64(Rec.Addr);
-    W.u64(Rec.PathTableAddr);
-    W.u64(Rec.Metrics.size());
-    for (uint64_t Metric : Rec.Metrics)
+  W.u64(Tree.numMetrics());
+  W.u64(Tree.pathCellBytes());
+  W.u64(Tree.hashThreshold());
+  W.u64(Tree.heapBytes());
+  W.u64(Tree.ListCellCount);
+
+  const std::vector<std::unique_ptr<CallRecord>> &Records = Tree.records();
+  std::unordered_map<const CallRecord *, uint64_t> IndexOf;
+  IndexOf.reserve(Records.size());
+  for (size_t Index = 0; Index != Records.size(); ++Index)
+    IndexOf.emplace(Records[Index].get(), Index);
+
+  W.u64(Records.size());
+  std::vector<std::pair<uint64_t, PathCell>> Cells;
+  for (const auto &Rec : Records) {
+    W.u64(Rec->procId());
+    W.u64(Rec->parent() ? IndexOf.at(Rec->parent()) : ~uint64_t(0));
+    W.u64(Rec->addr());
+    W.u64(Rec->pathTableAddr());
+    W.u64(Rec->Metrics.size());
+    for (uint64_t Metric : Rec->Metrics)
       W.u64(Metric);
-    W.u64(Rec.PathCells.size());
-    for (const auto &[Sum, Cell] : Rec.PathCells) {
+    // Path-sum order: the live table is a hash map whose iteration order
+    // depends on insertion history, and equal trees must write equal
+    // bytes.
+    Cells.assign(Rec->PathTable.begin(), Rec->PathTable.end());
+    std::sort(Cells.begin(), Cells.end(),
+              [](const auto &A, const auto &B) { return A.first < B.first; });
+    W.u64(Cells.size());
+    for (const auto &[Sum, Cell] : Cells) {
       W.u64(Sum);
       W.u64(Cell.Freq);
       W.u64(Cell.Metric0);
       W.u64(Cell.Metric1);
     }
-    W.u64(Rec.Slots.size());
-    for (const TreeImage::Slot &Slot : Rec.Slots) {
-      W.u8(Slot.Kind);
-      W.u64(Slot.Targets.size());
-      for (const auto &[Target, CellAddr] : Slot.Targets) {
-        W.u64(Target);
-        W.u64(CellAddr);
+    W.u64(Rec->numSlots());
+    for (unsigned Index = 0; Index != Rec->numSlots(); ++Index) {
+      const CallRecord::Slot &Slot = Rec->slot(Index);
+      W.u8(static_cast<uint8_t>(Slot.K));
+      if (Slot.K == CallRecord::Slot::Kind::Record && Slot.Direct) {
+        W.u64(1);
+        W.u64(IndexOf.at(Slot.Direct));
+        W.u64(0);
+      } else if (Slot.K == CallRecord::Slot::Kind::List) {
+        W.u64(Slot.List.size());
+        for (const auto &[Target, CellAddr] : Slot.List) {
+          W.u64(IndexOf.at(Target));
+          W.u64(CellAddr);
+        }
+      } else {
+        W.u64(0);
       }
     }
   }
@@ -102,9 +129,11 @@ DecodeStatus cct::readTree(ByteReader &R,
   Tree->ListCellCount = ListCells;
   Tree->HeapNext = layout::CctHeapBase + HeapBytes;
 
-  // A parent listed after its child or a slot target out of range is
-  // noted here and reported once the whole tree is read, so a tree that
-  // is also cut short still reads as Truncated.
+  // Bytes no tree writes (a parent listed after its child, a slot target
+  // out of range, an unresolved slot with a target, a direct slot with
+  // two, a path sum listed twice) are noted here and reported once the
+  // whole tree is read, so a tree that is also cut short still reads as
+  // Truncated.
   bool Misshapen = NumRecords == 0;
   for (uint64_t Index = 0; Index != NumRecords; ++Index) {
     CallRecord &Rec = *Records[Index];
@@ -137,7 +166,8 @@ DecodeStatus cct::readTree(ByteReader &R,
       if (!R.u64(Sum) || !R.u64(Counts.Freq) || !R.u64(Counts.Metric0) ||
           !R.u64(Counts.Metric1))
         return DecodeStatus::Truncated;
-      Rec.PathTable.emplace(Sum, Counts);
+      if (!Rec.PathTable.emplace(Sum, Counts).second)
+        Misshapen = true;
     }
     if (!R.count(NumSlots, MinSlotBytes))
       return DecodeStatus::Truncated;
@@ -150,6 +180,9 @@ DecodeStatus cct::readTree(ByteReader &R,
       if (Kind > static_cast<uint8_t>(CallRecord::Slot::Kind::List))
         return DecodeStatus::Malformed;
       Slot.K = static_cast<CallRecord::Slot::Kind>(Kind);
+      if ((Slot.K == CallRecord::Slot::Kind::Unresolved && NumTargets != 0) ||
+          (Slot.K == CallRecord::Slot::Kind::Record && NumTargets > 1))
+        Misshapen = true;
       for (uint64_t Target = 0; Target != NumTargets; ++Target) {
         uint64_t To = 0, CellAddr = 0;
         if (!R.u64(To) || !R.u64(CellAddr))
@@ -170,4 +203,17 @@ DecodeStatus cct::readTree(ByteReader &R,
   Tree->Root = Records.front().get();
   Out = std::move(Tree);
   return DecodeStatus::Ok;
+}
+
+std::unique_ptr<CallingContextTree>
+cct::copyTree(const CallingContextTree &Tree) {
+  ByteWriter W;
+  writeTree(W, Tree);
+  ByteReader R(W.Bytes.data(), W.Bytes.size());
+  std::unique_ptr<CallingContextTree> Copy;
+  DecodeStatus Status = readTree(R, Copy);
+  assert(Status == DecodeStatus::Ok && R.atEnd() &&
+         "a tree must read back its own bytes");
+  (void)Status;
+  return Copy;
 }

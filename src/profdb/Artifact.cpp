@@ -196,7 +196,7 @@ encode(const Artifact &A, const std::vector<std::string> &Functions,
 
   W.u8(Tree ? 1 : 0);
   if (Tree)
-    cct::writeTreeImage(W, Tree->image());
+    cct::writeTree(W, *Tree);
 
   W.u8(Run ? 1 : 0);
   if (Run)
@@ -420,7 +420,7 @@ Artifact profdb::artifactFromOutcome(const prof::RunOutcome &Outcome,
     A.Functions.push_back(M.function(Id)->name());
   A.PathProfiles = Outcome.PathProfiles;
   if (Outcome.Tree)
-    A.Tree = cct::CallingContextTree::fromImage(Outcome.Tree->image());
+    A.Tree = cct::copyTree(*Outcome.Tree);
   return A;
 }
 
@@ -437,6 +437,6 @@ Artifact profdb::cloneArtifact(const Artifact &A) {
   Copy.Functions = A.Functions;
   Copy.PathProfiles = A.PathProfiles;
   if (A.Tree)
-    Copy.Tree = cct::CallingContextTree::fromImage(A.Tree->image());
+    Copy.Tree = cct::copyTree(*A.Tree);
   return Copy;
 }

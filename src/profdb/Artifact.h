@@ -116,7 +116,8 @@ using pp::decodeStatusName;
 /// merged-source identities.
 uint64_t fnv1a(const std::string &Text);
 
-/// Serialises \p A into the versioned, CRC32-trailed artifact format.
+/// Serialises \p A into the versioned, CRC32-trailed artifact format. Like
+/// every encoder here, it writes the tree in place (cct::writeTree).
 std::vector<uint8_t> encodeArtifact(const Artifact &A);
 
 /// Decodes an artifact of any supported version; a run section, if
@@ -129,7 +130,7 @@ DecodeStatus decodeArtifact(const std::vector<uint8_t> &Bytes, Artifact &Out);
 /// tree, under the identity \p Fingerprint, \p Workload, \p Scale and
 /// \p Schema (a driver::RunKey carries all four). Byte for byte
 /// encodeArtifact(artifactFromOutcome(...)) of the same run, without
-/// building the module or copying the tree.
+/// building the module.
 std::vector<uint8_t> encodeRunArtifact(const prof::RunOutcome &Outcome,
                                        const std::string &Fingerprint,
                                        const std::string &Workload,
@@ -165,7 +166,7 @@ Artifact artifactFromOutcome(const prof::RunOutcome &Outcome,
                              const prof::ProfileConfig &Config,
                              const std::string &Acquisition = "exact");
 
-/// Deep copy (the CCT makes Artifact move-only).
+/// Deep copy (the CCT makes Artifact move-only; see cct::copyTree).
 Artifact cloneArtifact(const Artifact &A);
 
 } // namespace profdb

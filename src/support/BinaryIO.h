@@ -3,7 +3,7 @@
 /// \file
 /// The little-endian byte writer and the bounds-checked reader shared by
 /// every persisted binary format in the repository (profdb artifacts,
-/// which are also the driver's run-cache entries, the embedded CCT image,
+/// which are also the driver's run-cache entries, the embedded CCT,
 /// the CCT export, the wire frames), plus the one typed verdict their
 /// decoders return. The reader treats its input as untrusted: every
 /// length and count is validated against the bytes actually *remaining* —
@@ -67,8 +67,10 @@ public:
 
   void u8(uint8_t Value) { Bytes.push_back(Value); }
   void u64(uint64_t Value) {
+    uint8_t Buf[8]; // one insert per field, not one push_back per byte
     for (unsigned Index = 0; Index != 8; ++Index)
-      Bytes.push_back(static_cast<uint8_t>(Value >> (8 * Index)));
+      Buf[Index] = static_cast<uint8_t>(Value >> (8 * Index));
+    Bytes.insert(Bytes.end(), Buf, Buf + 8);
   }
   void str(const std::string &Value) {
     u64(Value.size());
@@ -97,9 +99,10 @@ public:
   bool u64(uint64_t &Value) {
     if (remaining() < 8)
       return false;
-    Value = 0;
+    uint64_t Result = 0; // a store through Value may alias Cursor
     for (unsigned Index = 0; Index != 8; ++Index)
-      Value |= uint64_t(Data[Cursor + Index]) << (8 * Index);
+      Result |= uint64_t(Data[Cursor + Index]) << (8 * Index);
+    Value = Result;
     Cursor += 8;
     return true;
   }

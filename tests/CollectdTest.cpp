@@ -216,11 +216,8 @@ profdb::Artifact decodedArtifact(unsigned Serial) {
 std::vector<uint8_t> incompatibleBytes() {
   profdb::Artifact A = decodedArtifact(97);
   EXPECT_NE(A.Tree, nullptr);
-  cct::TreeImage Image = A.Tree->image();
-  Image.HashThreshold += 1;
-  A.Tree = cct::CallingContextTree::fromImage(Image);
-  EXPECT_NE(A.Tree, nullptr);
-  return profdb::encodeArtifact(A);
+  return profdb::encodeArtifact(testutil::withEditedTree(
+      A, [](testutil::TreeImage &Image) { Image.HashThreshold += 1; }));
 }
 
 } // namespace
@@ -299,7 +296,7 @@ namespace {
 /// Ok, but emitting a fold with it would trip an assertion in the CCT.
 std::vector<uint8_t>
 craftedBytes(unsigned Serial,
-             const std::function<void(cct::TreeImage &)> &Edit) {
+             const std::function<void(testutil::TreeImage &)> &Edit) {
   return profdb::encodeArtifact(
       testutil::withEditedTree(decodedArtifact(Serial), Edit));
 }

@@ -8,7 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cct/Export.h"
+#include "cct/ImageIO.h"
 #include "driver/Driver.h"
 #include "obs/Obs.h"
 #include "profdb/Artifact.h"
@@ -37,39 +37,17 @@ RunPlan makePlan(const std::string &Workload, prof::Mode M, int Scale = 1) {
   return Plan;
 }
 
+/// A tree's artifact bytes (cct::writeTree): canonical, and they cover
+/// every record, slot, address and the heap size.
+std::vector<uint8_t> treeBytes(const cct::CallingContextTree &Tree) {
+  ByteWriter W;
+  cct::writeTree(W, Tree);
+  return std::move(W.Bytes);
+}
+
 void expectTreesEqual(const cct::CallingContextTree &A,
                       const cct::CallingContextTree &B) {
-  cct::TreeImage IA = A.image(), IB = B.image();
-  ASSERT_EQ(IA.Records.size(), IB.Records.size());
-  EXPECT_EQ(IA.Procs.size(), IB.Procs.size());
-  EXPECT_EQ(IA.NumMetrics, IB.NumMetrics);
-  EXPECT_EQ(IA.PathCellBytes, IB.PathCellBytes);
-  EXPECT_EQ(IA.HashThreshold, IB.HashThreshold);
-  EXPECT_EQ(IA.HeapBytes, IB.HeapBytes);
-  EXPECT_EQ(IA.ListCells, IB.ListCells);
-  for (size_t R = 0; R != IA.Records.size(); ++R) {
-    const cct::TreeImage::Record &RA = IA.Records[R];
-    const cct::TreeImage::Record &RB = IB.Records[R];
-    EXPECT_EQ(RA.Proc, RB.Proc) << "record " << R;
-    EXPECT_EQ(RA.Parent, RB.Parent) << "record " << R;
-    EXPECT_EQ(RA.Addr, RB.Addr) << "record " << R;
-    EXPECT_EQ(RA.PathTableAddr, RB.PathTableAddr) << "record " << R;
-    EXPECT_EQ(RA.Metrics, RB.Metrics) << "record " << R;
-    ASSERT_EQ(RA.PathCells.size(), RB.PathCells.size()) << "record " << R;
-    for (size_t C = 0; C != RA.PathCells.size(); ++C) {
-      EXPECT_EQ(RA.PathCells[C].first, RB.PathCells[C].first);
-      EXPECT_EQ(RA.PathCells[C].second.Freq, RB.PathCells[C].second.Freq);
-      EXPECT_EQ(RA.PathCells[C].second.Metric0,
-                RB.PathCells[C].second.Metric0);
-      EXPECT_EQ(RA.PathCells[C].second.Metric1,
-                RB.PathCells[C].second.Metric1);
-    }
-    ASSERT_EQ(RA.Slots.size(), RB.Slots.size()) << "record " << R;
-    for (size_t S = 0; S != RA.Slots.size(); ++S) {
-      EXPECT_EQ(RA.Slots[S].Kind, RB.Slots[S].Kind);
-      EXPECT_EQ(RA.Slots[S].Targets, RB.Slots[S].Targets);
-    }
-  }
+  EXPECT_TRUE(treeBytes(A) == treeBytes(B));
 }
 
 /// Bitwise equality of everything a consumer can read from an outcome
@@ -494,7 +472,7 @@ TEST(RunEntryTest, RoundTripPreservesEveryOutcomeField) {
   Run.Totals = Flow->Totals;
   Run.PathProfiles = Flow->PathProfiles;
   Run.EdgeProfiles = Edge->EdgeProfiles;
-  Run.Tree = cct::CallingContextTree::fromImage(Context->Tree->image());
+  Run.Tree = cct::copyTree(*Context->Tree);
   Run.Acq = {1, 2, 3, 4};
   // Call sites from the context run, chords from the edge run, path
   // tables from the flow run.
@@ -730,8 +708,8 @@ TEST(DriverTest, LegacyPproFileIsBadMagicAndHeals) {
 }
 
 TEST(DriverTest, RestoredTreeSerializesToTheLiveBytes) {
-  // The CCT export is canonical: a tree restored from the disk cache
-  // (rebuilt from its image) serializes to exactly the live tree's bytes,
+  // The tree bytes are canonical: a tree restored from the disk cache
+  // writes exactly the live tree's bytes, slots and addresses included,
   // although the two filled their path tables in different orders.
   std::string Dir = makeTempDir();
   ASSERT_FALSE(Dir.empty());
@@ -745,29 +723,41 @@ TEST(DriverTest, RestoredTreeSerializesToTheLiveBytes) {
   OutcomePtr Restored = Reader.run(Plan);
   ASSERT_TRUE(Live && Live->Tree && Restored && Restored->Tree);
   ASSERT_EQ(Reader.cache().stats().DiskHits, 1u);
-  EXPECT_EQ(cct::serialize(*Live->Tree), cct::serialize(*Restored->Tree));
+  expectTreesEqual(*Live->Tree, *Restored->Tree);
 
   std::string Cmd = "rm -rf " + Dir;
   (void)std::system(Cmd.c_str());
 }
 
-TEST(TreeImageTest, ImageRoundTripPreservesTheTree) {
+TEST(CctTreeBytesTest, CopyWritesTheBytesOfEveryWorkloadsTree) {
+  // A deep copy is write-then-read: for every tree the suite builds, the
+  // copy writes the original's bytes and keeps its statistics.
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("124.m88ksim", prof::Mode::ContextFlow));
-  ASSERT_TRUE(Run && Run->Result.Ok && Run->Tree);
+  for (const workloads::WorkloadSpec &Spec : workloads::spec95Suite())
+    for (prof::Mode M : {prof::Mode::ContextHw, prof::Mode::ContextFlowHw}) {
+      SCOPED_TRACE(Spec.Name + " " + prof::modeName(M));
+      OutcomePtr Run = D.run(makePlan(Spec.Name, M));
+      ASSERT_TRUE(Run && Run->Result.Ok && Run->Tree);
+      std::unique_ptr<cct::CallingContextTree> Copy =
+          cct::copyTree(*Run->Tree);
+      ASSERT_TRUE(Copy);
+      expectTreesEqual(*Run->Tree, *Copy);
 
-  std::unique_ptr<cct::CallingContextTree> Rebuilt =
-      cct::CallingContextTree::fromImage(Run->Tree->image());
-  ASSERT_TRUE(Rebuilt);
-  expectTreesEqual(*Run->Tree, *Rebuilt);
-
-  cct::CctStats A = Run->Tree->computeStats();
-  cct::CctStats B = Rebuilt->computeStats();
-  EXPECT_EQ(A.NumRecords, B.NumRecords);
-  EXPECT_EQ(A.MaxDepth, B.MaxDepth);
-  EXPECT_EQ(A.MaxReplication, B.MaxReplication);
-  EXPECT_EQ(A.BackedgeSlots, B.BackedgeSlots);
-  EXPECT_EQ(Run->Tree->heapBytes(), Rebuilt->heapBytes());
+      cct::CctStats A = Run->Tree->computeStats();
+      cct::CctStats B = Copy->computeStats();
+      EXPECT_EQ(A.NumRecords, B.NumRecords);
+      EXPECT_EQ(A.TotalBytes, B.TotalBytes);
+      EXPECT_EQ(A.RecordBytes, B.RecordBytes);
+      EXPECT_EQ(A.AvgOutDegree, B.AvgOutDegree);
+      EXPECT_EQ(A.AvgLeafDepth, B.AvgLeafDepth);
+      EXPECT_EQ(A.MaxDepth, B.MaxDepth);
+      EXPECT_EQ(A.MaxReplication, B.MaxReplication);
+      EXPECT_EQ(A.MaxReplicationProc, B.MaxReplicationProc);
+      EXPECT_EQ(A.TotalSlots, B.TotalSlots);
+      EXPECT_EQ(A.UsedSlots, B.UsedSlots);
+      EXPECT_EQ(A.BackedgeSlots, B.BackedgeSlots);
+      EXPECT_EQ(Run->Tree->heapBytes(), Copy->heapBytes());
+    }
 }
 
 } // namespace

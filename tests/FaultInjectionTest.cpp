@@ -250,8 +250,8 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
   // rejection or a clean decode of stomped metric payload — never a
   // crash, never BadChecksum (the trailer is valid by construction).
   // Each stomp's verdict is pinned, one letter per stomp, as the decoder
-  // that built the tree through a TreeImage gave them: O ok, M bad-magic,
-  // V bad-version, T truncated, X malformed.
+  // that built the tree through an intermediate image gave them: O ok,
+  // M bad-magic, V bad-version, T truncated, X malformed.
   constexpr unsigned NumStomps = 100;
   const std::string Pinned = "MVOTOTOTTTOXOOOOTTTTTXTTTOTTXXXTOOTOTTXTOTOOTOO"
                              "OOOOOOOOTXTXXOTOTOOOOOOTTTXXOTOTOOOOOOOOOOTTXTT"
@@ -303,29 +303,58 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
   }
 }
 
-// Trees no CallingContextTree can hold, written under a valid CRC. The
-// decoder reads the whole tree before it judges its structure, so a
-// misshapen tree that is also cut short reads as Truncated, as it did
-// when the decoder built a TreeImage first.
+// Trees no CallingContextTree can hold, and bytes no tree writes, under a
+// valid CRC. The decoder reads the whole tree before it judges its
+// structure, so a misshapen tree that is also cut short reads as
+// Truncated. A slot target or path cell the tree could not keep is
+// refused, not dropped.
 TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
   profdb::Artifact A;
   ASSERT_NO_FATAL_FAILURE(makeLiArtifact(A));
   ASSERT_GT(A.Tree->numRecords(), 2u);
+  using SlotKind = cct::CallRecord::Slot::Kind;
 
-  auto ParentAfterChild = [](cct::TreeImage &Image) {
+  auto ParentAfterChild = [](testutil::TreeImage &Image) {
     Image.Records[1].Parent = static_cast<int64_t>(Image.Records.size() - 1);
-    EXPECT_EQ(cct::CallingContextTree::fromImage(Image), nullptr);
   };
-  auto TargetOutOfRange = [](cct::TreeImage &Image) {
+  auto TargetOutOfRange = [](testutil::TreeImage &Image) {
     testutil::DirectChild E;
     ASSERT_TRUE(testutil::findDirectChild(Image, E));
     Image.Records[E.Parent].Slots[E.Slot].Targets[0].first =
         Image.Records.size();
-    EXPECT_EQ(cct::CallingContextTree::fromImage(Image), nullptr);
+  };
+  auto ProcOutOfRange = [](testutil::TreeImage &Image) {
+    Image.Records.back().Proc =
+        static_cast<cct::ProcId>(Image.Procs.size() + 3);
+  };
+  // A direct slot listing a second target, its parent: the reader kept
+  // only the last.
+  auto DirectSlotWithTwoTargets = [](testutil::TreeImage &Image) {
+    testutil::DirectChild E;
+    ASSERT_TRUE(testutil::findDirectChild(Image, E));
+    Image.Records[E.Parent].Slots[E.Slot].Targets.push_back({E.Parent, 0});
+  };
+  // A direct slot relabelled unresolved, its target kept: the reader
+  // dropped the target.
+  auto UnresolvedSlotWithATarget = [](testutil::TreeImage &Image) {
+    testutil::DirectChild E;
+    ASSERT_TRUE(testutil::findDirectChild(Image, E));
+    Image.Records[E.Parent].Slots[E.Slot].Kind =
+        static_cast<uint8_t>(SlotKind::Unresolved);
+  };
+  // One path sum listed twice in a record: the reader kept the first.
+  auto PathSumListedTwice = [](testutil::TreeImage &Image) {
+    for (testutil::TreeImage::Record &Rec : Image.Records)
+      if (!Rec.PathCells.empty()) {
+        Rec.PathCells.push_back(Rec.PathCells.front());
+        Rec.PathCells.back().second.Freq += 1;
+        return;
+      }
+    FAIL() << "no record with a path cell";
   };
   struct Case {
     const char *Name;
-    std::function<void(cct::TreeImage &)> Edit;
+    std::function<void(testutil::TreeImage &)> Edit;
     size_t Cut;
     profdb::DecodeStatus Want;
   };
@@ -336,6 +365,14 @@ TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
        profdb::DecodeStatus::Malformed},
       {"bad parent, then cut short", ParentAfterChild, 8,
        profdb::DecodeStatus::Truncated},
+      {"record procedure out of range", ProcOutOfRange, 0,
+       profdb::DecodeStatus::Malformed},
+      {"direct slot with two targets", DirectSlotWithTwoTargets, 0,
+       profdb::DecodeStatus::Malformed},
+      {"unresolved slot with a target", UnresolvedSlotWithATarget, 0,
+       profdb::DecodeStatus::Malformed},
+      {"path sum listed twice", PathSumListedTwice, 0,
+       profdb::DecodeStatus::Malformed},
   };
   for (const Case &C : Cases) {
     std::vector<uint8_t> Bytes =
@@ -345,9 +382,9 @@ TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
   }
   // The unedited image goes through the same splice and decodes.
   profdb::Artifact Out;
-  EXPECT_EQ(profdb::decodeArtifact(
-                testutil::encodeWithEditedImage(A, [](cct::TreeImage &) {}),
-                Out),
+  EXPECT_EQ(profdb::decodeArtifact(testutil::encodeWithEditedImage(
+                                       A, [](testutil::TreeImage &) {}),
+                                   Out),
             profdb::DecodeStatus::Ok);
 }
 
