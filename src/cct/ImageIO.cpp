@@ -131,9 +131,9 @@ DecodeStatus cct::readTree(ByteReader &R,
 
   // Bytes no tree writes (a parent listed after its child, a slot target
   // out of range, an unresolved slot with a target, a direct slot with
-  // two, a path sum listed twice) are noted here and reported once the
-  // whole tree is read, so a tree that is also cut short still reads as
-  // Truncated.
+  // two, path sums out of ascending order) are noted here and reported
+  // once the whole tree is read, so a tree that is also cut short still
+  // reads as Truncated.
   bool Misshapen = NumRecords == 0;
   for (uint64_t Index = 0; Index != NumRecords; ++Index) {
     CallRecord &Rec = *Records[Index];
@@ -160,14 +160,20 @@ DecodeStatus cct::readTree(ByteReader &R,
         return DecodeStatus::Truncated;
     if (!R.count(NumCells, MinPathCellBytes))
       return DecodeStatus::Truncated;
+    // The writer lists path sums strictly ascending, so a sum out of
+    // order (or repeated) is bytes no tree writes: accepting it would let
+    // one tree read from two encodings.
+    uint64_t PrevSum = 0;
     for (uint64_t Cell = 0; Cell != NumCells; ++Cell) {
       uint64_t Sum = 0;
       PathCell Counts;
       if (!R.u64(Sum) || !R.u64(Counts.Freq) || !R.u64(Counts.Metric0) ||
           !R.u64(Counts.Metric1))
         return DecodeStatus::Truncated;
-      if (!Rec.PathTable.emplace(Sum, Counts).second)
+      if (Cell != 0 && Sum <= PrevSum)
         Misshapen = true;
+      PrevSum = Sum;
+      Rec.PathTable.emplace(Sum, Counts);
     }
     if (!R.count(NumSlots, MinSlotBytes))
       return DecodeStatus::Truncated;

@@ -45,8 +45,8 @@ void writeTree(ByteWriter &W, const CallingContextTree &Tree);
 /// ceiling, out-of-range procedure id) and, once the whole tree is read,
 /// for bytes no tree writes (no record, a parent listed after its child,
 /// a slot target out of range, an unresolved slot with a target, a direct
-/// slot with two, a path sum listed twice in one record). \p Out is set
-/// only on Ok; the tree carries no MemCharger.
+/// slot with two, path sums not strictly ascending in one record). \p Out
+/// is set only on Ok; the tree carries no MemCharger.
 DecodeStatus readTree(ByteReader &R, std::unique_ptr<CallingContextTree> &Out);
 
 /// A deep copy of \p Tree: writeTree, then readTree. Like any tree read

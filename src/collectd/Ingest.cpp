@@ -98,15 +98,18 @@ UploadResult IngestService::ingestNow(Upload U) {
   // group is ever empty.
   Window &W = Windows[U.Window];
   auto It = W.find(Key);
-  profdb::Fold Fresh;
-  profdb::Fold &F = It == W.end() ? Fresh : It->second;
+  Group Fresh;
+  Group &G = It == W.end() ? Fresh : It->second;
   std::string Error;
-  if (!F.add(std::move(A), Error)) {
+  if (!G.Fold.add(std::move(A), Error)) {
     if (W.empty()) // created only for this upload
       Windows.erase(U.Window);
     return rejectLocked(RejectReason::MergeFailed);
   }
-  if (&F == &Fresh)
+  // The fold changed, so every answer rendered from it is stale; a
+  // rejected upload left both as they were.
+  G.Answers = {};
+  if (&G == &Fresh)
     W.emplace(std::move(Key), std::move(Fresh));
   // Quota charges accepted uploads only, as IngestConfig documents.
   if (Cfg.TenantWindowQuota)
@@ -170,7 +173,8 @@ void IngestService::enforceRetentionLocked() {
 }
 
 template <typename RenderFn>
-std::string IngestService::queryWindow(uint64_t Window, std::string &Error,
+std::string IngestService::queryWindow(uint64_t Window, Query Kind,
+                                       size_t Limit, std::string &Error,
                                        RenderFn Render) {
   obs::add(obs::Counter::CollectdQueries);
   std::lock_guard<std::mutex> Lock(StateMu);
@@ -182,9 +186,15 @@ std::string IngestService::queryWindow(uint64_t Window, std::string &Error,
     return "";
   }
   std::string Out;
-  for (auto &[Key, F] : It->second) {
-    // The renderers open with reportHeader themselves.
-    Out += Render(F.result());
+  for (auto &[Key, G] : It->second) {
+    Answer &A = G.Answers[static_cast<size_t>(Kind)];
+    if (!A.Valid || A.Limit != Limit) {
+      // The renderers open with reportHeader themselves.
+      A.Text = Render(G.Fold.result());
+      A.Limit = Limit;
+      A.Valid = true;
+    }
+    Out += A.Text;
     Out += "\n";
   }
   return Out;
@@ -193,25 +203,28 @@ std::string IngestService::queryWindow(uint64_t Window, std::string &Error,
 std::string IngestService::queryTopPaths(uint64_t Window, size_t Limit,
                                          std::string &Error) {
   obs::SpanScope Span("collectd", "query", "top-paths");
-  return queryWindow(Window, Error, [Limit](const profdb::Artifact &A) {
-    return profdb::reportTopPaths(A, Limit);
-  });
+  return queryWindow(Window, Query::TopPaths, Limit, Error,
+                     [Limit](const profdb::Artifact &A) {
+                       return profdb::reportTopPaths(A, Limit);
+                     });
 }
 
 std::string IngestService::queryTopProcs(uint64_t Window, size_t Limit,
                                          std::string &Error) {
   obs::SpanScope Span("collectd", "query", "top-procs");
-  return queryWindow(Window, Error, [Limit](const profdb::Artifact &A) {
-    return profdb::reportTopProcs(A, Limit);
-  });
+  return queryWindow(Window, Query::TopProcs, Limit, Error,
+                     [Limit](const profdb::Artifact &A) {
+                       return profdb::reportTopProcs(A, Limit);
+                     });
 }
 
 std::string IngestService::queryCctStats(uint64_t Window,
                                          std::string &Error) {
   obs::SpanScope Span("collectd", "query", "cct-stats");
-  return queryWindow(Window, Error, [](const profdb::Artifact &A) {
-    return profdb::reportCctStats(A);
-  });
+  return queryWindow(Window, Query::CctStats, /*Limit=*/0, Error,
+                     [](const profdb::Artifact &A) {
+                       return profdb::reportCctStats(A);
+                     });
 }
 
 std::vector<std::vector<uint8_t>>
@@ -224,8 +237,8 @@ IngestService::windowBytes(uint64_t Window, std::string &Error) {
                          static_cast<unsigned long long>(Window));
     return Out;
   }
-  for (auto &[Key, F] : It->second)
-    Out.push_back(profdb::encodeArtifact(F.result()));
+  for (auto &[Key, G] : It->second)
+    Out.push_back(profdb::encodeArtifact(G.Fold.result()));
   return Out;
 }
 
@@ -248,12 +261,12 @@ bool IngestService::persistWindowLocked(uint64_t Id, Window &W,
                                         std::string &Error) {
   std::string Dir =
       Cfg.StoreDir + "/w" + formatString("%llu", (unsigned long long)Id);
-  for (auto &[Key, F] : W) {
+  for (auto &[Key, G] : W) {
     // Named by group key, not fingerprint: two groups whose merged
     // fingerprints degenerate to the same hash (XOR of identical
     // sources) must still land in distinct files.
     std::string Path = Dir + "/" + profdb::artifactFileName(Key);
-    if (!profdb::writeArtifactFile(Path, F.result(), Error))
+    if (!profdb::writeArtifactFile(Path, G.Fold.result(), Error))
       return false;
   }
   return true;

@@ -41,6 +41,13 @@
 /// uploads (see profdb/Merge.h), so a rejected upload provably leaves the
 /// window byte-identical to a run that never saw it.
 ///
+/// Each group keeps the last answer rendered for each query kind, with
+/// the limit it was rendered for, until its fold next accepts an upload.
+/// A query re-renders only the groups whose answer is missing or was
+/// rendered for another limit, through the same renderers, so an answer
+/// is byte-identical to a fresh rendering of the fold. The cache holds at
+/// most one string per group and kind.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_COLLECTD_INGEST_H
@@ -48,6 +55,7 @@
 
 #include "profdb/Merge.h"
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -186,15 +194,31 @@ public:
   bool persist(std::string &Error);
 
 private:
+  /// The queries whose answers a group keeps.
+  enum class Query : unsigned { TopPaths, TopProcs, CctStats, NumKinds };
+  /// A query's last answer over one group, and the limit it was rendered
+  /// for (0 for CctStats, which takes none).
+  struct Answer {
+    bool Valid = false;
+    size_t Limit = 0;
+    std::string Text;
+  };
+  /// A shape group: its fold, and the answers rendered from it since the
+  /// fold last accepted an upload.
+  struct Group {
+    profdb::Fold Fold;
+    std::array<Answer, static_cast<size_t>(Query::NumKinds)> Answers;
+  };
   /// A window's shape groups by profdb::shapeKey. A group exists only
   /// once its fold has accepted an upload, so it is never empty.
-  using Window = std::map<std::string, profdb::Fold>;
+  using Window = std::map<std::string, Group>;
 
-  /// Renders \p Window group by group via \p Render; shared shape of the
-  /// three queries.
+  /// Answers \p Kind over \p Window group by group, rendering via
+  /// \p Render only the groups without a valid answer for \p Limit;
+  /// shared shape of the three queries.
   template <typename RenderFn>
-  std::string queryWindow(uint64_t Window, std::string &Error,
-                          RenderFn Render);
+  std::string queryWindow(uint64_t Window, Query Kind, size_t Limit,
+                          std::string &Error, RenderFn Render);
   /// Counts a rejection for \p Reason and returns its verdict (StateMu
   /// held).
   UploadResult rejectLocked(RejectReason Reason,

@@ -147,10 +147,9 @@ private:
 
   bool lift(const cct::CallRecord &R, Node &N, std::string &Error) {
     N.Proc = R.procId();
-    if (N.Proc != cct::RootProcId && N.Proc >= Tree.numProcs()) {
-      Error = "record procedure out of range";
-      return false;
-    }
+    // cct::readTree refuses such a tree, and no live tree holds one.
+    assert((N.Proc == cct::RootProcId || N.Proc < Tree.numProcs()) &&
+           "record procedure out of range");
     if (R.Metrics.size() != Tree.numMetrics()) {
       Error = "record metric vector disagrees with the tree's metric count";
       return false;

@@ -6,7 +6,8 @@
 // it; window folds are bit-identical under any arrival order or thread
 // count, and equal a flat merge of their leaves; quotas and queue
 // backpressure bound the fleet; persisted windows are ordinary .ppa
-// artifacts.
+// artifacts; a query answer kept between uploads is byte-identical to a
+// fresh rendering of the fold.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "ir/Parser.h"
 #include "prof/Session.h"
 #include "profdb/Merge.h"
+#include "profdb/Report.h"
 #include "profdb/Store.h"
 
 #include "CraftedTrees.h"
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,25 +48,28 @@ void removeDir(const std::string &Dir) {
   (void)std::system(Cmd.c_str());
 }
 
-/// An encoded 130.li artifact under \p Fingerprint (the run executes
-/// once). \p Acquisition tags the schema only — the measurement is the
-/// same exact run either way, which is exactly what the
-/// cross-acquisition gate must catch.
-std::vector<uint8_t> encodedArtifact(const std::string &Fingerprint,
-                                     const std::string &Acquisition) {
-  static driver::OutcomePtr Run;
-  static prof::ProfileConfig Config;
+/// An encoded artifact of \p Workload profiled in \p M under
+/// \p Fingerprint (each workload and mode runs once). \p Acquisition
+/// tags the schema only — the measurement is the same exact run either
+/// way, which is exactly what the cross-acquisition gate must catch.
+std::vector<uint8_t>
+encodedArtifact(const std::string &Fingerprint, const std::string &Acquisition,
+                const std::string &Workload = "130.li",
+                prof::Mode M = prof::Mode::ContextFlowHw) {
+  static std::map<std::pair<std::string, prof::Mode>, driver::OutcomePtr> Runs;
+  driver::OutcomePtr &Run = Runs[{Workload, M}];
   if (!Run) {
     driver::Driver D(/*DiskDir=*/"", /*Threads=*/0);
     driver::RunPlan Plan;
-    Plan.Workload = "130.li";
-    Plan.Options.Config.M = prof::Mode::ContextFlowHw;
+    Plan.Workload = Workload;
+    Plan.Options.Config.M = M;
     Run = D.run(Plan);
     EXPECT_TRUE(Run && Run->Result.Ok);
-    Config = Plan.Options.Config;
   }
+  prof::ProfileConfig Config;
+  Config.M = M;
   return profdb::encodeRunArtifact(
-      *Run, Fingerprint, "130.li", 1,
+      *Run, Fingerprint, Workload, 1,
       profdb::MetricSchema::of(Config, Acquisition));
 }
 
@@ -485,6 +491,166 @@ TEST(CollectdIngestTest, QueriesRenderAndUnknownWindowIsTyped) {
   EXPECT_EQ(Service.queryTopPaths(99, 5, Error), "");
   EXPECT_NE(Error.find("no such window"), std::string::npos);
   EXPECT_EQ(Service.stats().Queries, 3u);
+}
+
+//===----------------------------------------------------------------------===//
+// Kept query answers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The limits a query sequence alternates between, so a kept answer is
+/// asked for under another limit than it was rendered for.
+constexpr size_t QueryLimits[] = {5, 10, 5};
+
+/// Every answer \p S gives for \p Window, in a fixed order: top paths at
+/// each of QueryLimits, top procedures at each, and the CCT statistics.
+std::vector<std::string> answersOf(IngestService &S, uint64_t Window) {
+  std::vector<std::string> Out;
+  std::string Error;
+  for (size_t Limit : QueryLimits) {
+    Out.push_back(S.queryTopPaths(Window, Limit, Error));
+    EXPECT_TRUE(Error.empty()) << Error;
+  }
+  for (size_t Limit : QueryLimits) {
+    Out.push_back(S.queryTopProcs(Window, Limit, Error));
+    EXPECT_TRUE(Error.empty()) << Error;
+  }
+  Out.push_back(S.queryCctStats(Window, Error));
+  EXPECT_TRUE(Error.empty()) << Error;
+  return Out;
+}
+
+/// The same answers as pp-report renders them: per shape group, in key
+/// order, the profdb renderers over the mergeAll of the group's uploads.
+std::vector<std::string> reportOf(const std::vector<Upload> &Uploads) {
+  std::map<std::string, std::vector<profdb::Artifact>> Groups;
+  for (const Upload &U : Uploads) {
+    profdb::Artifact A;
+    EXPECT_EQ(profdb::decodeArtifact(U.Bytes, A), profdb::DecodeStatus::Ok);
+    std::string Key = profdb::shapeKey(A);
+    Groups[Key].push_back(std::move(A));
+  }
+  std::vector<profdb::Artifact> Merged;
+  for (auto &[Key, Shards] : Groups) {
+    Merged.emplace_back();
+    std::string Error;
+    EXPECT_TRUE(profdb::mergeAll(std::move(Shards), Merged.back(), Error, 1))
+        << Error;
+  }
+  auto Render = [&](const auto &Report) {
+    std::string Text;
+    for (const profdb::Artifact &A : Merged)
+      Text += Report(A) + "\n";
+    return Text;
+  };
+  std::vector<std::string> Out;
+  for (size_t Limit : QueryLimits)
+    Out.push_back(Render([Limit](const profdb::Artifact &A) {
+      return profdb::reportTopPaths(A, Limit);
+    }));
+  for (size_t Limit : QueryLimits)
+    Out.push_back(Render([Limit](const profdb::Artifact &A) {
+      return profdb::reportTopProcs(A, Limit);
+    }));
+  Out.push_back(Render(
+      [](const profdb::Artifact &A) { return profdb::reportCctStats(A); }));
+  return Out;
+}
+
+/// An upload in a second shape group beside 130.li's: 126.gcc's Flow+HW
+/// profile has more hot paths and procedures than the smallest limit
+/// QueryLimits asks for, so answers for different limits differ.
+Upload gccUpload(uint64_t Window, unsigned Serial) {
+  return Upload{"t0", Window,
+                encodedArtifact("fleet;gcc" + std::to_string(Serial),
+                                "exact", "126.gcc", prof::Mode::FlowHw)};
+}
+
+} // namespace
+
+TEST(CollectdAnswerTest, AnswersFollowEveryAcceptedUpload) {
+  // Uploads alternate between two groups, so each query finds one group
+  // changed and the other's answers kept.
+  IngestService Service(IngestConfig{});
+  std::vector<Upload> Seen;
+  std::vector<std::string> Before;
+  for (unsigned Serial = 0; Serial != 5; ++Serial) {
+    Upload U = Serial % 2 ? gccUpload(8, Serial) : makeUpload("t0", 8, Serial);
+    Seen.push_back(U);
+    ASSERT_TRUE(Service.ingestNow(std::move(U)).Accepted);
+
+    // Asked twice: once rendered after the upload, once kept.
+    std::vector<std::string> Answers = answersOf(Service, 8);
+    EXPECT_EQ(answersOf(Service, 8), Answers) << "upload " << Serial;
+
+    // A service that never answered before, fed the same uploads.
+    IngestService Fresh(IngestConfig{});
+    for (const Upload &Prior : Seen)
+      ASSERT_TRUE(Fresh.ingestNow(Prior).Accepted);
+    EXPECT_EQ(answersOf(Fresh, 8), Answers) << "upload " << Serial;
+    EXPECT_EQ(reportOf(Seen), Answers) << "upload " << Serial;
+
+    // Every answer names each group's run count, so an answer kept
+    // across the upload would have shown above.
+    for (size_t I = 0; I != Before.size(); ++I) {
+      EXPECT_NE(Answers[I], Before[I]) << "upload " << Serial;
+    }
+    Before = std::move(Answers);
+  }
+  // The limits matter: at least one of the groups has more rows than the
+  // smallest limit.
+  EXPECT_NE(Before[0], Before[1]);
+  EXPECT_NE(Before[3], Before[4]);
+}
+
+TEST(CollectdAnswerTest, RejectedUploadsLeaveEveryAnswerByteIdentical) {
+  IngestService Service(IngestConfig{});
+  for (unsigned Serial = 0; Serial != 3; ++Serial) {
+    ASSERT_TRUE(Service.ingestNow(makeUpload("t0", 9, Serial)).Accepted);
+    ASSERT_TRUE(Service.ingestNow(gccUpload(9, Serial)).Accepted);
+  }
+  const std::vector<std::string> Answers = answersOf(Service, 9);
+
+  Upload Corrupt = makeUpload("t0", 9, 50);
+  Corrupt.Bytes[Corrupt.Bytes.size() / 2] ^= 0x10;
+  const std::pair<Upload, RejectReason> Rejected[] = {
+      {std::move(Corrupt), RejectReason::Corrupt},
+      {makeUpload("t0", 9, 51, "overflow"), RejectReason::CrossAcquisition},
+      {Upload{"t0", 9, incompatibleBytes()}, RejectReason::MergeFailed},
+  };
+  for (const auto &[U, Reason] : Rejected) {
+    UploadResult Verdict = Service.ingestNow(U);
+    EXPECT_FALSE(Verdict.Accepted);
+    EXPECT_EQ(Verdict.Reason, Reason);
+    EXPECT_EQ(answersOf(Service, 9), Answers) << rejectReasonName(Reason);
+  }
+}
+
+TEST(CollectdAnswerTest, RetentionDroppedWindowAnswersNoSuchWindow) {
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  IngestConfig C;
+  C.StoreDir = Dir;
+  C.RetainWindows = 1;
+  IngestService Service(C);
+  ASSERT_TRUE(Service.ingestNow(makeUpload("t0", 1, 0)).Accepted);
+  ASSERT_FALSE(answersOf(Service, 1).front().empty());
+
+  // Window 2 pushes window 1, answers and all, out of residency.
+  ASSERT_TRUE(Service.ingestNow(makeUpload("t0", 2, 1)).Accepted);
+  ASSERT_EQ(Service.windows(), (std::vector<uint64_t>{2}));
+  std::string Error;
+  EXPECT_EQ(Service.queryTopPaths(1, 5, Error), "");
+  EXPECT_NE(Error.find("no such window 1"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_EQ(Service.queryTopProcs(1, 5, Error), "");
+  EXPECT_NE(Error.find("no such window 1"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_EQ(Service.queryCctStats(1, Error), "");
+  EXPECT_NE(Error.find("no such window 1"), std::string::npos) << Error;
+
+  removeDir(Dir);
 }
 
 TEST(CollectdIngestTest, PersistWritesOrdinaryArtifacts) {

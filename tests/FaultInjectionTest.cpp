@@ -249,12 +249,14 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
   // the interior bounds checks face worst-case field values. Typed
   // rejection or a clean decode of stomped metric payload — never a
   // crash, never BadChecksum (the trailer is valid by construction).
-  // Each stomp's verdict is pinned, one letter per stomp, as the decoder
-  // that built the tree through an intermediate image gave them: O ok,
-  // M bad-magic, V bad-version, T truncated, X malformed.
+  // Each stomp's verdict is pinned, one letter per stomp: O ok,
+  // M bad-magic, V bad-version, T truncated, X malformed. A stomp that
+  // lands on a path sum puts the record's sums out of ascending order,
+  // which the tree reader refuses (stomps 46, 48, 50, 51, 64, 66, 79, 81,
+  // 83 and 85).
   constexpr unsigned NumStomps = 100;
-  const std::string Pinned = "MVOTOTOTTTOXOOOOTTTTTXTTTOTTXXXTOOTOTTXTOTOOTOO"
-                             "OOOOOOOOTXTXXOTOTOOOOOOTTTXXOTOTOOOOOOOOOOTTXTT"
+  const std::string Pinned = "MVOTOTOTTTOXOOOOTTTTTXTTTOTTXXXTOOTOTTXTOTOOTOX"
+                             "OXOXXOOOTXTXXOTOTXOXOOOTTTXXOTOTXOXOXOXOOOTTXTT"
                              "XTXTTX";
   ASSERT_EQ(Pinned.size(), NumStomps);
   auto PinnedStatus = [](char Letter) {
@@ -352,6 +354,16 @@ TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
       }
     FAIL() << "no record with a path cell";
   };
+  // Two path cells of a record swapped: the same cells, but not in the
+  // ascending order every writer uses, so the bytes are not canonical.
+  auto PathCellsSwapped = [](testutil::TreeImage &Image) {
+    for (testutil::TreeImage::Record &Rec : Image.Records)
+      if (Rec.PathCells.size() >= 2) {
+        std::swap(Rec.PathCells[0], Rec.PathCells[1]);
+        return;
+      }
+    FAIL() << "no record with two path cells";
+  };
   struct Case {
     const char *Name;
     std::function<void(testutil::TreeImage &)> Edit;
@@ -372,6 +384,8 @@ TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
       {"unresolved slot with a target", UnresolvedSlotWithATarget, 0,
        profdb::DecodeStatus::Malformed},
       {"path sum listed twice", PathSumListedTwice, 0,
+       profdb::DecodeStatus::Malformed},
+      {"path cells out of order", PathCellsSwapped, 0,
        profdb::DecodeStatus::Malformed},
   };
   for (const Case &C : Cases) {

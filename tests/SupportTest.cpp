@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 using namespace pp;
@@ -78,37 +79,48 @@ std::vector<uint8_t> noiseBytes(size_t Size) {
 } // namespace
 
 TEST(Checksum, Crc32MatchesBytewiseReference) {
+  // crc32 (which folds with carry-less multiply from 64 bytes on where
+  // the CPU can) and the portable sliced loop must both equal the oracle,
+  // whichever of them this host runs.
+  using CrcFn = uint32_t (*)(const uint8_t *, size_t, uint32_t);
+  const std::pair<const char *, CrcFn> Paths[] = {
+      {"crc32", &crc32}, {"sliced", &detail::crc32Sliced}};
+
   constexpr size_t MiB = size_t(1) << 20;
-  // Eight spare bytes in front so every length runs at every alignment
-  // of the word loads.
-  std::vector<uint8_t> Buffer = noiseBytes(MiB + 8);
+  // Sixteen spare bytes in front so every length runs at every alignment
+  // of the word and 16-byte vector loads.
+  constexpr size_t Offsets = 16;
+  std::vector<uint8_t> Buffer = noiseBytes(MiB + Offsets);
   std::vector<size_t> Lengths;
-  for (size_t Length = 0; Length <= 80; ++Length)
+  for (size_t Length = 0; Length <= 300; ++Length)
     Lengths.push_back(Length);
   Lengths.push_back(4097);
   Lengths.push_back(MiB);
-  for (size_t Offset = 0; Offset != 8; ++Offset)
-    for (size_t Length : Lengths) {
-      const uint8_t *Data = Buffer.data() + Offset;
-      EXPECT_EQ(crc32(Data, Length), referenceCrc32(Data, Length, 0))
-          << "offset " << Offset << " length " << Length;
-      EXPECT_EQ(crc32(Data, Length, 0xdeadbeefu),
-                referenceCrc32(Data, Length, 0xdeadbeefu))
-          << "seeded, offset " << Offset << " length " << Length;
-    }
+  for (size_t Offset = 0; Offset != Offsets; ++Offset)
+    for (size_t Length : Lengths)
+      for (uint32_t Seed : {0u, 0xdeadbeefu}) {
+        const uint8_t *Data = Buffer.data() + Offset;
+        uint32_t Want = referenceCrc32(Data, Length, Seed);
+        for (const auto &[Name, Crc] : Paths)
+          EXPECT_EQ(Crc(Data, Length, Seed), Want)
+              << Name << ", offset " << Offset << " length " << Length
+              << " seed " << Seed;
+      }
 
-  // Seeded continuation split at every position of a 40-byte run: the
+  // Seeded continuation split at every position of a 160-byte run: the
   // splits cross several 8-byte boundaries, so the continuation enters
   // the sliced loop mid-word and the bytewise tail hands it a partial
-  // word.
-  constexpr size_t SplitLength = 40;
-  for (size_t Offset = 0; Offset != 8; ++Offset) {
+  // word, and either part may fall short of the 64 bytes the carry-less
+  // fold starts at or pass them with a tail.
+  constexpr size_t SplitLength = 160;
+  for (size_t Offset = 0; Offset != Offsets; ++Offset) {
     const uint8_t *Data = Buffer.data() + Offset;
     uint32_t Whole = referenceCrc32(Data, SplitLength, 0);
     for (size_t Split = 0; Split <= SplitLength; ++Split)
-      EXPECT_EQ(crc32(Data + Split, SplitLength - Split, crc32(Data, Split)),
-                Whole)
-          << "offset " << Offset << " split " << Split;
+      for (const auto &[Name, Crc] : Paths)
+        EXPECT_EQ(Crc(Data + Split, SplitLength - Split, Crc(Data, Split, 0)),
+                  Whole)
+            << Name << ", offset " << Offset << " split " << Split;
   }
 }
 
