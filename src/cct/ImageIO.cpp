@@ -129,11 +129,11 @@ DecodeStatus cct::readTree(ByteReader &R,
   Tree->ListCellCount = ListCells;
   Tree->HeapNext = layout::CctHeapBase + HeapBytes;
 
-  // Bytes no tree writes (a parent listed after its child, a slot target
-  // out of range, an unresolved slot with a target, a direct slot with
-  // two, path sums out of ascending order) are noted here and reported
-  // once the whole tree is read, so a tree that is also cut short still
-  // reads as Truncated.
+  // Bytes no tree writes (a root other than record 0, a parent listed
+  // after its child, a slot target out of range, an unresolved slot with
+  // a target, a direct slot with two, path sums out of ascending order)
+  // are noted here and reported once the whole tree is read, so a tree
+  // that is also cut short still reads as Truncated.
   bool Misshapen = NumRecords == 0;
   for (uint64_t Index = 0; Index != NumRecords; ++Index) {
     CallRecord &Rec = *Records[Index];
@@ -145,14 +145,16 @@ DecodeStatus cct::readTree(ByteReader &R,
     Rec.Proc = static_cast<ProcId>(Proc);
     if (Rec.Proc != RootProcId && Rec.Proc >= Tree->Procs.size())
       return DecodeStatus::Malformed;
-    // Any negative index marks a root (the encoder writes -1).
-    if (static_cast<int64_t>(Parent) >= 0) {
-      if (Parent < Index) {
-        Rec.Parent = Records[Parent].get();
-        Rec.Depth = Rec.Parent->Depth + 1;
-      } else {
+    // Record 0 is the one root: the root procedure, parent -1. Every
+    // other record's parent is listed before it.
+    if (Index == 0) {
+      if (Parent != ~uint64_t(0) || Rec.Proc != RootProcId)
         Misshapen = true;
-      }
+    } else if (Parent < Index) {
+      Rec.Parent = Records[Parent].get();
+      Rec.Depth = Rec.Parent->Depth + 1;
+    } else {
+      Misshapen = true;
     }
     Rec.Metrics.resize(NumRecMetrics);
     for (uint64_t &Metric : Rec.Metrics)

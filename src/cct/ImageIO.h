@@ -43,10 +43,11 @@ void writeTree(ByteWriter &W, const CallingContextTree &Tree);
 /// Truncated when a count exceeds the bytes remaining, Malformed for a
 /// structurally impossible value (bad slot kind, geometry above a
 /// ceiling, out-of-range procedure id) and, once the whole tree is read,
-/// for bytes no tree writes (no record, a parent listed after its child,
-/// a slot target out of range, an unresolved slot with a target, a direct
-/// slot with two, path sums not strictly ascending in one record). \p Out
-/// is set only on Ok; the tree carries no MemCharger.
+/// for bytes no tree writes (no record, record 0 not a root-procedure
+/// record with parent -1, any other record's parent not listed before
+/// it, a slot target out of range, an unresolved slot with a target, a
+/// direct slot with two, path sums not strictly ascending in one
+/// record). \p Out is set only on Ok; the tree carries no MemCharger.
 DecodeStatus readTree(ByteReader &R, std::unique_ptr<CallingContextTree> &Out);
 
 /// A deep copy of \p Tree: writeTree, then readTree. Like any tree read

@@ -20,6 +20,9 @@ using namespace pp::collectd;
 
 namespace {
 
+/// listen(2) backlog.
+constexpr int ListenBacklog = 511;
+
 uint64_t nowMs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -85,7 +88,7 @@ bool Server::start(std::string &Error) {
     stop();
     return false;
   }
-  if (listen(ListenFd, Cfg.Backlog) != 0) {
+  if (listen(ListenFd, ListenBacklog) != 0) {
     Error = std::string("listen: ") + strerror(errno);
     stop();
     return false;

@@ -77,8 +77,6 @@ struct ServerConfig {
   /// make the kernel push back early, which is how the backpressure
   /// tests force the write path into its paused state deterministically.
   int SendBufferBytes = 0;
-  /// listen(2) backlog.
-  int Backlog = 511;
 };
 
 /// Event-loop counters. Read-side totals are exact; OpenConnections is a

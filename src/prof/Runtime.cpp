@@ -46,38 +46,9 @@ Runtime::hashTable(unsigned FuncId) const {
   return It == HashTables.end() ? Empty : It->second;
 }
 
-void Runtime::execOp(vm::Vm &VM, const ir::Inst &I) {
-  switch (I.Op) {
-  case ir::Opcode::CctEnter:
-    doCctEnter(VM);
-    return;
-  case ir::Opcode::CctCall:
-    // The caller points the gCSP at this site's slot in its record: one
-    // add off the local call record pointer (§4.2 "Procedure call").
-    GcspRecord = currentRecord();
-    GcspSlot = static_cast<unsigned>(I.Imm);
-    Machine.chargeInsts(1);
-    return;
-  case ir::Opcode::CctExit:
-    doCctExit(VM);
-    return;
-  case ir::Opcode::CctHwProbe:
-    doHwProbe(VM, static_cast<int>(I.Imm));
-    return;
-  case ir::Opcode::CctPathCommit:
-    doCctPathCommit(VM, I);
-    return;
-  case ir::Opcode::PathHashCommit:
-    doPathHashCommit(VM, I);
-    return;
-  default:
-    unreachable("not a profiling runtime op");
-  }
-}
-
 vm::ProfRuntime::HookFn Runtime::bindOp(const ir::Inst &I) {
-  // One captureless trampoline per opcode; the bodies mirror execOp's cases
-  // exactly so both engines charge the machine identically.
+  // One captureless trampoline per opcode. Both engines run the one the
+  // opcode binds to, so they charge the machine identically.
   switch (I.Op) {
   case ir::Opcode::CctEnter:
     return [](vm::ProfRuntime &RT, vm::Vm &VM, const ir::Inst &) {
@@ -85,6 +56,8 @@ vm::ProfRuntime::HookFn Runtime::bindOp(const ir::Inst &I) {
     };
   case ir::Opcode::CctCall:
     return [](vm::ProfRuntime &RT, vm::Vm &, const ir::Inst &I) {
+      // The caller points the gCSP at this site's slot in its record: one
+      // add off the local call record pointer (§4.2 "Procedure call").
       Runtime &Self = static_cast<Runtime &>(RT);
       Self.GcspRecord = Self.currentRecord();
       Self.GcspSlot = static_cast<unsigned>(I.Imm);

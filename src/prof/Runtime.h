@@ -42,10 +42,7 @@ public:
   ~Runtime() override;
 
   // --- vm::ProfRuntime ----------------------------------------------------
-  void execOp(vm::Vm &VM, const ir::Inst &I) override;
-  /// Per-opcode trampolines for the predecoded engine: each pseudo-op is
-  /// resolved to its handler once at predecode time, so executing one skips
-  /// execOp's switch.
+  /// One trampoline per pseudo-op opcode, shared by both VM engines.
   HookFn bindOp(const ir::Inst &I) override;
   void onFrameUnwound(vm::Vm &VM, const ir::Function &F) override;
   void onSignalDeliver(vm::Vm &VM) override;

@@ -3,9 +3,7 @@
 #include "profdb/Merge.h"
 
 #include "obs/Obs.h"
-#include "support/Env.h"
 #include "support/Format.h"
-#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -15,19 +13,7 @@
 using namespace pp;
 using namespace pp::profdb;
 
-unsigned profdb::mergeThreadsFromEnv() {
-  uint64_t Value;
-  if (envUint64("PP_PROFDB_THREADS", "pp-profdb", Value) == EnvParse::Ok)
-    return static_cast<unsigned>(
-        std::max<uint64_t>(1, std::min<uint64_t>(Value, 64)));
-  // The driver fallback parses just as strictly: a malformed
-  // PP_DRIVER_THREADS used to be skipped silently here while the
-  // scheduler warned about the same variable — now both warn.
-  if (envUint64("PP_DRIVER_THREADS", "pp-profdb", Value) == EnvParse::Ok)
-    return static_cast<unsigned>(
-        std::max<uint64_t>(1, std::min<uint64_t>(Value, 64)));
-  return WorkerPool::hardwareDefault();
-}
+unsigned profdb::mergeThreadsFromEnv() { return 1; }
 
 /// One merged CCT vertex. Its edges are the resolved call-site slots,
 /// ascending by (slot, callee), which is the canonical emission order. A
@@ -122,10 +108,9 @@ public:
 
   std::unique_ptr<Node> run(std::string &Error) {
     const cct::CallRecord *Root = Tree.root();
-    if (!Root || Root->procId() != cct::RootProcId || Root->parent()) {
-      Error = "tree has no root record";
-      return nullptr;
-    }
+    // cct::readTree refuses such a tree, and no live tree holds one.
+    assert(Root && Root->procId() == cct::RootProcId && !Root->parent() &&
+           "tree has no root record");
     auto Out = std::make_unique<Node>();
     Lifted.insert(Root);
     if (!lift(*Root, *Out, Error))
@@ -521,8 +506,6 @@ bool Fold::add(Artifact &&A, std::string &Error) {
 }
 
 bool Fold::add(Fold &&In, std::string &Error) {
-  if (In.Inputs == 0)
-    return true;
   if (Inputs == 0) {
     *this = std::move(In);
     return true;
@@ -595,48 +578,23 @@ bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
 
 bool profdb::mergeAll(std::vector<Artifact> Shards, Artifact &Out,
                       std::string &Error, unsigned Threads) {
+  assert(Threads == 1 && "mergeAll folds on its caller");
+  (void)Threads;
   if (Shards.empty()) {
     Error = "no artifacts to merge";
     return false;
   }
-  // One span per call; its work (runs folded) depends only on the shard
-  // list, never on Threads.
+  // One span per call; its work is the runs folded.
   uint64_t Runs = 0;
   for (const Artifact &Shard : Shards)
     Runs += Shard.RunCount;
   obs::SpanScope Span("profdb", "merge", "", Runs);
   obs::add(obs::Counter::ProfDbMerges, Shards.size() - 1);
 
-  // Contiguous chunks of at least two shards, one per thread, each folded
-  // on its own; the chunk folds are then absorbed in chunk order. The
-  // canonical emission makes the bytes independent of the chunking. One
-  // chunk is folded here, on the caller.
-  size_t Chunks = std::max<size_t>(
-      1, std::min<size_t>(Threads, Shards.size() / 2));
-  std::vector<Fold> Parts(Chunks);
-  std::vector<std::string> Errors(Chunks);
-  auto FoldChunk = [&](size_t Chunk) {
-    size_t End = Shards.size() * (Chunk + 1) / Chunks;
-    for (size_t I = Shards.size() * Chunk / Chunks; I != End; ++I)
-      if (!Parts[Chunk].add(std::move(Shards[I]), Errors[Chunk]))
-        return;
-  };
-  if (Chunks == 1) {
-    FoldChunk(0);
-  } else {
-    WorkerPool Pool(static_cast<unsigned>(Chunks));
-    for (size_t Chunk = 0; Chunk != Chunks; ++Chunk)
-      Pool.post([&FoldChunk, Chunk] { FoldChunk(Chunk); });
-    Pool.drain();
-  }
-  for (size_t Chunk = 0; Chunk != Chunks; ++Chunk) {
-    if (!Errors[Chunk].empty()) {
-      Error = Errors[Chunk];
+  Fold F;
+  for (Artifact &Shard : Shards)
+    if (!F.add(std::move(Shard), Error))
       return false;
-    }
-    if (Chunk != 0 && !Parts[0].add(std::move(Parts[Chunk]), Error))
-      return false;
-  }
-  Out = Parts[0].take();
+  Out = F.take();
   return true;
 }

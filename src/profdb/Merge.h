@@ -12,8 +12,8 @@
 /// summed in; the summing step cannot fail, so a rejected input leaves
 /// the fold untouched. The merged tree is emitted once, canonically
 /// (deterministic DFS order through the real CCT allocator), so folding
-/// the same artifact set in any order, with any thread count, yields
-/// bit-identical bytes; MergeDeterminism tests pin this.
+/// the same artifact set in any order yields bit-identical bytes;
+/// MergeDeterminism tests pin this.
 ///
 /// Whether two artifacts count the same path-id space is decided once,
 /// by checkShape: merge, diff (profdb/Diff.h) and the fleet collector's
@@ -21,11 +21,7 @@
 /// artifacts are rejected with a descriptive error instead of producing
 /// a silently meaningless sum.
 ///
-/// mergeAll folds N shards once. With more than one thread it folds
-/// contiguous chunks of the shard list on a support/WorkerPool built once
-/// per call (PP_PROFDB_THREADS, falling back to the driver's thread
-/// knobs) and absorbs the chunk folds in chunk order; the canonical
-/// emission makes the bytes independent of the chunking.
+/// mergeAll folds N shards once, in list order, on the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,9 +52,9 @@ bool checkShape(const Artifact &A, bool ATree, const Artifact &B, bool BTree,
 /// when checkShape passes for them.
 std::string shapeKey(const Artifact &A);
 
-/// Worker threads for mergeAll: PP_PROFDB_THREADS when set (0 means
-/// serial), else the driver's PP_DRIVER_THREADS (0 means serial), else WorkerPool::hardwareDefault() (the hardware
-/// concurrency clamped to [4, 16]). Always at least 1.
+/// Always 1: mergeAll folds on its caller. Kept only for the benchmark
+/// harness (perfbench), which passes it to mergeAll; it goes at the next
+/// benchmark change.
 unsigned mergeThreadsFromEnv();
 
 /// The merge form of a set of artifacts: the header sums, the summed path
@@ -86,10 +82,8 @@ public:
   /// left whole. The fold's first input is kept, so a fold of one input
   /// returns that input itself.
   bool add(Artifact &&A, std::string &Error);
-  /// Absorbs another fold, with the same all-or-nothing contract.
-  bool add(Fold &&Other, std::string &Error);
 
-  /// Inputs (artifacts and absorbed folds' inputs) accepted so far.
+  /// Inputs accepted so far.
   uint64_t inputs() const { return Inputs; }
 
   /// The merged artifact. Emitted canonically on first use and cached
@@ -106,6 +100,9 @@ private:
   /// the function table and path profiles, which each add copies or
   /// moves in.
   bool lift(const Artifact &A, std::string &Error);
+  /// Absorbs the one-input fold \p In, with the same all-or-nothing
+  /// contract: the step behind both public adds.
+  bool add(Fold &&In, std::string &Error);
   bool compatible(const Fold &In, std::string &Error) const;
   Artifact emit() const;
 
@@ -128,9 +125,10 @@ private:
 bool mergeArtifacts(const Artifact &A, const Artifact &B, Artifact &Out,
                     std::string &Error);
 
-/// Folds \p Shards into one artifact, on up to \p Threads threads. A
-/// single shard is returned as it is (once checked). The bytes are
-/// identical for any shard order and any thread count.
+/// Folds \p Shards into one artifact on the calling thread. A single
+/// shard is returned as it is (once checked). The bytes are identical
+/// for any shard order. \p Threads must be 1; it is kept only for the
+/// benchmark harness (perfbench) and goes at the next benchmark change.
 bool mergeAll(std::vector<Artifact> Shards, Artifact &Out, std::string &Error,
               unsigned Threads = 1);
 

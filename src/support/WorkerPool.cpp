@@ -14,7 +14,6 @@ WorkerPool::WorkerPool(unsigned Threads) {
 }
 
 WorkerPool::~WorkerPool() {
-  drain();
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Stopping = true;
@@ -38,26 +37,18 @@ void WorkerPool::post(Job J) {
   NotEmpty.notify_one();
 }
 
-void WorkerPool::drain() {
-  std::unique_lock<std::mutex> Lock(Mu);
-  Idle.wait(Lock, [this] { return Queue.empty() && InFlight == 0; });
-}
-
 void WorkerPool::workerLoop() {
   std::unique_lock<std::mutex> Lock(Mu);
   for (;;) {
     NotEmpty.wait(Lock, [this] { return Stopping || !Queue.empty(); });
     if (Queue.empty())
-      return; // stopping, and the destructor drained everything
+      return; // stopping, and every queued job has run
     {
       Job J = std::move(Queue.front());
       Queue.pop_front();
-      ++InFlight;
       Lock.unlock();
-      J(); // J and its captures die here, before drain() can return
+      J(); // J and its captures die here, before the next pop
     }
     Lock.lock();
-    --InFlight;
-    Idle.notify_all();
   }
 }

@@ -3,8 +3,8 @@
 /// \file
 /// The one thread pool of the code base: N worker threads (N >= 1)
 /// draining one unbounded FIFO of jobs. The run scheduler posts each
-/// declared run, and mergeAll each chunk of its threaded fold. Serial
-/// callers do not build a pool: they run the work themselves.
+/// declared run to it and waits on each run's own result; a serial
+/// scheduler runs the work itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +12,6 @@
 #define PP_SUPPORT_WORKERPOOL_H
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -29,7 +28,7 @@ public:
   /// a serial owner (RunScheduler with PP_DRIVER_THREADS=0) keep one
   /// member type.
   explicit WorkerPool(unsigned Threads);
-  /// Finishes every queued job, then joins the workers.
+  /// Lets the workers finish every queued job, then joins them.
   ~WorkerPool();
 
   WorkerPool(const WorkerPool &) = delete;
@@ -37,15 +36,13 @@ public:
 
   /// Enqueues \p J; the pool must have at least one worker.
   void post(Job J);
-  /// Returns once the queue is empty and no job is running.
-  void drain();
 
   unsigned numThreads() const {
     return static_cast<unsigned>(Workers.size());
   }
 
-  /// The hardware concurrency clamped to [4, 16]: the default width of
-  /// the driver's and the profile repository's pools.
+  /// The hardware concurrency clamped to [4, 16]: the run scheduler's
+  /// default width.
   static unsigned hardwareDefault();
 
 private:
@@ -53,10 +50,7 @@ private:
 
   std::mutex Mu;
   std::condition_variable NotEmpty;
-  /// Signalled whenever a job finishes: wakes drain().
-  std::condition_variable Idle;
   std::deque<Job> Queue;
-  size_t InFlight = 0; ///< popped but not yet finished
   bool Stopping = false;
   std::vector<std::thread> Workers;
 };

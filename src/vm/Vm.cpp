@@ -21,12 +21,6 @@ ProfRuntime::~ProfRuntime() = default;
 Tracer::~Tracer() = default;
 TrapHandler::~TrapHandler() = default;
 
-ProfRuntime::HookFn ProfRuntime::bindOp(const ir::Inst &) {
-  // Generic binding: route through the virtual execOp. The profiling
-  // runtime overrides bindOp with per-opcode trampolines.
-  return [](ProfRuntime &RT, Vm &VM, const ir::Inst &I) { RT.execOp(VM, I); };
-}
-
 Vm::Vm(ir::Module &M, hw::Machine &Machine) : M(M), Machine(Machine) {
   layout();
 }
@@ -499,7 +493,7 @@ RunResult Vm::runReference() {
         fail(Result, "profiling pseudo-op executed without a runtime");
         continue;
       }
-      Runtime->execOp(*this, I);
+      Runtime->bindOp(I)(*Runtime, *this, I);
       break;
 
     case Opcode::NumOpcodes:

@@ -46,23 +46,22 @@ enum class Engine : uint8_t {
   Threaded,
 };
 
-/// Callbacks the profiling runtime implements (src/prof). The VM invokes
-/// execOp for every Opcode with isProfRuntimeOp(); onFrameUnwound fires for
-/// every frame a longjmp discards, so the runtime can pop its shadow state
-/// the way the paper's exception discussion requires (§4.2).
+/// Callbacks the profiling runtime implements (src/prof). Every Opcode
+/// with isProfRuntimeOp() runs the handler bindOp resolves for it, in
+/// both engines; onFrameUnwound fires for every frame a longjmp discards,
+/// so the runtime can pop its shadow state the way the paper's exception
+/// discussion requires (§4.2).
 class ProfRuntime {
 public:
-  /// A pre-bound pseudo-op handler: the predecoder resolves each profiling
-  /// pseudo-op to one of these once, so the threaded engine's dispatch
-  /// skips the runtime's per-execution opcode switch.
+  /// A pseudo-op handler. The predecoder resolves each profiling pseudo-op
+  /// to one of these once, so the threaded engine's dispatch skips any
+  /// per-execution opcode switch; the reference interpreter resolves it
+  /// at each execution.
   using HookFn = void (*)(ProfRuntime &RT, Vm &VM, const ir::Inst &I);
 
   virtual ~ProfRuntime();
-  virtual void execOp(Vm &VM, const ir::Inst &I) = 0;
-  /// Resolves the handler for \p I at predecode time. The default binding
-  /// is a thunk that calls execOp; src/prof overrides it with per-opcode
-  /// trampolines.
-  virtual HookFn bindOp(const ir::Inst &I);
+  /// The handler for the profiling pseudo-op \p I.
+  virtual HookFn bindOp(const ir::Inst &I) = 0;
   virtual void onFrameUnwound(Vm &VM, const ir::Function &F) = 0;
   /// A signal handler is about to run / has returned. The CCT gives signal
   /// handlers their own root slot ("the CCT would need multiple roots",

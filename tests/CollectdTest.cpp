@@ -194,8 +194,7 @@ TEST(CollectdFoldTest, WindowBytesEqualFlatMergeOfLeaves) {
   std::vector<std::vector<uint8_t>> Folded = Service.windowBytes(3, Error);
   ASSERT_TRUE(Error.empty()) << Error;
   profdb::Artifact FlatMerged;
-  ASSERT_TRUE(profdb::mergeAll(std::move(Flat), FlatMerged, Error, 1))
-      << Error;
+  ASSERT_TRUE(profdb::mergeAll(std::move(Flat), FlatMerged, Error)) << Error;
   EXPECT_EQ(Folded, std::vector<std::vector<uint8_t>>{
                         profdb::encodeArtifact(FlatMerged)});
 }
@@ -535,7 +534,7 @@ std::vector<std::string> reportOf(const std::vector<Upload> &Uploads) {
   for (auto &[Key, Shards] : Groups) {
     Merged.emplace_back();
     std::string Error;
-    EXPECT_TRUE(profdb::mergeAll(std::move(Shards), Merged.back(), Error, 1))
+    EXPECT_TRUE(profdb::mergeAll(std::move(Shards), Merged.back(), Error))
         << Error;
   }
   auto Render = [&](const auto &Report) {

@@ -13,7 +13,6 @@
 #include "driver/RunScheduler.h"
 #include "obs/Obs.h"
 #include "profdb/Artifact.h"
-#include "profdb/Merge.h"
 #include "profdb/Store.h"
 #include "support/Env.h"
 
@@ -169,29 +168,6 @@ TEST(Env, DriverThreadsKnobRejectsNonNumeric) {
     // 0 is the serial mode: runs execute on the calling thread.
     EnvGuard Guard("PP_DRIVER_THREADS", "0");
     EXPECT_EQ(driver::RunScheduler::defaultWorkerThreads(), 0u);
-  }
-}
-
-TEST(Env, ProfDbThreadsKnobRejectsNonNumeric) {
-  EnvGuard DriverThreads("PP_DRIVER_THREADS", nullptr);
-  {
-    EnvGuard Guard("PP_PROFDB_THREADS", "5");
-    EXPECT_EQ(profdb::mergeThreadsFromEnv(), 5u);
-  }
-  {
-    // Malformed merge-pool knob falls through to the next default, here
-    // the serial PP_DRIVER_THREADS=0 -> one merge thread.
-    EnvGuard Guard("PP_PROFDB_THREADS", "banana");
-    EnvGuard Serial("PP_DRIVER_THREADS", "0");
-    EXPECT_EQ(profdb::mergeThreadsFromEnv(), 1u);
-  }
-  {
-    // And the driver-threads fallback is parsed just as strictly.
-    EnvGuard Guard("PP_PROFDB_THREADS", nullptr);
-    EnvGuard Bad("PP_DRIVER_THREADS", "many");
-    unsigned Threads = profdb::mergeThreadsFromEnv();
-    EXPECT_GE(Threads, 4u);
-    EXPECT_LE(Threads, 16u);
   }
 }
 

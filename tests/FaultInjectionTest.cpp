@@ -253,9 +253,10 @@ TEST(FaultSweepTest, NoArtifactCorruptionCrashesOrIsAccepted) {
   // M bad-magic, V bad-version, T truncated, X malformed. A stomp that
   // lands on a path sum puts the record's sums out of ascending order,
   // which the tree reader refuses (stomps 46, 48, 50, 51, 64, 66, 79, 81,
-  // 83 and 85).
+  // 83 and 85). Stomp 40 writes all-ones over a later record's parent
+  // index, which reads as a second root, and only record 0 may be one.
   constexpr unsigned NumStomps = 100;
-  const std::string Pinned = "MVOTOTOTTTOXOOOOTTTTTXTTTOTTXXXTOOTOTTXTOTOOTOX"
+  const std::string Pinned = "MVOTOTOTTTOXOOOOTTTTTXTTTOTTXXXTOOTOTTXTXTOOTOX"
                              "OXOXXOOOTXTXXOTOTXOXOOOTTTXXOTOTXOXOXOXOOOTTXTT"
                              "XTXTTX";
   ASSERT_EQ(Pinned.size(), NumStomps);
@@ -325,6 +326,18 @@ TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
     Image.Records[E.Parent].Slots[E.Slot].Targets[0].first =
         Image.Records.size();
   };
+  // Record 0 is the one root: a procedure's record there, a root parent
+  // index other than -1, or a later record with no parent is bytes no
+  // tree writes.
+  auto RootOfAProcedure = [](testutil::TreeImage &Image) {
+    Image.Records.front().Proc = 0;
+  };
+  auto RootParentMinusTwo = [](testutil::TreeImage &Image) {
+    Image.Records.front().Parent = -2;
+  };
+  auto SecondRoot = [](testutil::TreeImage &Image) {
+    Image.Records.back().Parent = -1;
+  };
   auto ProcOutOfRange = [](testutil::TreeImage &Image) {
     Image.Records.back().Proc =
         static_cast<cct::ProcId>(Image.Procs.size() + 3);
@@ -377,6 +390,11 @@ TEST(FaultSweepTest, CraftedTreesDecodeToTheirVerdicts) {
        profdb::DecodeStatus::Malformed},
       {"bad parent, then cut short", ParentAfterChild, 8,
        profdb::DecodeStatus::Truncated},
+      {"root record of a procedure", RootOfAProcedure, 0,
+       profdb::DecodeStatus::Malformed},
+      {"root parent other than -1", RootParentMinusTwo, 0,
+       profdb::DecodeStatus::Malformed},
+      {"second root", SecondRoot, 0, profdb::DecodeStatus::Malformed},
       {"record procedure out of range", ProcOutOfRange, 0,
        profdb::DecodeStatus::Malformed},
       {"direct slot with two targets", DirectSlotWithTwoTargets, 0,

@@ -1,7 +1,6 @@
 //===- tests/WorkerPoolTest.cpp - FIFO worker pool tests -----------------------===//
 //
-// The pool's contract: drain waits for jobs in flight, and the destructor
-// finishes every queued job.
+// The pool's contract: the destructor finishes every queued job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,9 +9,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <chrono>
 #include <future>
-#include <thread>
 
 using namespace pp;
 
@@ -30,20 +27,6 @@ private:
 };
 
 } // namespace
-
-TEST(WorkerPoolTest, DrainWaitsForInFlightJobs) {
-  Gate Started;
-  std::atomic<bool> Finished{false};
-  WorkerPool Pool(2);
-  Pool.post([&] {
-    Started.open();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    Finished = true;
-  });
-  Started.wait(); // the job has left the queue and is running
-  Pool.drain();
-  EXPECT_TRUE(Finished.load());
-}
 
 TEST(WorkerPoolTest, DestructorFinishesQueuedJobs) {
   std::atomic<int> Ran{0};

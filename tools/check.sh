@@ -11,9 +11,9 @@
 # The ASan pass runs the full suite; the TSan pass runs the driver,
 # fault-injection, profile-repository, observability, optimizer, and
 # worker-pool tests, which exercise every concurrent component (the one
-# support::WorkerPool and its two users — run scheduler and parallel
-# artifact merge — plus the ingest service's queries beside its ingest,
-# the run cache, the shared obs recorder, and the benches' Build closures
+# support::WorkerPool and its one user, the run scheduler, plus the
+# ingest service's queries beside its ingest, the run cache, the shared
+# obs recorder, and the benches' Build closures
 # optimizing modules on worker threads).
 
 set -e
