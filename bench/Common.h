@@ -23,6 +23,7 @@
 #include "support/TableWriter.h"
 #include "workloads/Spec.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <string>
@@ -36,6 +37,17 @@ inline constexpr double ClockHz = 167e6;
 
 inline double simSeconds(uint64_t Cycles) {
   return double(Cycles) / ClockHz;
+}
+
+/// The \p P quantile of \p Samples (sorted in place), interpolated
+/// between the two nearest ranks.
+inline double percentile(std::vector<double> &Samples, double P) {
+  std::sort(Samples.begin(), Samples.end());
+  double Rank = P * static_cast<double>(Samples.size() - 1);
+  size_t Low = static_cast<size_t>(Rank);
+  size_t High = std::min(Low + 1, Samples.size() - 1);
+  return Samples[Low] + (Rank - static_cast<double>(Low)) *
+                            (Samples[High] - Samples[Low]);
 }
 
 /// Declares \p Name at \p Scale under \p M on the shared driver and

@@ -28,6 +28,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Common.h"
+
 #include "collectd/Client.h"
 #include "collectd/Ingest.h"
 #include "collectd/Server.h"
@@ -50,6 +52,7 @@
 #include <vector>
 
 using namespace pp;
+using pp::bench::percentile;
 
 namespace {
 
@@ -70,17 +73,6 @@ double clockResolution() {
     Best = std::min(Best, seconds(From, To));
   }
   return Best;
-}
-
-/// The \p P quantile of \p Samples (sorted in place), interpolated
-/// between the two nearest ranks.
-double percentile(std::vector<double> &Samples, double P) {
-  std::sort(Samples.begin(), Samples.end());
-  double Rank = P * static_cast<double>(Samples.size() - 1);
-  size_t Low = static_cast<size_t>(Rank);
-  size_t High = std::min(Low + 1, Samples.size() - 1);
-  return Samples[Low] + (Rank - static_cast<double>(Low)) *
-                            (Samples[High] - Samples[Low]);
 }
 
 } // namespace

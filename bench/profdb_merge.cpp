@@ -2,21 +2,23 @@
 //
 // Times mergeAll's fold of a 256-shard artifact set (099.go at scale 2 —
 // the suite's bushiest CCT — under Context-Flow-HW, four D-cache
-// geometries replicated 64 ways), best of 3, and asserts every
-// repetition folds to the same bytes — the determinism contract under its
-// production workload. The shards are decoded from the bytes the driver
-// deposits for each run (encodeRunArtifact).
+// geometries replicated 64 ways), median and quartiles of 7, and asserts
+// every repetition folds to the same bytes — the determinism contract
+// under its production workload. The shards are decoded from the bytes
+// the driver deposits for each run (encodeRunArtifact).
 //
 // A read leg writes the 256 shards to a temporary directory and times
 // listing, reading and decoding them back (listArtifactFiles +
-// readArtifactFile, best of 3): the path every repository report and
-// fleet ingest starts with. The shards read back must fold to the same
+// readArtifactFile, median and quartiles of 7): the path every
+// repository report and fleet ingest starts with. The shards read back must fold to the same
 // bytes too.
 //
 // Writes BENCH_profdb_merge.json (machine-readable; CI uploads it as a
 // workflow artifact).
 //
 //===----------------------------------------------------------------------===//
+
+#include "Common.h"
 
 #include "prof/Session.h"
 #include "profdb/Artifact.h"
@@ -32,9 +34,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pp;
+using pp::bench::percentile;
 
 namespace {
 
@@ -87,8 +91,8 @@ int main() {
     return Shards;
   };
 
-  constexpr unsigned Reps = 3;
-  double MergeBest = 1e9;
+  constexpr unsigned Reps = 7;
+  std::vector<double> MergeTimes;
   std::vector<uint8_t> MergedBytes;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
     std::string Error;
@@ -100,8 +104,7 @@ int main() {
                    Error.c_str());
       return 1;
     }
-    MergeBest =
-        std::min(MergeBest, seconds(T0, std::chrono::steady_clock::now()));
+    MergeTimes.push_back(seconds(T0, std::chrono::steady_clock::now()));
     std::vector<uint8_t> Bytes = profdb::encodeArtifact(Out);
     if (Rep != 0 && Bytes != MergedBytes) {
       std::fprintf(stderr, "profdb_merge: merge diverged from the first "
@@ -128,7 +131,7 @@ int main() {
       return 1;
     }
   }
-  double ReadBest = 1e9;
+  std::vector<double> ReadTimes;
   std::vector<profdb::Artifact> ReadBack;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
     ReadBack.clear();
@@ -143,8 +146,7 @@ int main() {
       }
       ReadBack.push_back(std::move(A));
     }
-    ReadBest = std::min(ReadBest,
-                        seconds(T0, std::chrono::steady_clock::now()));
+    ReadTimes.push_back(seconds(T0, std::chrono::steady_clock::now()));
   }
   std::string RemoveDir = std::string("rm -rf ") + ShardDir;
   (void)std::system(RemoveDir.c_str());
@@ -161,6 +163,8 @@ int main() {
     }
   }
 
+  double Merge = percentile(MergeTimes, 0.50);
+  double Read = percentile(ReadTimes, 0.50);
   auto Ms = [](double Seconds) {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%.2f", Seconds * 1e3);
@@ -169,24 +173,33 @@ int main() {
   TableWriter Table;
   Table.setHeader({"Shards", "Bytes/shard", "Read+decode ms", "Merge ms"});
   Table.addRow({std::to_string(NumShards), std::to_string(Variants[0].size()),
-                Ms(ReadBest), Ms(MergeBest)});
-  std::printf("Profile-repository k-way merge (%u shards, best of %u reps; "
+                Ms(Read), Ms(Merge)});
+  std::printf("Profile-repository k-way merge (%u shards, median of %u reps; "
               "every repetition and the shards read back fold to the same "
               "bytes)\n\n%s",
               NumShards, Reps, Table.render().c_str());
 
   std::ofstream Json("BENCH_profdb_merge.json");
-  char Buf[512];
+  char Buf[1024];
   std::snprintf(Buf, sizeof(Buf),
                 "{\n  \"bench\": \"profdb_merge\",\n"
                 "  \"shards\": %u,\n"
                 "  \"shard_bytes\": %zu,\n"
                 "  \"merged_bytes\": %zu,\n"
+                "  \"hardware_cores\": %u,\n"
+                "  \"reps\": %u,\n"
                 "  \"read_decode_seconds\": %.6f,\n"
+                "  \"read_decode_seconds_q1\": %.6f,\n"
+                "  \"read_decode_seconds_q3\": %.6f,\n"
                 "  \"serial_seconds\": %.6f,\n"
+                "  \"serial_seconds_q1\": %.6f,\n"
+                "  \"serial_seconds_q3\": %.6f,\n"
                 "  \"bit_identical\": true\n}\n",
-                NumShards, Variants[0].size(), MergedBytes.size(), ReadBest,
-                MergeBest);
+                NumShards, Variants[0].size(), MergedBytes.size(),
+                std::thread::hardware_concurrency(), Reps, Read,
+                percentile(ReadTimes, 0.25), percentile(ReadTimes, 0.75),
+                Merge, percentile(MergeTimes, 0.25),
+                percentile(MergeTimes, 0.75));
   Json << Buf;
   std::printf("\nwrote BENCH_profdb_merge.json\n");
   return 0;

@@ -176,7 +176,15 @@ void CallingContextTree::commitPath(CallRecord *R, uint64_t PathSum,
                                     bool WithMetrics, uint64_t Metric0,
                                     uint64_t Metric1) {
   assert(R->PathTableAddr != 0 && "record has no path table");
-  PathCell &Cell = R->PathTable[PathSum];
+  if (!R->LiveIndex) {
+    R->LiveIndex = std::make_unique<std::unordered_map<uint64_t, size_t>>();
+    for (size_t Index = 0; Index != R->PathTable.size(); ++Index)
+      R->LiveIndex->emplace(R->PathTable[Index].first, Index);
+  }
+  auto [It, New] = R->LiveIndex->try_emplace(PathSum, R->PathTable.size());
+  if (New)
+    R->PathTable.push_back({PathSum, PathCell()});
+  PathCell &Cell = R->PathTable[It->second].second;
   ++Cell.Freq;
 
   uint64_t NumPaths =
@@ -208,6 +216,15 @@ void CallingContextTree::commitPath(CallRecord *R, uint64_t PathSum,
       charge(3);
     }
   }
+}
+
+void CallingContextTree::sortPathTables() {
+  for (const std::unique_ptr<CallRecord> &R : Records)
+    if (R->LiveIndex) {
+      std::sort(R->PathTable.begin(), R->PathTable.end(),
+                [](const auto &A, const auto &B) { return A.first < B.first; });
+      R->LiveIndex.reset();
+    }
 }
 
 RecordCounts cct::recordCounts(const CallRecord &R) {

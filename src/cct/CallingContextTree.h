@@ -109,8 +109,9 @@ public:
   /// conventionally the invocation count).
   std::vector<uint64_t> Metrics;
 
-  /// Per-path counters when combined flow+context profiling is active.
-  std::unordered_map<uint64_t, PathCell> PathTable;
+  /// Per-path counters when combined flow+context profiling is active,
+  /// in tree-byte order (see CallingContextTree::sortPathTables).
+  std::vector<std::pair<uint64_t, PathCell>> PathTable;
 
   /// Simulated base address of the path counter table (array mode), or of
   /// the per-record hash table (hash mode).
@@ -128,6 +129,8 @@ private:
   uint64_t PathTableAddr = 0;
   unsigned Depth = 0;
   std::vector<Slot> Slots;
+  /// While commitPath appends: each path sum's position in PathTable.
+  std::unique_ptr<std::unordered_map<uint64_t, size_t>> LiveIndex;
 };
 
 /// What one record counted: its calls (Metrics[0]) and its PIC0/PIC1
@@ -202,9 +205,13 @@ public:
   }
 
   /// Commits one path execution into \p R's path table, charging the
-  /// simulated accesses (array indexing or hash probing).
+  /// simulated accesses (array indexing or hash probing). A new path sum
+  /// is appended, so the table is out of order until sortPathTables().
   void commitPath(CallRecord *R, uint64_t PathSum, bool WithMetrics,
                   uint64_t Metric0, uint64_t Metric1);
+  /// Sorts the tables commitPath appended to, once the run ends, so every
+  /// tree a reader sees holds ascending cells.
+  void sortPathTables();
 
   size_t numRecords() const { return Records.size(); }
   /// All records in allocation order (root first).

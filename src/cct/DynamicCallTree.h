@@ -58,14 +58,6 @@ public:
   const std::vector<Node> &nodes() const { return Nodes; }
   const Node &node(int Index) const { return Nodes[Index]; }
 
-  /// The call chain (root excluded) leading to activation \p Index.
-  std::vector<ProcId> contextOf(int Index) const {
-    std::vector<ProcId> Chain;
-    for (int Cursor = Index; Cursor > 0; Cursor = Nodes[Cursor].Parent)
-      Chain.push_back(Nodes[Cursor].Proc);
-    return {Chain.rbegin(), Chain.rend()};
-  }
-
   /// Number of *distinct* call chains, which is exactly the vertex count a
   /// recursion-free CCT must have.
   size_t numDistinctContexts() const;

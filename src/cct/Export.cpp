@@ -5,7 +5,6 @@
 #include "support/BinaryIO.h"
 #include "support/Format.h"
 
-#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 
@@ -33,15 +32,8 @@ std::vector<uint8_t> cct::serialize(const CallingContextTree &Tree) {
     W.u64(R->Metrics.size());
     for (uint64_t Metric : R->Metrics)
       W.u64(Metric);
-    // Path-sum order, as cct::writeTree uses: the live table is a hash
-    // map whose iteration order depends on insertion history, so a tree
-    // read back from an artifact would otherwise export different bytes.
-    std::vector<std::pair<uint64_t, PathCell>> Cells(R->PathTable.begin(),
-                                                     R->PathTable.end());
-    std::sort(Cells.begin(), Cells.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    W.u64(Cells.size());
-    for (const auto &[Sum, Cell] : Cells) {
+    W.u64(R->PathTable.size());
+    for (const auto &[Sum, Cell] : R->PathTable) {
       W.u64(Sum);
       W.u64(Cell.Freq);
       W.u64(Cell.Metric0);

@@ -42,7 +42,6 @@ void cct::writeTree(ByteWriter &W, const CallingContextTree &Tree) {
     IndexOf.emplace(Records[Index].get(), Index);
 
   W.u64(Records.size());
-  std::vector<std::pair<uint64_t, PathCell>> Cells;
   for (const auto &Rec : Records) {
     W.u64(Rec->procId());
     W.u64(Rec->parent() ? IndexOf.at(Rec->parent()) : ~uint64_t(0));
@@ -51,14 +50,13 @@ void cct::writeTree(ByteWriter &W, const CallingContextTree &Tree) {
     W.u64(Rec->Metrics.size());
     for (uint64_t Metric : Rec->Metrics)
       W.u64(Metric);
-    // Path-sum order: the live table is a hash map whose iteration order
-    // depends on insertion history, and equal trees must write equal
-    // bytes.
-    Cells.assign(Rec->PathTable.begin(), Rec->PathTable.end());
-    std::sort(Cells.begin(), Cells.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    W.u64(Cells.size());
-    for (const auto &[Sum, Cell] : Cells) {
+    assert(std::adjacent_find(Rec->PathTable.begin(), Rec->PathTable.end(),
+                              [](const auto &A, const auto &B) {
+                                return A.first >= B.first;
+                              }) == Rec->PathTable.end() &&
+           "path cells must ascend (a live tree needs sortPathTables)");
+    W.u64(Rec->PathTable.size());
+    for (const auto &[Sum, Cell] : Rec->PathTable) {
       W.u64(Sum);
       W.u64(Cell.Freq);
       W.u64(Cell.Metric0);
@@ -165,17 +163,16 @@ DecodeStatus cct::readTree(ByteReader &R,
     // The writer lists path sums strictly ascending, so a sum out of
     // order (or repeated) is bytes no tree writes: accepting it would let
     // one tree read from two encodings.
-    uint64_t PrevSum = 0;
+    Rec.PathTable.reserve(NumCells);
     for (uint64_t Cell = 0; Cell != NumCells; ++Cell) {
       uint64_t Sum = 0;
       PathCell Counts;
       if (!R.u64(Sum) || !R.u64(Counts.Freq) || !R.u64(Counts.Metric0) ||
           !R.u64(Counts.Metric1))
         return DecodeStatus::Truncated;
-      if (Cell != 0 && Sum <= PrevSum)
+      if (!Rec.PathTable.empty() && Sum <= Rec.PathTable.back().first)
         Misshapen = true;
-      PrevSum = Sum;
-      Rec.PathTable.emplace(Sum, Counts);
+      Rec.PathTable.push_back({Sum, Counts});
     }
     if (!R.count(NumSlots, MinSlotBytes))
       return DecodeStatus::Truncated;

@@ -36,7 +36,8 @@ inline constexpr uint64_t MaxCctHeapBytes =
     layout::ProfStackBase - layout::CctHeapBase;
 
 /// Appends the encoding of \p Tree to \p W, straight from its records.
-/// Path cells go in path-sum order, so equal trees write equal bytes.
+/// Path cells go in the order each record holds them, ascending by path
+/// sum (asserted), so equal trees write equal bytes.
 void writeTree(ByteWriter &W, const CallingContextTree &Tree);
 
 /// Decodes the bytes writeTree wrote straight into a tree, in one pass:

@@ -39,9 +39,9 @@ Runtime::Runtime(const Instrumented &Instr, hw::Machine &Machine)
 
 Runtime::~Runtime() = default;
 
-const std::unordered_map<uint64_t, HashPathCell> &
+const std::unordered_map<uint64_t, cct::PathCell> &
 Runtime::hashTable(unsigned FuncId) const {
-  static const std::unordered_map<uint64_t, HashPathCell> Empty;
+  static const std::unordered_map<uint64_t, cct::PathCell> Empty;
   auto It = HashTables.find(FuncId);
   return It == HashTables.end() ? Empty : It->second;
 }
@@ -175,7 +175,7 @@ void Runtime::doPathHashCommit(vm::Vm &VM, const ir::Inst &I) {
     doKSegmentCommit(VM, Info, FuncId, Key);
     return;
   }
-  HashPathCell &Cell = HashTables[FuncId][Key];
+  cct::PathCell &Cell = HashTables[FuncId][Key];
   ++Cell.Freq;
 
   // Charge one probe of the open-addressed table plus the counter update.
@@ -221,7 +221,7 @@ const Runtime::KSegment &Runtime::decodeSegment(const FunctionInstrInfo &Info,
 }
 
 void Runtime::commitKWindow(const FunctionInstrInfo &Info, const KWindow &W) {
-  HashPathCell &Cell = HashTables[W.FuncId][W.Acc];
+  cct::PathCell &Cell = HashTables[W.FuncId][W.Acc];
   ++Cell.Freq;
 
   // Charge one probe of the open-addressed table plus the counter update

@@ -28,13 +28,6 @@
 namespace pp {
 namespace prof {
 
-/// One hash-table path counter cell (for functions too big for arrays).
-struct HashPathCell {
-  uint64_t Freq = 0;
-  uint64_t Metric0 = 0;
-  uint64_t Metric1 = 0;
-};
-
 /// The runtime behind the instrumented program.
 class Runtime : public vm::ProfRuntime, public cct::MemCharger {
 public:
@@ -55,14 +48,16 @@ public:
   void chargeInsts(unsigned N) override { Machine.chargeInsts(N); }
 
   // --- Results --------------------------------------------------------------
-  /// Null unless a context mode is active.
-  cct::CallingContextTree *tree() { return Tree.get(); }
+  /// The run's tree, its path tables sorted; null unless a context mode
+  /// is active.
   std::unique_ptr<cct::CallingContextTree> takeTree() {
+    if (Tree)
+      Tree->sortPathTables();
     return std::move(Tree);
   }
 
   /// Hash-mode path counters of function \p FuncId (empty map if none).
-  const std::unordered_map<uint64_t, HashPathCell> &
+  const std::unordered_map<uint64_t, cct::PathCell> &
   hashTable(unsigned FuncId) const;
 
 private:
@@ -120,7 +115,7 @@ private:
   std::vector<ShadowEntry> Shadow;
   /// gCSPs saved across signal-handler activations.
   std::vector<std::pair<cct::CallRecord *, unsigned>> SignalSavedGcsps;
-  std::unordered_map<unsigned, std::unordered_map<uint64_t, HashPathCell>>
+  std::unordered_map<unsigned, std::unordered_map<uint64_t, cct::PathCell>>
       HashTables;
   /// In-flight k-iteration windows, innermost activation last. Only
   /// functions with KIters >= 2 push entries.

@@ -146,9 +146,7 @@ private:
       return false;
     }
     N.Metrics = R.Metrics;
-    N.Cells.assign(R.PathTable.begin(), R.PathTable.end());
-    std::sort(N.Cells.begin(), N.Cells.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
+    N.Cells = R.PathTable;
 
     Path.push_back(&R);
     bool Ok = liftSlots(R, N, Error);
@@ -295,8 +293,7 @@ void overlay(Node &F, Node &In) {
 void emitNode(cct::CallingContextTree &Tree, cct::CallRecord *R,
               const Node &N) {
   R->Metrics = N.Metrics;
-  for (const auto &[Sum, Cell] : N.Cells)
-    R->PathTable.emplace(Sum, Cell);
+  R->PathTable = N.Cells;
   for (const Edge &E : N.Edges) {
     cct::CallRecord *C = Tree.enter(R, E.slot(), E.callee());
     if (E.Child) {

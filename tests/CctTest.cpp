@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <map>
+#include <random>
+
 using namespace pp;
 using namespace pp::cct;
 
@@ -129,13 +134,77 @@ TEST(Cct, PathCommitsLandInRecordTables) {
   Procs[0] = {"A", 0, {}, 6}; // 6 potential paths
   CallingContextTree Tree(Procs, 1);
   CallRecord *A = Tree.enter(Tree.root(), 0, 0);
-  Tree.commitPath(A, 2, false, 0, 0);
-  Tree.commitPath(A, 2, false, 0, 0);
   Tree.commitPath(A, 5, true, 10, 3);
-  EXPECT_EQ(A->PathTable.size(), 2u);
-  EXPECT_EQ(A->PathTable.at(2).Freq, 2u);
-  EXPECT_EQ(A->PathTable.at(5).Metric0, 10u);
-  EXPECT_EQ(A->PathTable.at(5).Metric1, 3u);
+  Tree.commitPath(A, 2, false, 0, 0);
+  Tree.commitPath(A, 2, false, 0, 0);
+  Tree.sortPathTables();
+  ASSERT_EQ(A->PathTable.size(), 2u);
+  EXPECT_EQ(A->PathTable[0].first, 2u);
+  EXPECT_EQ(A->PathTable[0].second.Freq, 2u);
+  EXPECT_EQ(A->PathTable[1].first, 5u);
+  EXPECT_EQ(A->PathTable[1].second.Freq, 1u);
+  EXPECT_EQ(A->PathTable[1].second.Metric0, 10u);
+  EXPECT_EQ(A->PathTable[1].second.Metric1, 3u);
+}
+
+namespace {
+
+/// Commits \p Sums into one record of a fresh tree (each sum twice, the
+/// second time with metrics), sorting the tables after \p SortAfter
+/// commits and again at the end, and returns the record's final table
+/// after checking it against a std::map oracle.
+void expectCommitsMatchOracle(const std::vector<uint64_t> &Sums,
+                              size_t SortAfter) {
+  std::vector<ProcDesc> Procs(1);
+  Procs[0] = {"A", 0, {}, uint64_t(1) << 16};
+  CallingContextTree Tree(Procs, 1);
+  CallRecord *A = Tree.enter(Tree.root(), 0, 0);
+  std::map<uint64_t, PathCell> Oracle;
+  for (size_t Index = 0; Index != Sums.size(); ++Index) {
+    if (Index == SortAfter)
+      Tree.sortPathTables();
+    uint64_t Sum = Sums[Index];
+    Tree.commitPath(A, Sum, false, 0, 0);
+    Tree.commitPath(A, Sum, true, Sum + 1, 2 * Sum);
+    PathCell &Cell = Oracle[Sum];
+    Cell.Freq += 2;
+    Cell.Metric0 += Sum + 1;
+    Cell.Metric1 += 2 * Sum;
+  }
+  Tree.sortPathTables();
+  ASSERT_EQ(A->PathTable.size(), Oracle.size());
+  size_t Index = 0;
+  for (const auto &[Sum, Cell] : Oracle) {
+    const auto &[GotSum, Got] = A->PathTable[Index++];
+    ASSERT_EQ(GotSum, Sum);
+    ASSERT_EQ(Got.Freq, Cell.Freq);
+    ASSERT_EQ(Got.Metric0, Cell.Metric0);
+    ASSERT_EQ(Got.Metric1, Cell.Metric1);
+  }
+}
+
+} // namespace
+
+// A live run meets path sums in any order; a table kept sorted on every
+// insert would go quadratic on a descending run (about 3 s for this one,
+// against a few milliseconds through the live index).
+TEST(Cct, ManyDistinctSumsEndAscendingInAnyCommitOrder) {
+  constexpr uint64_t NumSums = uint64_t(1) << 16;
+  std::vector<uint64_t> Descending(NumSums);
+  for (uint64_t Index = 0; Index != NumSums; ++Index)
+    Descending[Index] = NumSums - 1 - Index;
+  auto T0 = std::chrono::steady_clock::now();
+  expectCommitsMatchOracle(Descending, Descending.size());
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count();
+  EXPECT_LT(Seconds, 0.5);
+
+  std::vector<uint64_t> Shuffled = Descending;
+  std::shuffle(Shuffled.begin(), Shuffled.end(), std::mt19937_64(20260));
+  expectCommitsMatchOracle(Shuffled, Shuffled.size());
+  // Committing into a sorted table again re-indexes its cells first.
+  expectCommitsMatchOracle(Shuffled, Shuffled.size() / 2);
 }
 
 TEST(Cct, StatsDescribeShape) {

@@ -12,11 +12,13 @@
 #include "driver/Driver.h"
 #include "obs/Obs.h"
 #include "profdb/Artifact.h"
+#include "profdb/Merge.h"
 #include "profdb/Store.h"
 #include "workloads/Spec.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +50,21 @@ std::vector<uint8_t> treeBytes(const cct::CallingContextTree &Tree) {
 void expectTreesEqual(const cct::CallingContextTree &A,
                       const cct::CallingContextTree &B) {
   EXPECT_TRUE(treeBytes(A) == treeBytes(B));
+}
+
+/// Path cells in \p Tree's records (when every record's cells strictly
+/// ascend by path sum), or -1.
+int64_t ascendingCells(const cct::CallingContextTree &Tree) {
+  int64_t Cells = 0;
+  for (const auto &R : Tree.records()) {
+    if (std::adjacent_find(R->PathTable.begin(), R->PathTable.end(),
+                           [](const auto &A, const auto &B) {
+                             return A.first >= B.first;
+                           }) != R->PathTable.end())
+      return -1;
+    Cells += static_cast<int64_t>(R->PathTable.size());
+  }
+  return Cells;
 }
 
 /// Bitwise equality of everything a consumer can read from an outcome
@@ -758,6 +775,45 @@ TEST(CctTreeBytesTest, CopyWritesTheBytesOfEveryWorkloadsTree) {
       EXPECT_EQ(A.BackedgeSlots, B.BackedgeSlots);
       EXPECT_EQ(Run->Tree->heapBytes(), Copy->heapBytes());
     }
+}
+
+TEST(CctTreeBytesTest, ContextFlowTreesHoldAscendingCellsAndRoundTrip) {
+  // Every Context+Flow tree a reader sees holds its path cells ascending
+  // by sum, the order of the tree bytes: the tree extracted from the live
+  // run, the tree read back from its bytes (which writes the same bytes
+  // again), and the tree a fold emits.
+  Driver D(/*DiskDir=*/"", /*Threads=*/1);
+  int64_t LiveCells = 0;
+  for (const workloads::WorkloadSpec &Spec : workloads::spec95Suite()) {
+    SCOPED_TRACE(Spec.Name);
+    RunPlan Plan = makePlan(Spec.Name, prof::Mode::ContextFlowHw);
+    OutcomePtr Run = D.run(Plan);
+    ASSERT_TRUE(Run && Run->Result.Ok && Run->Tree);
+    int64_t Cells = ascendingCells(*Run->Tree);
+    EXPECT_GE(Cells, 0);
+    LiveCells += Cells;
+
+    std::vector<uint8_t> Bytes = treeBytes(*Run->Tree);
+    ByteReader R(Bytes.data(), Bytes.size());
+    std::unique_ptr<cct::CallingContextTree> Read;
+    ASSERT_EQ(cct::readTree(R, Read), DecodeStatus::Ok);
+    EXPECT_TRUE(R.atEnd());
+    EXPECT_EQ(ascendingCells(*Read), Cells);
+    EXPECT_TRUE(treeBytes(*Read) == Bytes);
+
+    std::vector<uint8_t> Encoded = profdb::encodeRunArtifact(
+        *Run, "cells", Spec.Name, 1,
+        profdb::MetricSchema::of(Plan.Options.Config));
+    profdb::Artifact A, B, Merged;
+    ASSERT_EQ(profdb::decodeArtifact(Encoded, A), DecodeStatus::Ok);
+    ASSERT_EQ(profdb::decodeArtifact(Encoded, B), DecodeStatus::Ok);
+    B.Fingerprint += ";replica=1";
+    std::string Error;
+    ASSERT_TRUE(profdb::mergeArtifacts(A, B, Merged, Error)) << Error;
+    ASSERT_TRUE(Merged.Tree);
+    EXPECT_EQ(ascendingCells(*Merged.Tree), Cells);
+  }
+  EXPECT_GT(LiveCells, 0);
 }
 
 } // namespace
