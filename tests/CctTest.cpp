@@ -151,8 +151,8 @@ namespace {
 
 /// Commits \p Sums into one record of a fresh tree (each sum twice, the
 /// second time with metrics), sorting the tables after \p SortAfter
-/// commits and again at the end, and returns the record's final table
-/// after checking it against a std::map oracle.
+/// commits and again at the end, and checks the record's final table
+/// against a std::map oracle.
 void expectCommitsMatchOracle(const std::vector<uint64_t> &Sums,
                               size_t SortAfter) {
   std::vector<ProcDesc> Procs(1);
@@ -186,8 +186,8 @@ void expectCommitsMatchOracle(const std::vector<uint64_t> &Sums,
 } // namespace
 
 // A live run meets path sums in any order; a table kept sorted on every
-// insert would go quadratic on a descending run (about 3 s for this one,
-// against a few milliseconds through the live index).
+// insert goes quadratic on a descending run (about 3 s for this one,
+// over five times the bound below).
 TEST(Cct, ManyDistinctSumsEndAscendingInAnyCommitOrder) {
   constexpr uint64_t NumSums = uint64_t(1) << 16;
   std::vector<uint64_t> Descending(NumSums);
