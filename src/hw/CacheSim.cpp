@@ -15,18 +15,7 @@ CacheSim::CacheSim(const CacheConfig &Config) : Config(Config) {
          "set count must be a power of two");
   LineShift = static_cast<uint64_t>(std::countr_zero(Config.LineBytes));
   TagShift = static_cast<uint64_t>(std::countr_zero(NumSets));
-  DirectMapped = Config.Associativity == 1;
   Tags.assign(NumSets * Config.Associativity, 0);
-  Stamps.assign(NumSets * Config.Associativity, 0);
-}
-
-unsigned CacheSim::accessNewLine(uint64_t Line) {
-  PrevTouched = LastTouched;
-  LastTouched = Line;
-  if (!touchLine(Line))
-    return 0;
-  ++Misses;
-  return 1;
 }
 
 unsigned CacheSim::accessStraddle(uint64_t FirstLine, uint64_t LastLine) {
@@ -44,10 +33,8 @@ unsigned CacheSim::accessStraddle(uint64_t FirstLine, uint64_t LastLine) {
 
 void CacheSim::reset() {
   Tags.assign(Tags.size(), 0);
-  Stamps.assign(Stamps.size(), 0);
   LastTouched = ~uint64_t(0);
   PrevTouched = ~uint64_t(0);
-  Clock = 0;
   Accesses = 0;
   Misses = 0;
 }

@@ -53,9 +53,10 @@ public:
   /// counts — two cold lines are two misses, exactly as the hardware's
   /// miss counter would see them.
   ///
-  /// Inline: this runs once per simulated instruction (the I-cache probe
-  /// in Machine::beginInst) plus once per memory access, so the call is
-  /// the hottest edge in the whole simulator.
+  /// Inline, LRU walk included: this runs for most simulated
+  /// instructions (the I-cache probe in Machine::probeFetch) plus once per
+  /// memory access, so the call is the hottest edge in the whole
+  /// simulator.
   PP_ALWAYS_INLINE unsigned access(uint64_t Addr, uint64_t Size) {
     assert(Size >= 1);
     ++Accesses;
@@ -81,22 +82,12 @@ public:
         LastTouched = FirstLine;
         return 0;
       }
-      if (DirectMapped) {
-        // Direct-mapped probe: one tag compare, no LRU state to maintain.
-        PrevTouched = LastTouched;
-        LastTouched = FirstLine;
-        uint64_t Set = FirstLine & (NumSets - 1);
-        uint64_t Tag = (FirstLine >> TagShift) + 1;
-        if (Tags[Set] == Tag)
-          return 0;
-        Tags[Set] = Tag;
-        ++Misses;
-        return 1;
-      }
-      // The set-associative tag/LRU walk lives out of line so the
-      // per-instruction footprint inlined into the interpreters stays a
-      // few compares and predictable branches.
-      return accessNewLine(FirstLine);
+      PrevTouched = LastTouched;
+      LastTouched = FirstLine;
+      if (!touchLine(FirstLine))
+        return 0;
+      ++Misses;
+      return 1;
     }
     return accessStraddle(FirstLine, LastLine);
   }
@@ -108,49 +99,45 @@ public:
   uint64_t misses() const { return Misses; }
 
 private:
-  /// Single-line access that changed lines: LRU-touch it, count a miss if
-  /// it was not resident.
-  unsigned accessNewLine(uint64_t Line);
-
   /// Line-straddling access: touch every covered line, count each miss.
   unsigned accessStraddle(uint64_t FirstLine, uint64_t LastLine);
 
-  bool touchLine(uint64_t LineAddr) {
-    uint64_t Set = LineAddr & (NumSets - 1);
+  /// LRU-touches one line and returns true if it missed. Each set's ways
+  /// are held most recent first: a hit moves its tag to the front, a miss
+  /// shifts every way back one (evicting the last) and enters at the
+  /// front. Like a stamped LRU, the set then holds exactly the N most
+  /// recent distinct lines that map to it, so every hit and miss is the
+  /// same; no stamp or clock is kept.
+  PP_ALWAYS_INLINE bool touchLine(uint64_t LineAddr) {
+    uint64_t *Ways = &Tags[(LineAddr & (NumSets - 1)) * Config.Associativity];
     // Shift so a valid tag can never collide with the 0 invalid marker.
     uint64_t Tag = (LineAddr >> TagShift) + 1;
-    uint64_t *SetTags = &Tags[Set * Config.Associativity];
-    uint64_t *SetStamps = &Stamps[Set * Config.Associativity];
-    ++Clock;
-    unsigned Victim = 0;
-    for (unsigned Way = 0; Way != Config.Associativity; ++Way) {
-      if (SetTags[Way] == Tag) {
-        SetStamps[Way] = Clock;
-        return false; // hit
+    if (Ways[0] == Tag)
+      return false;
+    uint64_t Moving = Ways[0];
+    for (unsigned Way = 1; Way != Config.Associativity; ++Way) {
+      uint64_t Here = Ways[Way];
+      Ways[Way] = Moving;
+      if (Here == Tag) {
+        Ways[0] = Tag;
+        return false;
       }
-      if (SetStamps[Way] < SetStamps[Victim])
-        Victim = Way;
+      Moving = Here;
     }
-    SetTags[Victim] = Tag;
-    SetStamps[Victim] = Clock;
-    return true; // miss
+    Ways[0] = Tag;
+    return true;
   }
 
   CacheConfig Config;
   uint64_t NumSets;
   uint64_t LineShift;
   uint64_t TagShift;
-  /// Tags[set * Assoc + way]; 0 is "invalid" (tag values are shifted so a
-  /// real tag is never 0).
+  /// Tags[set * Assoc + way], most recently used way first; 0 is
+  /// "invalid" (tag values are shifted so a real tag is never 0).
   std::vector<uint64_t> Tags;
-  /// LRU stamps parallel to Tags.
-  std::vector<uint64_t> Stamps;
   /// The last two distinct lines touched, most recent first (MRU filter).
   uint64_t LastTouched = ~uint64_t(0);
   uint64_t PrevTouched = ~uint64_t(0);
-  /// Associativity == 1: the probe needs no LRU bookkeeping at all.
-  bool DirectMapped = false;
-  uint64_t Clock = 0;
   uint64_t Accesses = 0;
   uint64_t Misses = 0;
 };

@@ -39,15 +39,29 @@ public:
   // --- Program-visible accesses (counted) --------------------------------
 
   /// Fetch + issue of one instruction: I-cache access, one instruction, one
-  /// base cycle.
+  /// base cycle (the reference engine's fetch).
   PP_ALWAYS_INLINE void beginInst(uint64_t Addr) {
-    Counters.count(Event::Insts, 1);
-    Counters.count(Event::Cycles, 1);
+    Counters.noteFetch();
+    probeFetch(Addr);
+  }
+
+  /// The I-cache half of a fetch: probe and charge a miss. The threaded
+  /// engine calls this alone and owns the instruction and base cycle
+  /// itself: it counts fetches in a register and stores the count with
+  /// syncFetched() before anything that can read a total (the contract in
+  /// PerfCounters.h). It also skips this probe for an instruction its
+  /// fall-through predecessor fetched from the same line, which could
+  /// only hit the I-cache's MRU filter.
+  PP_ALWAYS_INLINE void probeFetch(uint64_t Addr) {
     if (ICache.access(Addr, 4)) {
       Counters.count(Event::ICacheMiss, 1);
       Counters.count(Event::Cycles, Cost.ICacheMissPenalty);
     }
   }
+
+  /// Sets the fetched-instruction count (see probeFetch).
+  PP_ALWAYS_INLINE void syncFetched(uint64_t N) { Counters.setFetched(N); }
+  uint64_t fetched() const { return Counters.fetched(); }
 
   /// Counted data read. A line-straddling access that misses both touched
   /// lines counts (and pays for) both misses.
@@ -130,6 +144,7 @@ public:
   PerfCounters &counters() { return Counters; }
   const PerfCounters &counters() const { return Counters; }
   const CostModel &cost() const { return Cost; }
+  const CacheConfig &icacheConfig() const { return ICache.config(); }
 
 private:
   void noteStoreIssued() {

@@ -12,6 +12,7 @@
 
 #include "support/Compiler.h"
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -26,22 +27,23 @@ public:
   static constexpr uint64_t PageBytes = 4096;
 
   /// Reads \p Size bytes (1-8) at \p Addr, zero-extended. The common
-  /// within-one-page case is inline with a one-entry page cache in front
-  /// of the hash lookup (the cached data pointer stays valid across map
-  /// rehashes — the page buffers themselves never move).
+  /// within-one-page case is inline with a small page TLB in front of the
+  /// hash lookup (a cached data pointer stays valid across map rehashes —
+  /// the page buffers themselves never move). A page that does not exist
+  /// reads as zeros and is neither allocated nor cached.
   PP_ALWAYS_INLINE uint64_t peek(uint64_t Addr, unsigned Size) const {
     uint64_t Offset = Addr & (PageBytes - 1);
     if (Offset + Size <= PageBytes) {
       uint64_t PageIdx = Addr / PageBytes;
+      TlbEntry &Entry = Tlb[tlbSlot(PageIdx)];
       const uint8_t *Page;
-      if (PageIdx == CachedPageIdx) {
-        Page = CachedPage;
+      if (Entry.PageIdx == PageIdx) {
+        Page = Entry.Page;
       } else {
         Page = findPage(Addr);
         if (!Page)
           return 0;
-        CachedPageIdx = PageIdx;
-        CachedPage = const_cast<uint8_t *>(Page);
+        Entry = TlbEntry{PageIdx, const_cast<uint8_t *>(Page)};
       }
       // Dispatch on the access width so each memcpy has a constant size
       // (one host load/store) instead of a variable-length copy.
@@ -72,13 +74,13 @@ public:
     uint64_t Offset = Addr & (PageBytes - 1);
     if (Offset + Size <= PageBytes) {
       uint64_t PageIdx = Addr / PageBytes;
+      TlbEntry &Entry = Tlb[tlbSlot(PageIdx)];
       uint8_t *Page;
-      if (PageIdx == CachedPageIdx) {
-        Page = CachedPage;
+      if (Entry.PageIdx == PageIdx) {
+        Page = Entry.Page;
       } else {
         Page = getPage(Addr);
-        CachedPageIdx = PageIdx;
-        CachedPage = Page;
+        Entry = TlbEntry{PageIdx, Page};
       }
       switch (Size) {
       case 8:
@@ -112,11 +114,26 @@ public:
 
   void clear() {
     Pages.clear();
-    CachedPageIdx = ~uint64_t(0);
-    CachedPage = nullptr;
+    Tlb.fill(TlbEntry());
   }
 
 private:
+  /// One cached page translation; PageIdx ~0 marks an empty slot.
+  struct TlbEntry {
+    uint64_t PageIdx = ~uint64_t(0);
+    uint8_t *Page = nullptr;
+  };
+  static constexpr size_t TlbEntries = 256;
+
+  /// Direct-mapped TLB slot of a page. Folding bits 12+ into the low byte
+  /// separates the region bases (globals, heap, CCT heap and profiling
+  /// stack all have zero low page bits, so `PageIdx & 255` alone would
+  /// send the first page of each to slot 0), while consecutive pages of
+  /// one region still take consecutive slots.
+  static size_t tlbSlot(uint64_t PageIdx) {
+    return static_cast<size_t>((PageIdx ^ (PageIdx >> 12)) & (TlbEntries - 1));
+  }
+
   /// Page-straddling accesses decompose into byte accesses (each of which
   /// is within one page and takes the fast path above).
   uint64_t peekSlow(uint64_t Addr, unsigned Size) const {
@@ -146,10 +163,9 @@ private:
   }
 
   std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> Pages;
-  /// One-entry MRU page cache (mutable: a cache refresh during a const
-  /// peek does not change observable state).
-  mutable uint64_t CachedPageIdx = ~uint64_t(0);
-  mutable uint8_t *CachedPage = nullptr;
+  /// Present pages only (mutable: a refill during a const peek does not
+  /// change observable state).
+  mutable std::array<TlbEntry, TlbEntries> Tlb;
 };
 
 } // namespace hw

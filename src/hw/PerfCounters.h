@@ -12,6 +12,17 @@
 /// baseline" ground truth (standing in for the paper's 6-second sampling of
 /// an uninstrumented run).
 ///
+/// The fetch count contract. Every fetched instruction costs one
+/// instruction and one base cycle. Those two counts are not added into
+/// the totals one by one: they live in a single Fetched word, which
+/// total(), readPics() and overflowPending() add in for Insts and Cycles
+/// (so cycles = Fetched + every charged cycle). Whoever fetches owns the
+/// word. Machine::beginInst bumps it (the reference engine); the threaded
+/// engine counts fetches in a register and stores the running count with
+/// setFetched() before anything that can read a total runs — a load,
+/// store, FP op, PIC access, profiling hook, call/return/longjmp, tracer
+/// callback, signal or trap delivery, and the end of the run.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PP_HW_PERFCOUNTERS_H
@@ -59,7 +70,18 @@ public:
   }
 
   /// Full-width ground-truth total for \p E.
-  uint64_t total(Event E) const { return Totals[static_cast<unsigned>(E)]; }
+  uint64_t total(Event E) const {
+    return Totals[static_cast<unsigned>(E)] + (Fetched & fetchMask(E));
+  }
+
+  /// Instructions fetched so far (each one instruction and one base cycle
+  /// of the Insts and Cycles totals).
+  uint64_t fetched() const { return Fetched; }
+  /// One more fetched instruction (Machine::beginInst).
+  PP_ALWAYS_INLINE void noteFetch() { ++Fetched; }
+  /// Stores the fetch count an engine kept elsewhere (see the contract in
+  /// the file comment).
+  PP_ALWAYS_INLINE void setFetched(uint64_t N) { Fetched = N; }
 
   /// The rd-of-both-PICs instruction: PIC0 in the low, PIC1 in the high
   /// 32 bits.
@@ -81,6 +103,7 @@ public:
     Pic0Base = pic0();
     Pic1Base = pic1();
     Totals.fill(0);
+    Fetched = 0;
     Pic0Snap = 0;
     Pic1Snap = 0;
     refreshTrapThreshold();
@@ -130,7 +153,7 @@ public:
   /// disarmed the threshold is UINT64_MAX, so the hot path needs no
   /// separate armed flag.
   PP_ALWAYS_INLINE bool overflowPending() const {
-    return Totals[TrapEventIdx] >= TrapThreshold;
+    return Totals[TrapEventIdx] + (Fetched & TrapFetchMask) >= TrapThreshold;
   }
 
 private:
@@ -144,7 +167,13 @@ private:
     uint32_t Cur = TrapPic == 0 ? pic0() : pic1();
     uint64_t Remaining = (uint64_t(1) << 32) - Cur;
     TrapEventIdx = static_cast<unsigned>(E);
+    TrapFetchMask = fetchMask(E);
     TrapThreshold = total(E) + Remaining;
+  }
+
+  /// All ones for the events a fetch counts (Insts, Cycles), else zero.
+  static uint64_t fetchMask(Event E) {
+    return E == Event::Insts || E == Event::Cycles ? ~uint64_t(0) : 0;
   }
 
   uint32_t pic0() const {
@@ -155,6 +184,8 @@ private:
   }
 
   std::array<uint64_t, NumEvents> Totals;
+  /// Fetched instructions, not yet in Totals[Insts] or Totals[Cycles].
+  uint64_t Fetched = 0;
   Event Pic0Event = Event::Cycles;
   Event Pic1Event = Event::Insts;
   /// PIC value at the last write/select/reset anchor point...
@@ -168,6 +199,7 @@ private:
   /// a single compare), and which PIC/event is armed.
   uint64_t TrapThreshold = UINT64_MAX;
   unsigned TrapEventIdx = 0;
+  uint64_t TrapFetchMask = 0;
   unsigned TrapPic = 0;
   bool TrapArmed = false;
 };

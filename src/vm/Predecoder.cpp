@@ -4,7 +4,9 @@
 
 #include "support/Error.h"
 
+#include <bit>
 #include <cassert>
+#include <iterator>
 #include <unordered_map>
 
 using namespace pp;
@@ -12,10 +14,11 @@ using namespace pp::vm;
 using ir::Inst;
 using ir::Opcode;
 
-Predecoder::Predecoder(ir::Module &M, ProfRuntime *RT, bool FuseCmpBr) {
+Predecoder::Predecoder(ir::Module &M, ProfRuntime *RT, bool FastPaths,
+                       uint64_t ICacheLineBytes) {
   Funcs.resize(M.numFunctions());
   for (const auto &F : M.functions())
-    decodeFunction(*F, RT, FuseCmpBr, Funcs[F->id()]);
+    decodeFunction(*F, RT, FastPaths, ICacheLineBytes, Funcs[F->id()]);
 }
 
 namespace {
@@ -48,10 +51,42 @@ DOp fusedCmpBr(DOp Op) {
   }
 }
 
+/// The decoded ops of a flowhw array commit, slot by slot.
+constexpr DOp PathCommitHwSlots[] = {
+    DOp::MulRI,    DOp::AddRI,  DOp::LoadReg, DOp::AddRI,  DOp::StoreReg,
+    DOp::RdPic,    DOp::AndRI,  DOp::ShrRI,   DOp::LoadReg, DOp::AddRR,
+    DOp::StoreReg, DOp::LoadReg, DOp::AddRR,  DOp::StoreReg};
+
+bool isPathCommitHw(const DecodedInst *Slots) {
+  for (size_t I = 0; I != std::size(PathCommitHwSlots); ++I)
+    if (Slots[I].Op != PathCommitHwSlots[I])
+      return false;
+  return true;
+}
+
+/// True if control can reach the instruction after \p Op only by falling
+/// through from it, straight after its fetch.
+bool fallsThrough(DOp Op) {
+  switch (Op) {
+  case DOp::Br:
+  case DOp::CondBr:
+  case DOp::Switch:
+  case DOp::Ret:
+  case DOp::Call:
+  case DOp::ICall:
+  case DOp::Setjmp:
+  case DOp::Longjmp:
+    return false;
+  default:
+    return true;
+  }
+}
+
 } // namespace
 
 void Predecoder::decodeFunction(ir::Function &F, ProfRuntime *RT,
-                                bool FuseCmpBr, DecodedFunction &Out) {
+                                bool FastPaths, uint64_t ICacheLineBytes,
+                                DecodedFunction &Out) {
   Out.F = &F;
 
   // Pass 1: stream offset of each block's first instruction. Blocks are
@@ -235,19 +270,41 @@ void Predecoder::decodeFunction(ir::Function &F, ProfRuntime *RT,
     }
   }
 
-  // Fusion pass: a compare feeding the immediately following CondBr
-  // becomes one superinstruction. The CondBr keeps its slot (so branch
-  // targets and addresses are unchanged and the fused handler reads its
-  // operands from the next slot); only the compare's opcode is rewritten.
-  // A compare is never a terminator, so Stream[I + 1] is always the same
-  // block's next instruction.
-  if (FuseCmpBr) {
-    for (size_t I = 0; I + 1 < Out.Stream.size(); ++I) {
-      DecodedInst &Cmp = Out.Stream[I];
-      const DecodedInst &Br = Out.Stream[I + 1];
-      DOp Fused = fusedCmpBr(Cmp.Op);
-      if (Fused != DOp::NumDOps && Br.Op == DOp::CondBr && Br.A == Cmp.Dst)
-        Cmp.Op = Fused;
-    }
+  if (!FastPaths)
+    return;
+
+  // Same-line fetch: an instruction reached only by falling through from
+  // its predecessor, whose 4-byte fetch lies in the line the predecessor
+  // was just fetched from, finds that line as the I-cache's most recent
+  // touch (nothing else fetches in between), so its probe is a certain
+  // filter hit with no state change.
+  std::vector<DecodedInst> &S = Out.Stream;
+  unsigned LineShift = static_cast<unsigned>(std::countr_zero(ICacheLineBytes));
+  for (size_t I = 1; I < S.size(); ++I) {
+    uint64_t Line = S[I].Addr >> LineShift;
+    if (fallsThrough(S[I - 1].Op) && (S[I - 1].Addr >> LineShift) == Line &&
+        ((uint64_t(S[I].Addr) + 3) >> LineShift) == Line)
+      S[I].Flags |= DecodedInst::FlagSameLine;
   }
+
+  // Fusion passes. Each rewrites only the first slot's opcode; every
+  // other slot keeps its op, operands and address, the fused handler
+  // reads them from there, and a jump into the middle still runs the
+  // plain ops. The fused slots hold no terminator, so they are one
+  // block's consecutive instructions.
+  //
+  // A compare feeding the immediately following CondBr becomes one
+  // superinstruction.
+  for (size_t I = 0; I + 1 < S.size(); ++I) {
+    DOp Fused = fusedCmpBr(S[I].Op);
+    if (Fused != DOp::NumDOps && S[I + 1].Op == DOp::CondBr &&
+        S[I + 1].A == S[I].Dst)
+      S[I].Op = Fused;
+  }
+  // A flowhw array commit becomes one. Matching the decoded ops is enough
+  // for any program: the handler replays each slot as that op.
+  constexpr size_t CommitSlots = std::size(PathCommitHwSlots);
+  for (size_t I = 0; I + CommitSlots <= S.size(); ++I)
+    if (isPathCommitHw(&S[I]))
+      S[I].Op = DOp::PathCommitHw;
 }

@@ -101,6 +101,14 @@ enum class DOp : uint8_t {
   CmpLtRIBr,
   CmpLeRRBr,
   CmpLeRIBr,
+  // A flowhw array-mode path commit: the 14-slot sequence MulRI AddRI
+  // LoadReg AddRI StoreReg RdPic AndRI ShrRI LoadReg AddRR StoreReg LoadReg
+  // AddRR StoreReg (Instrumenter's commitSequence). Only slot 0's opcode
+  // is rewritten; the handler runs all 14 slots in order, each with its
+  // own fetch, budget check and machine effects, reading each slot's
+  // operands from that slot. Emitted under the same gate as cmp+branch
+  // fusion.
+  PathCommitHw,
   NumDOps
 };
 
@@ -128,13 +136,21 @@ struct DecodedInst {
   uint16_t B = 0;
   DOp Op = DOp::MovI;
   /// Bit 0: second-operand-is-immediate, for the ops that keep the flag
-  /// (FP arithmetic, stores, Alloc, Ret, Longjmp, WrPic). Bits 1+: the
-  /// memory access width for LoadAbs/LoadReg/StoreAbs/StoreReg.
+  /// (FP arithmetic, stores, Alloc, Ret, Longjmp, WrPic). Bits 1-4: the
+  /// memory access width for LoadAbs/LoadReg/StoreAbs/StoreReg. Bit 7:
+  /// same-line fetch (see FlagSameLine).
   uint8_t Flags = 0;
 
   static constexpr uint8_t FlagBIsImm = 1;
+  /// The stream predecessor falls through to this instruction and fetched
+  /// from the same I-cache line, so this fetch's probe could only hit the
+  /// cache's MRU filter and the engine skips it. Set only under the
+  /// fusion gate: a signal handler's fetches could otherwise fall between
+  /// the two.
+  static constexpr uint8_t FlagSameLine = 0x80;
   bool bIsImm() const { return Flags & FlagBIsImm; }
-  unsigned size() const { return Flags >> 1; }
+  bool sameLine() const { return Flags & FlagSameLine; }
+  unsigned size() const { return (Flags >> 1) & 0xf; }
 };
 static_assert(sizeof(DecodedInst) == 32,
               "DecodedInst must stay two-per-cache-line");
@@ -168,18 +184,21 @@ struct DecodedFunction {
 /// hooks bind to their final receiver.
 class Predecoder {
 public:
-  /// \p FuseCmpBr enables the compare+branch superinstructions; the
-  /// engine passes false when a signal handler is installed (delivery
-  /// must be able to preempt every instruction boundary).
-  Predecoder(ir::Module &M, ProfRuntime *RT, bool FuseCmpBr = false);
+  /// \p FastPaths enables the compare+branch and path-commit
+  /// superinstructions and the same-line fetch flags for an I-cache of
+  /// \p ICacheLineBytes lines. The engine passes false when a signal or
+  /// trap handler is installed (delivery must be able to preempt every
+  /// instruction boundary).
+  Predecoder(ir::Module &M, ProfRuntime *RT, bool FastPaths = false,
+             uint64_t ICacheLineBytes = 32);
 
   const DecodedFunction &function(unsigned Id) const { return Funcs[Id]; }
   DecodedFunction &function(unsigned Id) { return Funcs[Id]; }
   size_t numFunctions() const { return Funcs.size(); }
 
 private:
-  void decodeFunction(ir::Function &F, ProfRuntime *RT, bool FuseCmpBr,
-                      DecodedFunction &Out);
+  void decodeFunction(ir::Function &F, ProfRuntime *RT, bool FastPaths,
+                      uint64_t ICacheLineBytes, DecodedFunction &Out);
 
   std::vector<DecodedFunction> Funcs;
 };

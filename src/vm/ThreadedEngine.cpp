@@ -2,8 +2,7 @@
 //
 // The threaded execution engine: runs the Predecoder's flat DecodedInst
 // streams with computed-goto dispatch, a GCC/Clang extension every
-// supported build has (each handler ends in its own indirect branch, so
-// the host branch predictor learns per-opcode successor patterns).
+// supported build has.
 //
 // Semantics are intentionally a line-for-line mirror of Vm::runReference:
 // the same Machine events in the same order, the same error strings on the
@@ -38,18 +37,36 @@ using namespace pp::vm;
     R = FR->Regs.data();                                                       \
     Rdy = FR->Ready.data();                                                    \
     Code = FR->DF->Stream.data();                                              \
-    EX = FR->DF->Extras.data();                                                \
-    StreamLen = FR->DF->Stream.size();                                         \
-    (void)StreamLen;                                                           \
     D = Code + FR->InstIdx;                                                    \
   } while (0)
 
 // D's index in the current frame's stream (for frame sync and setjmp).
 #define PP_PC() (static_cast<size_t>(D - Code))
+// D's cold per-instruction data.
+#define PP_EXTRA() (FR->DF->Extras[PP_PC()])
 
-// Per-instruction work shared by both dispatch flavours; mirrors the
-// reference loop's head: signal delivery, fetch, I-cache/issue accounting,
-// interval-timer tick, instruction budget. The countdown ticks before the
+// Stores the fetch count into the machine (the contract in
+// hw/PerfCounters.h): the engine keeps it in the local Fetched, so every
+// handler that can read a counter total — directly, through
+// Machine::now(), or through a runtime hook, tracer or trap handler —
+// runs this first.
+#define PP_SYNC_FETCHED() MC.syncFetched(Fetched)
+
+// The fetch of the instruction at D: the I-cache probe (skipped for a
+// same-line fetch, which could only hit the MRU filter), the instruction
+// and its base cycle (one more Fetched), and the instruction budget.
+#define PP_FETCH_ACCOUNT()                                                     \
+  do {                                                                         \
+    assert(PP_PC() < FR->DF->Stream.size() && "ran off end of stream");       \
+    if (!D->sameLine())                                                        \
+      MC.probeFetch(D->Addr);                                                  \
+    if (++Fetched > FetchLimit)                                                \
+      goto budget_exhausted;                                                   \
+  } while (0)
+
+// Per-instruction work; mirrors the reference loop's head: signal
+// delivery, overflow trap, fetch, interval-timer tick, instruction
+// budget. The countdown ticks before the
 // instruction executes rather than after (both engines agree): delivery
 // points are identical either way, since the counter decrements exactly
 // once per executed instruction between boundary checks. With no signal
@@ -64,24 +81,24 @@ using namespace pp::vm;
         goto deliver_signal;                                                   \
       --SignalCountdown;                                                       \
     }                                                                          \
-    if (TrapH && MC.counters().overflowPending()) {                            \
-      FR->InstIdx = PP_PC();                                                   \
-      deliverOverflowTrap(D->Addr);                                            \
+    if (TrapH) {                                                               \
+      PP_SYNC_FETCHED();                                                       \
+      if (MC.counters().overflowPending()) {                                   \
+        FR->InstIdx = PP_PC();                                                 \
+        deliverOverflowTrap(D->Addr);                                          \
+      }                                                                        \
     }                                                                          \
-    assert(PP_PC() < StreamLen && "ran off end of stream");                    \
-    MC.beginInst(D->Addr);                                                     \
-    if (++Executed > Budget)                                                   \
-      goto budget_exhausted;                                                   \
+    PP_FETCH_ACCOUNT();                                                        \
   } while (0)
 
-// Dispatch is direct threading proper: every handler ends by running
-// the fetch prologue and dispatching through the label-address table
-// itself, so each of the ~64 indirect-branch sites keys the host's
-// predictor to the opcode that precedes it (per-opcode successor
-// patterns — the classic threaded-dispatch win over a single shared
-// switch site). Replication is affordable because the prologue's
-// cold paths (the cache tag/LRU walk behind Machine::beginInst) live out
-// of line; only a compare and two counter adds are copied per handler.
+// Every handler ends by running the fetch prologue and jumping through
+// the label-address table. What GCC emits is not one indirect branch per
+// handler: it merges the identical tails, so most handlers jump to one
+// shared prologue-and-dispatch block and `runThreaded` holds about a
+// dozen `jmp *` sites (11 under GCC 12 -O2 before the path-commit
+// superinstruction). Forcing one site per handler (-fno-gcse
+// -fno-crossjumping) measured 3% slower on the profile suite, so the
+// build leaves the merging on.
 #define PP_CASE(Name) H_##Name
 #define PP_DISPATCH()                                                          \
   goto *const_cast<void *>(Handlers[static_cast<size_t>(D->Op)])
@@ -132,9 +149,9 @@ using namespace pp::vm;
 
 // Fused compare+branch halves: evaluate the compare, store its
 // architectural result, and jump to the shared branch tail with the
-// condition in FusedCond. Only reachable when no signal handler is
-// installed (the Predecoder gates fusion on that), so no delivery check
-// is needed at the fused pair's internal boundary.
+// condition in FusedCond. Only reachable when no signal or trap handler
+// is installed (the Predecoder gates fusion on that), so no delivery
+// check is needed at the fused pair's internal boundary.
 #define PP_CMPBR(Name, Expr)                                                   \
   PP_CASE(Name##RRBr) : {                                                      \
     uint64_t Av = R[D->A];                                                     \
@@ -157,7 +174,8 @@ using namespace pp::vm;
     uint64_t ReadyAt = Rdy[D->A];                                              \
     if (!D->bIsImm())                                                            \
       ReadyAt = std::max(ReadyAt, Rdy[D->B]);                                  \
-    uint64_t Now = MC.now();                                              \
+    PP_SYNC_FETCHED();                                                         \
+    uint64_t Now = MC.now();                                                   \
     if (ReadyAt > Now)                                                         \
       MC.stall(hw::Event::FpStall, ReadyAt - Now);                        \
     double Lhs = std::bit_cast<double>(R[D->A]);                               \
@@ -171,6 +189,45 @@ using namespace pp::vm;
     PP_NEXT();                                                                 \
   }
 
+// Loads and stores with the reference engine's unmapped-address check.
+// The fetch count is stored first: the load's scoreboard entry and the
+// store buffer read the cycle total.
+#define PP_LOAD(AddrExpr)                                                      \
+  do {                                                                         \
+    uint64_t Addr = (AddrExpr);                                                \
+    if (Addr < layout::CodeBase) {                                             \
+      fail(Result, formatString("load from unmapped address 0x%llx in %s",     \
+                                (unsigned long long)Addr,                      \
+                                FR->F->name().c_str()));                       \
+      goto done;                                                               \
+    }                                                                          \
+    PP_SYNC_FETCHED();                                                         \
+    R[D->Dst] = MC.load(Addr, D->size());                                      \
+    Rdy[D->Dst] = MC.now() + MC.cost().LoadLatency;                            \
+  } while (0)
+#define PP_STORE(AddrExpr)                                                     \
+  do {                                                                         \
+    uint64_t Addr = (AddrExpr);                                                \
+    if (Addr < layout::CodeBase) {                                             \
+      fail(Result, formatString("store to unmapped address 0x%llx in %s",      \
+                                (unsigned long long)Addr,                      \
+                                FR->F->name().c_str()));                       \
+      goto done;                                                               \
+    }                                                                          \
+    PP_SYNC_FETCHED();                                                         \
+    MC.store(Addr, D->size(),                                                  \
+             D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);           \
+  } while (0)
+
+// One slot of a fused run: step onto the next slot and fetch it, minus
+// the signal and trap checks (no handler is installed under the fusion
+// gate).
+#define PP_FUSED_STEP()                                                        \
+  do {                                                                         \
+    ++D;                                                                       \
+    PP_FETCH_ACCOUNT();                                                        \
+  } while (0)
+
 RunResult Vm::runThreaded() {
   RunResult Result;
   ir::Function *Main = M.main();
@@ -181,12 +238,13 @@ RunResult Vm::runThreaded() {
 
   // Lower the module once per run; pseudo-op hooks bind to the currently
   // attached runtime, so the stream cannot be reused across setRuntime.
-  // Superinstruction fusion is only sound when neither signal delivery
-  // nor a counter-overflow trap can preempt the boundary inside a fused
-  // pair.
+  // Superinstruction fusion and same-line fetch are only sound when
+  // neither signal delivery nor a counter-overflow trap can preempt an
+  // instruction boundary.
   Decoded = std::make_unique<Predecoder>(
       M, Runtime,
-      /*FuseCmpBr=*/SignalHandler == nullptr && TrapHook == nullptr);
+      /*FastPaths=*/SignalHandler == nullptr && TrapHook == nullptr,
+      Machine.icacheConfig().LineBytes);
 
   Frames.clear();
   {
@@ -214,17 +272,20 @@ RunResult Vm::runThreaded() {
   uint64_t *R = nullptr;
   uint64_t *Rdy = nullptr;
   const DecodedInst *Code = nullptr;
-  const DecodedExtra *EX = nullptr;
-  size_t StreamLen = 0;
   const DecodedInst *D = nullptr;
-  uint64_t Executed = 0;
   uint64_t FusedCond = 0;
   ir::Function *const SigHandler = SignalHandler;
   TrapHandler *const TrapH = TrapHook;
-  const uint64_t Budget = MaxInsts;
   Tracer *const TH = TracerHook;
   ProfRuntime *const RT = Runtime;
   hw::Machine &MC = Machine;
+  // The machine's fetch count, kept here and stored back by
+  // PP_SYNC_FETCHED; the run's executed-instruction count is its growth,
+  // and the budget trips once that exceeds MaxInsts.
+  const uint64_t FetchStart = MC.fetched();
+  uint64_t Fetched = FetchStart;
+  const uint64_t FetchLimit =
+      FetchStart + std::min(MaxInsts, UINT64_MAX - FetchStart);
 
   // Direct threading: one indirect jump through the label-address table,
   // indexed by the instruction's decoded opcode.
@@ -243,6 +304,7 @@ RunResult Vm::runThreaded() {
       &&H_ProfNoRuntime,
       &&H_CmpEqRRBr, &&H_CmpEqRIBr, &&H_CmpNeRRBr, &&H_CmpNeRIBr,
       &&H_CmpLtRRBr, &&H_CmpLtRIBr, &&H_CmpLeRRBr, &&H_CmpLeRIBr,
+      &&H_PathCommitHw,
   };
   static_assert(sizeof(Handlers) / sizeof(Handlers[0]) ==
                     static_cast<size_t>(DOp::NumDOps),
@@ -313,51 +375,19 @@ RunResult Vm::runThreaded() {
   }
 
   PP_CASE(LoadAbs) : {
-    uint64_t Addr = static_cast<uint64_t>(D->Imm);
-    if (Addr < layout::CodeBase) {
-      fail(Result, formatString("load from unmapped address 0x%llx in %s",
-                                (unsigned long long)Addr,
-                                FR->F->name().c_str()));
-      goto done;
-    }
-    R[D->Dst] = MC.load(Addr, D->size());
-    Rdy[D->Dst] = MC.now() + MC.cost().LoadLatency;
+    PP_LOAD(static_cast<uint64_t>(D->Imm));
     PP_NEXT();
   }
   PP_CASE(LoadReg) : {
-    uint64_t Addr = R[D->A] + static_cast<uint64_t>(D->Imm);
-    if (Addr < layout::CodeBase) {
-      fail(Result, formatString("load from unmapped address 0x%llx in %s",
-                                (unsigned long long)Addr,
-                                FR->F->name().c_str()));
-      goto done;
-    }
-    R[D->Dst] = MC.load(Addr, D->size());
-    Rdy[D->Dst] = MC.now() + MC.cost().LoadLatency;
+    PP_LOAD(R[D->A] + static_cast<uint64_t>(D->Imm));
     PP_NEXT();
   }
   PP_CASE(StoreAbs) : {
-    uint64_t Addr = static_cast<uint64_t>(D->Imm);
-    if (Addr < layout::CodeBase) {
-      fail(Result, formatString("store to unmapped address 0x%llx in %s",
-                                (unsigned long long)Addr,
-                                FR->F->name().c_str()));
-      goto done;
-    }
-    MC.store(Addr, D->size(),
-                  D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
+    PP_STORE(static_cast<uint64_t>(D->Imm));
     PP_NEXT();
   }
   PP_CASE(StoreReg) : {
-    uint64_t Addr = R[D->A] + static_cast<uint64_t>(D->Imm);
-    if (Addr < layout::CodeBase) {
-      fail(Result, formatString("store to unmapped address 0x%llx in %s",
-                                (unsigned long long)Addr,
-                                FR->F->name().c_str()));
-      goto done;
-    }
-    MC.store(Addr, D->size(),
-                  D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
+    PP_STORE(R[D->A] + static_cast<uint64_t>(D->Imm));
     PP_NEXT();
   }
   PP_CASE(Alloc) : {
@@ -367,16 +397,20 @@ RunResult Vm::runThreaded() {
   }
 
   PP_CASE(Br) : {
-    if (TH)
-      TH->onEdgeTaken(*EX[PP_PC()].From, 0);
+    if (TH) {
+      PP_SYNC_FETCHED();
+      TH->onEdgeTaken(*PP_EXTRA().From, 0);
+    }
     D = Code + D->T1;
     PP_FETCH();
   }
   PP_CASE(CondBr) : {
     bool Taken = R[D->A] != 0;
     MC.condBranch(D->Addr, Taken);
-    if (TH)
-      TH->onEdgeTaken(*EX[PP_PC()].From, Taken ? 0 : 1);
+    if (TH) {
+      PP_SYNC_FETCHED();
+      TH->onEdgeTaken(*PP_EXTRA().From, Taken ? 0 : 1);
+    }
     D = Code + (Taken ? D->T1 : D->T2);
     PP_FETCH();
   }
@@ -392,15 +426,18 @@ RunResult Vm::runThreaded() {
       SuccIndex = 0;
     }
     MC.indirectBranch(D->Addr, Code[Target].Addr);
-    if (TH)
-      TH->onEdgeTaken(*EX[PP_PC()].From, SuccIndex);
+    if (TH) {
+      PP_SYNC_FETCHED();
+      TH->onEdgeTaken(*PP_EXTRA().From, SuccIndex);
+    }
     D = Code + Target;
     PP_FETCH();
   }
   PP_CASE(Ret) : {
+    PP_SYNC_FETCHED();
     uint64_t Value = D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B];
     if (TH) {
-      TH->onEdgeTaken(*EX[PP_PC()].From, -1);
+      TH->onEdgeTaken(*PP_EXTRA().From, -1);
       TH->onExitFunction(*FR->F);
     }
     ir::Reg Dst = FR->RetDst;
@@ -428,7 +465,8 @@ RunResult Vm::runThreaded() {
   }
 
   PP_CASE(Call) : {
-    const DecodedExtra &X = EX[PP_PC()];
+    PP_SYNC_FETCHED();
+    const DecodedExtra &X = PP_EXTRA();
     ir::Function *Callee = X.Callee;
     if (Frames.size() >= 100000) {
       fail(Result, "call stack overflow (runaway recursion)");
@@ -445,7 +483,8 @@ RunResult Vm::runThreaded() {
     PP_FETCH();
   }
   PP_CASE(ICall) : {
-    const DecodedExtra &X = EX[PP_PC()];
+    PP_SYNC_FETCHED();
+    const DecodedExtra &X = PP_EXTRA();
     uint64_t Id = R[D->A];
     if (Id >= M.numFunctions()) {
       fail(Result,
@@ -484,6 +523,7 @@ RunResult Vm::runThreaded() {
     PP_NEXT();
   }
   PP_CASE(Longjmp) : {
+    PP_SYNC_FETCHED();
     auto It = JmpBufs.find(D->Imm);
     if (It == JmpBufs.end()) {
       fail(Result,
@@ -499,7 +539,7 @@ RunResult Vm::runThreaded() {
     }
     uint64_t Value = D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B];
     if (TH)
-      TH->onEdgeTaken(*EX[PP_PC()].From, -1);
+      TH->onEdgeTaken(*PP_EXTRA().From, -1);
     // Unwind every frame above the target without returning through it.
     while (Frames.size() - 1 > Buf.FrameIndex) {
       const ir::Function &Dead = *Frames.back().F;
@@ -522,17 +562,20 @@ RunResult Vm::runThreaded() {
   }
 
   PP_CASE(RdPic) : {
+    PP_SYNC_FETCHED();
     R[D->Dst] = MC.counters().readPics();
     PP_NEXT();
   }
   PP_CASE(WrPic) : {
+    PP_SYNC_FETCHED();
     MC.counters().writePics(
         D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
     PP_NEXT();
   }
 
   PP_CASE(Prof) : {
-    const DecodedExtra &X = EX[PP_PC()];
+    PP_SYNC_FETCHED();
+    const DecodedExtra &X = PP_EXTRA();
     X.Hook(*RT, *this, *X.Src);
     PP_NEXT();
   }
@@ -548,21 +591,52 @@ RunResult Vm::runThreaded() {
   PP_CMPBR(CmpLe, static_cast<uint64_t>(static_cast<int64_t>(Av) <=
                                         static_cast<int64_t>(Bv)))
 
+  // A fused flowhw array commit (DOp::PathCommitHw): slot 0 was fetched
+  // by the prologue; each later slot is fetched by PP_FUSED_STEP. Every
+  // slot runs as the op the Predecoder matched there, with that slot's
+  // operands.
+  PP_CASE(PathCommitHw) : {
+    assert(!SigHandler && !TrapH && "fused ops require no async handlers");
+    R[D->Dst] = R[D->A] * static_cast<uint64_t>(D->Imm); // MulRI
+    PP_FUSED_STEP();
+    R[D->Dst] = R[D->A] + static_cast<uint64_t>(D->Imm); // AddRI
+    PP_FUSED_STEP();
+    PP_LOAD(R[D->A] + static_cast<uint64_t>(D->Imm));
+    PP_FUSED_STEP();
+    R[D->Dst] = R[D->A] + static_cast<uint64_t>(D->Imm); // AddRI
+    PP_FUSED_STEP();
+    PP_STORE(R[D->A] + static_cast<uint64_t>(D->Imm));
+    PP_FUSED_STEP();
+    PP_SYNC_FETCHED(); // RdPic
+    R[D->Dst] = MC.counters().readPics();
+    PP_FUSED_STEP();
+    R[D->Dst] = R[D->A] & static_cast<uint64_t>(D->Imm); // AndRI
+    PP_FUSED_STEP();
+    R[D->Dst] = R[D->A] >> (static_cast<uint64_t>(D->Imm) & 63); // ShrRI
+    for (int Lane = 0; Lane != 2; ++Lane) {
+      PP_FUSED_STEP();
+      PP_LOAD(R[D->A] + static_cast<uint64_t>(D->Imm));
+      PP_FUSED_STEP();
+      R[D->Dst] = R[D->A] + R[D->B]; // AddRR
+      PP_FUSED_STEP();
+      PP_STORE(R[D->A] + static_cast<uint64_t>(D->Imm));
+    }
+    PP_NEXT();
+  }
+
 fused_br : {
   // Second half of a fused compare+branch: D advances onto the CondBr's
-  // own slot and replays the fetch prologue for it — minus the signal and
+  // own slot and replays the fetch for it — minus the signal and
   // overflow-trap checks, which cannot fire here because fusion is
   // disabled whenever either handler is installed.
   assert(!SigHandler && !TrapH && "fused ops require no async handlers");
-  ++D;
-  assert(PP_PC() < StreamLen && "ran off end of stream");
-  MC.beginInst(D->Addr);
-  if (++Executed > Budget)
-    goto budget_exhausted;
+  PP_FUSED_STEP();
   bool Taken = FusedCond != 0;
   MC.condBranch(D->Addr, Taken);
-  if (TH)
-    TH->onEdgeTaken(*EX[PP_PC()].From, Taken ? 0 : 1);
+  if (TH) {
+    PP_SYNC_FETCHED();
+    TH->onEdgeTaken(*PP_EXTRA().From, Taken ? 0 : 1);
+  }
   D = Code + (Taken ? D->T1 : D->T2);
   PP_FETCH();
 }
@@ -571,6 +645,7 @@ deliver_signal : {
   // Signal delivery at instruction boundaries (resumption semantics,
   // non-nesting): the handler runs as a fresh frame and the interrupted
   // instruction executes after it returns.
+  PP_SYNC_FETCHED();
   ++SignalsDelivered;
   SignalCountdown = SignalInterval;
   InSignal = true;
@@ -598,6 +673,7 @@ budget_exhausted:
   fail(Result, "instruction budget exhausted (likely an infinite loop)");
 
 done:
-  Result.ExecutedInsts = Executed;
+  PP_SYNC_FETCHED();
+  Result.ExecutedInsts = Fetched - FetchStart;
   return Result;
 }

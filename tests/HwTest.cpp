@@ -5,8 +5,14 @@
 #include "hw/Machine.h"
 #include "hw/MemoryImage.h"
 #include "hw/PerfCounters.h"
+#include "support/AddressLayout.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <vector>
 
 using namespace pp;
 using namespace pp::hw;
@@ -71,6 +77,71 @@ TEST(CacheSim, CountersTrackAccessesAndMisses) {
   Cache.reset();
   EXPECT_EQ(Cache.accesses(), 0u);
   EXPECT_TRUE(Cache.access(0, 8));
+}
+
+namespace {
+
+/// A textbook LRU cache: one std::list of line numbers per set, most
+/// recent first. No filter, no shortcut — the oracle CacheSim must match.
+class LruOracle {
+public:
+  explicit LruOracle(const CacheConfig &Config)
+      : Config(Config), Sets(Config.numSets()) {}
+
+  unsigned access(uint64_t Addr, uint64_t Size) {
+    unsigned Missed = 0;
+    for (uint64_t Line = Addr / Config.LineBytes;
+         Line <= (Addr + Size - 1) / Config.LineBytes; ++Line) {
+      std::list<uint64_t> &Set = Sets[Line % Sets.size()];
+      auto It = std::find(Set.begin(), Set.end(), Line);
+      if (It != Set.end()) {
+        Set.erase(It);
+      } else {
+        ++Missed;
+        if (Set.size() == Config.Associativity)
+          Set.pop_back();
+      }
+      Set.push_front(Line);
+    }
+    return Missed;
+  }
+
+private:
+  CacheConfig Config;
+  std::vector<std::list<uint64_t>> Sets;
+};
+
+} // namespace
+
+TEST(CacheSim, MatchesAnLruOracleOnRandomStreams) {
+  // Streams mix fresh addresses with repeats of recent ones (the MRU
+  // filter's two cases: the last line again, and ping-pong between two),
+  // and sizes that stay in one line or straddle two or three.
+  const uint64_t Sizes[] = {1, 2, 4, 8, 8, 24, 40};
+  for (unsigned Assoc : {1u, 2u, 4u, 8u}) {
+    for (uint64_t Seed = 1; Seed != 9; ++Seed) {
+      CacheConfig Config{1024, 16, Assoc};
+      CacheSim Cache(Config);
+      LruOracle Oracle(Config);
+      Prng R(Seed * 7919 + Assoc);
+      std::vector<uint64_t> Recent;
+      for (unsigned Step = 0; Step != 20000; ++Step) {
+        uint64_t Addr;
+        if (!Recent.empty() && R.nextBelow(3) != 0)
+          Addr = Recent[R.nextBelow(std::min<uint64_t>(Recent.size(), 4))] +
+                 R.nextBelow(16);
+        else
+          Addr = R.nextBelow(16 * 1024);
+        uint64_t Size = Sizes[R.nextBelow(std::size(Sizes))];
+        Recent.insert(Recent.begin(), Addr);
+        if (Recent.size() > 8)
+          Recent.pop_back();
+        ASSERT_EQ(Cache.access(Addr, Size), Oracle.access(Addr, Size))
+            << "assoc " << Assoc << " seed " << Seed << " step " << Step
+            << " addr " << Addr << " size " << Size;
+      }
+    }
+  }
 }
 
 TEST(BranchPredictor, LearnsABias) {
@@ -199,6 +270,94 @@ TEST(PerfCounters, UnselectedEventsDoNotTickPics) {
   Counters.count(Event::FpStall, 10);
   EXPECT_EQ(Counters.readPics(), 0u);
   EXPECT_EQ(Counters.total(Event::FpStall), 10u);
+}
+
+TEST(PerfCounters, FetchCountFeedsInstsAndCycles) {
+  // A fetch is one instruction and one base cycle, counted in the Fetched
+  // word rather than the totals; every reader adds it in.
+  PerfCounters Counters;
+  Counters.selectPicEvents(Event::Cycles, Event::Insts);
+  Counters.noteFetch();
+  Counters.noteFetch();
+  Counters.count(Event::Cycles, 5);
+  Counters.count(Event::Insts, 1);
+  EXPECT_EQ(Counters.fetched(), 2u);
+  EXPECT_EQ(Counters.total(Event::Insts), 3u);
+  EXPECT_EQ(Counters.total(Event::Cycles), 7u);
+  EXPECT_EQ(Counters.total(Event::FpStall), 0u);
+  EXPECT_EQ(Counters.readPics(), (uint64_t(3) << 32) | 7);
+
+  // An engine that counted fetches elsewhere stores its count.
+  Counters.setFetched(10);
+  EXPECT_EQ(Counters.total(Event::Insts), 11u);
+  EXPECT_EQ(Counters.total(Event::Cycles), 15u);
+
+  // An overflow trap on a fetch-fed event fires on fetches alone.
+  Counters.armOverflowTrap(1, 4);
+  Counters.setFetched(13);
+  EXPECT_FALSE(Counters.overflowPending());
+  Counters.noteFetch();
+  EXPECT_TRUE(Counters.overflowPending());
+
+  Counters.resetTotals();
+  EXPECT_EQ(Counters.fetched(), 0u);
+  EXPECT_EQ(Counters.total(Event::Insts), 0u);
+}
+
+TEST(MemoryImage, PagesThatShareATlbSlotKeepTheirOwnBytes) {
+  // More pages than the TLB has slots, so some must share one: the first
+  // page of each region (their page numbers all end in zero bits), pages
+  // 256 apart, and a dense run. Interleaved pokes and peeks must each see
+  // their own page.
+  MemoryImage Mem;
+  std::vector<uint64_t> Addrs;
+  for (uint64_t Base : {layout::CodeBase, layout::GlobalBase,
+                        layout::HeapBase, layout::CctHeapBase,
+                        layout::ProfStackBase})
+    for (uint64_t Page = 0; Page != 4; ++Page)
+      Addrs.push_back(Base + Page * 256 * MemoryImage::PageBytes + 8);
+  for (uint64_t Page = 1024; Page != 1624; ++Page)
+    Addrs.push_back(layout::HeapBase + Page * MemoryImage::PageBytes + 16);
+  for (size_t Index = 0; Index != Addrs.size(); ++Index) {
+    Mem.poke(Addrs[Index], 8, Index * 0x9e3779b97f4a7c15ULL);
+    // Re-read an earlier page that may have been evicted from the slot.
+    size_t Earlier = Index / 2;
+    ASSERT_EQ(Mem.peek(Addrs[Earlier], 8), Earlier * 0x9e3779b97f4a7c15ULL);
+  }
+  for (size_t Index = Addrs.size(); Index-- != 0;)
+    ASSERT_EQ(Mem.peek(Addrs[Index], 8), Index * 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(Mem.numPages(), Addrs.size());
+}
+
+TEST(MemoryImage, PeekOfAMissingPageAllocatesNothing) {
+  MemoryImage Mem;
+  Mem.poke(layout::GlobalBase, 8, 42);
+  EXPECT_EQ(Mem.numPages(), 1u);
+  for (uint64_t Page = 1; Page != 1000; ++Page)
+    EXPECT_EQ(Mem.peek(layout::GlobalBase + Page * MemoryImage::PageBytes, 8),
+              0u);
+  EXPECT_EQ(Mem.numPages(), 1u);
+  // A page first peeked as missing, then written, reads its new bytes.
+  uint64_t Later = layout::HeapBase + 5 * MemoryImage::PageBytes;
+  EXPECT_EQ(Mem.peek(Later, 4), 0u);
+  Mem.poke(Later, 4, 0xabcd);
+  EXPECT_EQ(Mem.peek(Later, 4), 0xabcdu);
+  EXPECT_EQ(Mem.peek(layout::GlobalBase, 8), 42u);
+  EXPECT_EQ(Mem.numPages(), 2u);
+}
+
+TEST(MemoryImage, ClearForgetsEveryPage) {
+  MemoryImage Mem;
+  for (uint64_t Page = 0; Page != 300; ++Page)
+    Mem.poke(layout::GlobalBase + Page * MemoryImage::PageBytes, 8, Page + 1);
+  Mem.clear();
+  EXPECT_EQ(Mem.numPages(), 0u);
+  for (uint64_t Page = 0; Page != 300; ++Page)
+    ASSERT_EQ(Mem.peek(layout::GlobalBase + Page * MemoryImage::PageBytes, 8),
+              0u);
+  Mem.poke(layout::GlobalBase, 8, 7);
+  EXPECT_EQ(Mem.peek(layout::GlobalBase, 8), 7u);
+  EXPECT_EQ(Mem.numPages(), 1u);
 }
 
 TEST(MemoryImage, PeekPokeRoundTrip) {
