@@ -8,7 +8,9 @@
 //
 // Writes BENCH_vm_throughput.json (machine-readable; the committed copy
 // at the repository root records the numbers this change was merged
-// with) and prints the same data as a table.
+// with) and prints the same data as a table. Each row reports the median
+// of nine pair speed-ups with their quartiles, and the JSON records the
+// host's core count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pp;
@@ -62,8 +65,11 @@ Sample timeOnce(const std::string &Name, int Scale, vm::Engine E) {
 /// when absolute rates swing; taking the median pair (not the fastest
 /// halves independently) keeps the reported rates and ratio
 /// self-consistent samples from one moment in time.
+///
+/// \p Q1Out and \p Q3Out receive the lower and upper quartiles of the
+/// per-pair speed-ups, the spread around the median pair's.
 void timePair(const std::string &Name, int Scale, Sample &RefOut,
-              Sample &ThrOut) {
+              Sample &ThrOut, double &Q1Out, double &Q3Out) {
   constexpr int Reps = 9;
   timeOnce(Name, Scale, vm::Engine::Reference); // warm the host caches
   std::vector<std::pair<Sample, Sample>> Pairs; // (reference, threaded)
@@ -82,6 +88,12 @@ void timePair(const std::string &Name, int Scale, Sample &RefOut,
   });
   RefOut = Pairs[Reps / 2].first;
   ThrOut = Pairs[Reps / 2].second;
+  // Sorted by descending speed-up: the lower quartile sits high.
+  auto Speedup = [](const std::pair<Sample, Sample> &P) {
+    return P.second.instsPerSec() / P.first.instsPerSec();
+  };
+  Q1Out = Speedup(Pairs[Reps - 1 - Reps / 4]);
+  Q3Out = Speedup(Pairs[Reps / 4]);
 }
 
 std::string fmt(const char *Format, double Value) {
@@ -108,7 +120,8 @@ int main() {
       {"126.gcc", 200}, {"099.go", 200}, {"101.tomcatv", 100}};
 
   TableWriter Table;
-  Table.setHeader({"Workload", "MInsts", "Ref MI/s", "Thr MI/s", "Speedup"});
+  Table.setHeader({"Workload", "MInsts", "Ref MI/s", "Thr MI/s", "Speedup",
+                   "Q1-Q3"});
   Table.addSeparator();
 
   uint64_t TotalInsts = 0;
@@ -116,7 +129,8 @@ int main() {
   std::vector<std::string> JsonRows;
   for (const Target &T : Targets) {
     Sample Ref, Thr;
-    timePair(T.Name, T.Scale, Ref, Thr);
+    double Q1 = 0, Q3 = 0;
+    timePair(T.Name, T.Scale, Ref, Thr, Q1, Q3);
     TotalInsts += Ref.Insts;
     RefSeconds += Ref.Seconds;
     ThrSeconds += Thr.Seconds;
@@ -124,14 +138,16 @@ int main() {
     Table.addRow({T.Name, fmt("%.1f", double(Ref.Insts) / 1e6),
                   fmt("%.1f", Ref.instsPerSec() / 1e6),
                   fmt("%.1f", Thr.instsPerSec() / 1e6),
-                  fmt("%.2fx", Speedup)});
-    char Row[256];
+                  fmt("%.2fx", Speedup),
+                  fmt("%.2f", Q1) + "-" + fmt("%.2f", Q3)});
+    char Row[320];
     std::snprintf(Row, sizeof(Row),
                   "    {\"workload\": \"%s\", \"scale\": %d, "
                   "\"insts\": %llu, \"reference_insts_per_sec\": %.0f, "
-                  "\"threaded_insts_per_sec\": %.0f, \"speedup\": %.3f}",
+                  "\"threaded_insts_per_sec\": %.0f, \"speedup\": %.3f, "
+                  "\"speedup_q1\": %.3f, \"speedup_q3\": %.3f}",
                   T.Name, T.Scale, (unsigned long long)Ref.Insts,
-                  Ref.instsPerSec(), Thr.instsPerSec(), Speedup);
+                  Ref.instsPerSec(), Thr.instsPerSec(), Speedup, Q1, Q3);
     JsonRows.push_back(Row);
   }
 
@@ -141,14 +157,15 @@ int main() {
   Table.addSeparator();
   Table.addRow({"aggregate", fmt("%.1f", double(TotalInsts) / 1e6),
                 fmt("%.1f", RefAgg / 1e6), fmt("%.1f", ThrAgg / 1e6),
-                fmt("%.2fx", Aggregate)});
+                fmt("%.2fx", Aggregate), ""});
 
   std::printf("VM engine throughput (uninstrumented runs, median of 9 "
               "interleaved reps)\n\n%s\n",
               Table.render().c_str());
 
   std::ofstream Json("BENCH_vm_throughput.json");
-  Json << "{\n  \"bench\": \"vm_throughput\",\n  \"rows\": [\n";
+  Json << "{\n  \"bench\": \"vm_throughput\",\n  \"hardware_cores\": "
+       << std::thread::hardware_concurrency() << ",\n  \"rows\": [\n";
   for (size_t Index = 0; Index != JsonRows.size(); ++Index)
     Json << JsonRows[Index] << (Index + 1 == JsonRows.size() ? "\n" : ",\n");
   Json << "  ],\n";

@@ -290,8 +290,8 @@ void Predecoder::decodeFunction(ir::Function &F, ProfRuntime *RT,
   // Fusion passes. Each rewrites only the first slot's opcode; every
   // other slot keeps its op, operands and address, the fused handler
   // reads them from there, and a jump into the middle still runs the
-  // plain ops. The fused slots hold no terminator, so they are one
-  // block's consecutive instructions.
+  // plain ops. No fused slot but the last is a terminator, so the slots
+  // are one block's consecutive instructions.
   //
   // A compare feeding the immediately following CondBr becomes one
   // superinstruction.

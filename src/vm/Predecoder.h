@@ -91,8 +91,8 @@ enum class DOp : uint8_t {
   // stream slots (the CondBr keeps its own slot, operands, and address);
   // the fused handler executes both instructions' full effects —
   // including the branch's fetch accounting and budget check — in one
-  // dispatch. Emitted only when no signal handler is installed, so no
-  // delivery boundary can fall between the two halves.
+  // dispatch. Emitted only when no signal or trap handler is installed,
+  // so no delivery boundary can fall between the two halves.
   CmpEqRRBr,
   CmpEqRIBr,
   CmpNeRRBr,
@@ -189,8 +189,8 @@ public:
   /// \p ICacheLineBytes lines. The engine passes false when a signal or
   /// trap handler is installed (delivery must be able to preempt every
   /// instruction boundary).
-  Predecoder(ir::Module &M, ProfRuntime *RT, bool FastPaths = false,
-             uint64_t ICacheLineBytes = 32);
+  Predecoder(ir::Module &M, ProfRuntime *RT, bool FastPaths,
+             uint64_t ICacheLineBytes);
 
   const DecodedFunction &function(unsigned Id) const { return Funcs[Id]; }
   DecodedFunction &function(unsigned Id) { return Funcs[Id]; }

@@ -37,6 +37,7 @@ using namespace pp::vm;
     R = FR->Regs.data();                                                       \
     Rdy = FR->Ready.data();                                                    \
     Code = FR->DF->Stream.data();                                              \
+    CodeEnd = Code + FR->DF->Stream.size();                                    \
     D = Code + FR->InstIdx;                                                    \
   } while (0)
 
@@ -57,7 +58,7 @@ using namespace pp::vm;
 // and its base cycle (one more Fetched), and the instruction budget.
 #define PP_FETCH_ACCOUNT()                                                     \
   do {                                                                         \
-    assert(PP_PC() < FR->DF->Stream.size() && "ran off end of stream");       \
+    assert(D < CodeEnd && "ran off end of stream");                            \
     if (!D->sameLine())                                                        \
       MC.probeFetch(D->Addr);                                                  \
     if (++Fetched > FetchLimit)                                                \
@@ -66,39 +67,39 @@ using namespace pp::vm;
 
 // Per-instruction work; mirrors the reference loop's head: signal
 // delivery, overflow trap, fetch, interval-timer tick, instruction
-// budget. The countdown ticks before the
-// instruction executes rather than after (both engines agree): delivery
-// points are identical either way, since the counter decrements exactly
-// once per executed instruction between boundary checks. With no signal
-// handler installed (SigHandler is run-invariant) the signal work folds
-// to one never-taken register test; likewise the overflow-trap check
-// (TrapH run-invariant) vanishes when no trap handler is installed, and
-// otherwise costs one load+compare against the armed PIC's threshold.
+// budget. The countdown ticks before the instruction executes rather
+// than after (both engines agree): delivery points are identical either
+// way, since the counter decrements exactly once per executed
+// instruction between boundary checks. With neither a signal nor a trap
+// handler installed (both run-invariant) the delivery work folds to one
+// never-taken test of Preemptible; a trap check costs a fetch-count store
+// and one load+compare against the armed PIC's threshold.
 #define PP_PROLOGUE()                                                          \
   do {                                                                         \
-    if (SigHandler && !InSignal) {                                             \
-      if (SignalCountdown == 0)                                                \
-        goto deliver_signal;                                                   \
-      --SignalCountdown;                                                       \
-    }                                                                          \
-    if (TrapH) {                                                               \
-      PP_SYNC_FETCHED();                                                       \
-      if (MC.counters().overflowPending()) {                                   \
-        FR->InstIdx = PP_PC();                                                 \
-        deliverOverflowTrap(D->Addr);                                          \
+    if (Preemptible) {                                                         \
+      if (SigHandler && !InSignal) {                                           \
+        if (SignalCountdown == 0)                                              \
+          goto deliver_signal;                                                 \
+        --SignalCountdown;                                                     \
+      }                                                                        \
+      if (TrapHook) {                                                          \
+        PP_SYNC_FETCHED();                                                     \
+        if (MC.counters().overflowPending()) {                                 \
+          FR->InstIdx = PP_PC();                                               \
+          deliverOverflowTrap(D->Addr);                                        \
+        }                                                                      \
       }                                                                        \
     }                                                                          \
     PP_FETCH_ACCOUNT();                                                        \
   } while (0)
 
 // Every handler ends by running the fetch prologue and jumping through
-// the label-address table. What GCC emits is not one indirect branch per
-// handler: it merges the identical tails, so most handlers jump to one
-// shared prologue-and-dispatch block and `runThreaded` holds about a
-// dozen `jmp *` sites (11 under GCC 12 -O2 before the path-commit
-// superinstruction). Forcing one site per handler (-fno-gcse
-// -fno-crossjumping) measured 3% slower on the profile suite, so the
-// build leaves the merging on.
+// the label-address table. The source spells one indirect branch per
+// handler, but that is not what GCC emits: it merges the identical tails,
+// so most handlers jump to one shared prologue-and-dispatch block, and
+// under GCC 12 at -O2 `runThreaded` holds ten `jmp *` sites. Forcing one
+// site per handler (-fno-gcse -fno-crossjumping) measured 3% slower on
+// the profile suite, so the build leaves the merging on.
 #define PP_CASE(Name) H_##Name
 #define PP_DISPATCH()                                                          \
   goto *const_cast<void *>(Handlers[static_cast<size_t>(D->Op)])
@@ -135,7 +136,7 @@ using namespace pp::vm;
 // Signed divide/remainder with the reference engine's edge-case results.
 #define PP_DIVREM(Name, IsDiv)                                                 \
   {                                                                            \
-    MC.addCycles(MC.cost().DivCycles);                               \
+    MC.addCycles(MC.cost().DivCycles);                                         \
     int64_t Lhs = static_cast<int64_t>(R[D->A]);                               \
     int64_t Rhs = static_cast<int64_t>(Bv);                                    \
     if (Rhs == 0)                                                              \
@@ -272,10 +273,14 @@ RunResult Vm::runThreaded() {
   uint64_t *R = nullptr;
   uint64_t *Rdy = nullptr;
   const DecodedInst *Code = nullptr;
+  const DecodedInst *CodeEnd = nullptr;
   const DecodedInst *D = nullptr;
   uint64_t FusedCond = 0;
   ir::Function *const SigHandler = SignalHandler;
-  TrapHandler *const TrapH = TrapHook;
+  // A signal or trap can preempt an instruction boundary; when neither
+  // handler is installed the prologue's whole delivery check is this one
+  // never-taken test.
+  const bool Preemptible = SignalHandler || TrapHook;
   Tracer *const TH = TracerHook;
   ProfRuntime *const RT = Runtime;
   hw::Machine &MC = Machine;
@@ -596,7 +601,7 @@ RunResult Vm::runThreaded() {
   // slot runs as the op the Predecoder matched there, with that slot's
   // operands.
   PP_CASE(PathCommitHw) : {
-    assert(!SigHandler && !TrapH && "fused ops require no async handlers");
+    assert(!Preemptible && "fused ops require no async handlers");
     R[D->Dst] = R[D->A] * static_cast<uint64_t>(D->Imm); // MulRI
     PP_FUSED_STEP();
     R[D->Dst] = R[D->A] + static_cast<uint64_t>(D->Imm); // AddRI
@@ -629,7 +634,7 @@ fused_br : {
   // own slot and replays the fetch for it — minus the signal and
   // overflow-trap checks, which cannot fire here because fusion is
   // disabled whenever either handler is installed.
-  assert(!SigHandler && !TrapH && "fused ops require no async handlers");
+  assert(!Preemptible && "fused ops require no async handlers");
   PP_FUSED_STEP();
   bool Taken = FusedCond != 0;
   MC.condBranch(D->Addr, Taken);

@@ -117,9 +117,9 @@ public:
 
   void setRuntime(ProfRuntime *R) { Runtime = R; }
   void setTracer(Tracer *T) { TracerHook = T; }
-  /// Receives counter-overflow traps. Installing a handler disables
-  /// cmp+branch superinstruction fusion in the threaded engine (a trap
-  /// must not be deliverable at the hidden boundary inside a fused pair),
+  /// Receives counter-overflow traps. Installing a handler disables the
+  /// threaded engine's fast paths — superinstruction fusion and same-line
+  /// fetch (a trap must be deliverable at every instruction boundary) —
   /// exactly as installing a signal handler does.
   void setTrapHandler(TrapHandler *T) { TrapHook = T; }
   /// Selects the execution engine (default: Threaded; Reference is the

@@ -119,7 +119,8 @@ prof::RunOutcome expectEnginesAgree(const ir::Module &M,
 /// an array-mode flowhw function's every commit is the fused 14-slot
 /// sequence, so each path execution it counted was one.
 uint64_t fusedCommitsRun(const prof::RunOutcome &Out) {
-  vm::Predecoder Decoded(*Out.Instr.M, nullptr, /*FastPaths=*/true);
+  vm::Predecoder Decoded(*Out.Instr.M, nullptr, /*FastPaths=*/true,
+                         hw::icacheDefault().LineBytes);
   uint64_t Runs = 0;
   for (const prof::FunctionPathProfile &P : Out.PathProfiles) {
     const vm::DecodedFunction &DF = Decoded.function(P.FuncId);
