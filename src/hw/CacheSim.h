@@ -105,9 +105,8 @@ private:
   /// LRU-touches one line and returns true if it missed. Each set's ways
   /// are held most recent first: a hit moves its tag to the front, a miss
   /// shifts every way back one (evicting the last) and enters at the
-  /// front. Like a stamped LRU, the set then holds exactly the N most
-  /// recent distinct lines that map to it, so every hit and miss is the
-  /// same; no stamp or clock is kept.
+  /// front. The set so holds exactly the N most recent distinct lines
+  /// that map to it, which is LRU without a stamp or clock to keep.
   PP_ALWAYS_INLINE bool touchLine(uint64_t LineAddr) {
     uint64_t *Ways = &Tags[(LineAddr & (NumSets - 1)) * Config.Associativity];
     // Shift so a valid tag can never collide with the 0 invalid marker.

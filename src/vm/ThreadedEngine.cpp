@@ -268,7 +268,11 @@ RunResult Vm::runThreaded() {
   // Hot interpreter state, hoisted into locals so the dispatch loop keeps
   // it in registers: the program counter, the current frame's decoded
   // stream, and run-invariant configuration (setTracer/setRuntime/
-  // setSignal/setMaxInsts cannot be called mid-run).
+  // setSignal/setMaxInsts cannot be called mid-run). Keep this set small:
+  // every local is live across the dispatch and across the handlers'
+  // calls, and with a few more GCC 12 spills D or Fetched to the stack,
+  // so each simulated instruction waits on a store-to-load round trip
+  // (check `objdump -d` of the dispatch blocks after adding one).
   Frame *FR = nullptr;
   uint64_t *R = nullptr;
   uint64_t *Rdy = nullptr;
